@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DimensionError
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
-# Tape recording is per-thread: concurrent no-grad evaluations (search
-# workers) must not disable gradients for anyone else.
+# Tape recording is per-thread: a no-grad evaluation in one thread must not
+# disable gradients for anyone else.
 _TLS = threading.local()
 
 

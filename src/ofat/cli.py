@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-params", type=int, help="override search.max_params")
     p.add_argument("--out", required=True, help="output prefix: <out>.csv and <out>.summary.yaml")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel evaluation workers (default: $OFAT_WORKERS or 1)")
+                   help="accepted for compatibility; evaluation is serial and the result "
+                        "is the same for any value (default: $OFAT_WORKERS or 1)")
 
     p = sub.add_parser("extract", help="copy one subnet out of a supernet checkpoint")
     p.add_argument("--checkpoint", required=True)

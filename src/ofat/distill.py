@@ -10,6 +10,7 @@ targets.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -171,9 +172,15 @@ class TeacherModel:
         """Distillation targets for one feature sequence, optionally cached.
 
         Caching is exact, not approximate: the teacher is frozen and
-        deterministic, so targets depend only on the sequence identity.
+        deterministic, so targets depend only on the features. The key adds
+        a digest of their bytes, shape and dtype to `cache_key`, so a key
+        reused for another sequence misses instead of returning its targets.
         """
-        key = (cache_key, cfg.k) if cache_key is not None else None
+        key = None
+        if cache_key is not None:
+            arr = np.ascontiguousarray(features.data if isinstance(features, Tensor) else features)
+            digest = hashlib.blake2b(arr.tobytes(), digest_size=16).hexdigest()
+            key = (cache_key, cfg.k, arr.shape, arr.dtype.str, digest)
         if key is not None and key in self._target_cache:
             return self._target_cache[key]
         out = compute_targets(self.hidden_layers(features), cfg)

@@ -10,17 +10,19 @@ bounds, whatever the budget.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, static_forward_masked, student_forward_masked
+from .distill import MaskSpec, TargetConfig, TeacherModel, apply_mask, distill_loss, static_forward_masked
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
-from .spaces import SearchSpace, SubnetConfig, max_subnet, min_subnet, sample_subnet
-from .supernet import StaticEncoder, SupernetModel, count_params
+from .spaces import SearchSpace, SubnetConfig, max_subnet, min_subnet, sample_subnet, validate_config
+from .supernet import (
+    StaticEncoder, SupernetModel, block_forward, count_params, head_forward, positional_stage,
+    project_input,
+)
 
 ATTEMPT_FACTOR = 100  # rejection-sampling cap: 100 x n_candidates attempts
 
@@ -87,13 +89,76 @@ def evaluate_subnet(
     STREAM_EVAL_MASK) stream, so repeated calls and different candidates
     are scored on identical masks.
     """
+    return evaluate_subnets(model, [config], val_sequences, teacher, mask_spec, target_cfg,
+                            eval_seed, eval_batches, l1_reduction)[0]
 
-    def run(feats, masked_rng):
-        _, _, head_out, mask = student_forward_masked(model, config, feats, mask_spec, masked_rng)
-        return head_out, mask
 
-    return _evaluate(run, model.frontend, val_sequences, teacher, target_cfg,
-                     eval_seed, eval_batches, l1_reduction)
+class _PrefixNode:
+    """One trie node: a layer prefix shared by the configs below it."""
+
+    __slots__ = ("children", "ends")
+
+    def __init__(self):
+        self.children: dict[tuple[int, float], _PrefixNode] = {}
+        self.ends: list[int] = []  # indices of the configs whose depth ends here
+
+
+def evaluate_subnets(
+    model: SupernetModel,
+    configs: list[SubnetConfig],
+    val_sequences,
+    teacher: TeacherModel,
+    mask_spec: MaskSpec,
+    target_cfg: TargetConfig,
+    eval_seed: int = 0,
+    eval_batches: int = 4,
+    l1_reduction: str = "mean",
+) -> list[float]:
+    """evaluate_subnet for every config, bitwise equal to scoring each alone.
+
+    The sliced forward up to block l depends only on (embed_dim, heads[:l],
+    ffn_ratio[:l]), and every candidate sees the same masks. So the
+    frontend and teacher targets run once per batch; the projection, mask
+    and positional stage once per embed dim and batch; and the blocks once
+    per node of a trie keyed by (heads[l], ffn_ratio[l]), walked depth
+    first. The head and loss run where a config's depth ends. Only the
+    root-to-node path is held: at most max_depth x eval_batches arrays.
+    """
+    tries: dict[int, tuple[SubnetConfig, _PrefixNode]] = {}
+    for i, config in enumerate(configs):
+        validate_config(model.space, config)
+        node = tries.setdefault(config.embed_dim, (config, _PrefixNode()))[1]
+        for key in zip(config.heads, config.ffn_ratio):
+            node = node.children.setdefault(key, _PrefixNode())
+        node.ends.append(i)
+
+    batches = _heldout_batches(model.frontend, val_sequences, teacher, target_cfg, eval_batches)
+    losses = [0.0] * len(configs)
+
+    def walk(node, e, depth, hs, masks):
+        if node.ends:
+            per_batch = [
+                distill_loss(head_forward(model, e, h)[1], targets, mask, reduction=l1_reduction).item()
+                for h, (_, targets), mask in zip(hs, batches, masks)
+            ]
+            loss = float(np.mean(per_batch))
+            for i in node.ends:
+                losses[i] = loss
+        for (heads, ratio), child in node.children.items():
+            walk(child, e, depth + 1, [block_forward(model, depth, h, e, heads, ratio) for h in hs], masks)
+
+    with ad.no_grad():
+        for e, (first, root) in tries.items():
+            # Each candidate alone draws its masks from a fresh stream, in batch order.
+            mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
+            mask_emb = ad.slice_prefix(model.mask_emb, 0, e)
+            hs, masks = [], []
+            for feats, _ in batches:
+                masked = apply_mask(project_input(model, first, feats), mask_spec, mask_emb, mask_rng)
+                hs.append(positional_stage(model, e, masked.masked_input))
+                masks.append(masked.mask_indices)
+            walk(root, e, 0, hs, masks)
+    return losses
 
 
 def evaluate_static(
@@ -107,31 +172,32 @@ def evaluate_static(
     eval_batches: int = 4,
     l1_reduction: str = "mean",
 ) -> float:
-    """evaluate_subnet's twin for an extracted standalone model."""
+    """evaluate_subnet's twin for an extracted standalone model.
 
-    def run(feats, masked_rng):
-        _, _, head_out, mask = static_forward_masked(encoder, feats, mask_spec, masked_rng)
-        return head_out, mask
-
-    return _evaluate(run, frontend, val_sequences, teacher, target_cfg,
-                     eval_seed, eval_batches, l1_reduction)
-
-
-def _evaluate(run, frontend, val_sequences, teacher, target_cfg, eval_seed, eval_batches,
-              l1_reduction="mean"):
-    if len(val_sequences) == 0:
-        raise ConfigurationError("validation data is empty")
+    Runs the static forward, not the sliced one, so it stays an independent
+    reference for the supernet path.
+    """
+    batches = _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches)
     mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
     losses = []
     with ad.no_grad():
-        for b in range(eval_batches):
-            idx = b % len(val_sequences)
-            feats = frontend.forward(val_sequences[idx])
-            targets = teacher.targets_from_features(feats, target_cfg, cache_key=("val", idx))
-            head_out, mask = run(feats, mask_rng)
+        for feats, targets in batches:
+            _, _, head_out, mask = static_forward_masked(encoder, feats, mask_spec, mask_rng)
             loss = distill_loss(head_out, targets, mask.mask_indices, reduction=l1_reduction)
             losses.append(loss.item())
     return float(np.mean(losses))
+
+
+def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):
+    """(features, teacher targets) per eval batch, cycling through the sequences."""
+    if len(val_sequences) == 0:
+        raise ConfigurationError("validation data is empty")
+    batches = []
+    for b in range(eval_batches):
+        idx = b % len(val_sequences)
+        feats = frontend.forward(val_sequences[idx])
+        batches.append((feats, teacher.targets_from_features(feats, target_cfg, cache_key=("val", idx))))
+    return batches
 
 
 def sample_candidates(space: SearchSpace, budget: SearchBudget):
@@ -176,28 +242,18 @@ def random_search(
     workers: int = 1,
     l1_reduction: str = "mean",
 ) -> SearchResult:
-    """Score budget-satisfying random subnets; rank ascending by loss."""
+    """Score budget-satisfying random subnets; rank ascending by loss.
+
+    Every candidate and both bounds are scored in one evaluate_subnets
+    pass. Evaluation is serial: `workers` is accepted for compatibility
+    and does not change the result.
+    """
     configs, acceptance = sample_candidates(space, budget)
-
-    # Warm the per-sequence target cache before any threading so the
-    # threaded evaluations only ever read it.
-    for b in range(budget.eval_batches):
-        idx = b % len(val_sequences)
-        feats = model.frontend.forward(val_sequences[idx])
-        teacher.targets_from_features(feats, target_cfg, cache_key=("val", idx))
-
-    def score(config):
-        return evaluate_subnet(
-            model, config, val_sequences, teacher, mask_spec, target_cfg,
-            eval_seed=budget.seed, eval_batches=budget.eval_batches,
-            l1_reduction=l1_reduction,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            losses = list(pool.map(score, configs))
-    else:
-        losses = [score(c) for c in configs]
+    lo, hi = min_subnet(space), max_subnet(space)
+    *losses, lo_loss, hi_loss = evaluate_subnets(
+        model, configs + [lo, hi], val_sequences, teacher, mask_spec, target_cfg,
+        eval_seed=budget.seed, eval_batches=budget.eval_batches, l1_reduction=l1_reduction,
+    )
 
     entries = [
         SearchEntry(config=c, params=subnet_params(space, c, budget), loss=loss, index=i)
@@ -206,9 +262,8 @@ def random_search(
     entries.sort(key=lambda e: (e.loss, e.index))
     assert all(e.params <= budget.max_params for e in entries)
 
-    lo, hi = min_subnet(space), max_subnet(space)
-    bound_min = SearchEntry(lo, subnet_params(space, lo, budget), score(lo), -1)
-    bound_max = SearchEntry(hi, subnet_params(space, hi, budget), score(hi), -2)
+    bound_min = SearchEntry(lo, subnet_params(space, lo, budget), lo_loss, -1)
+    bound_max = SearchEntry(hi, subnet_params(space, hi, budget), hi_loss, -2)
     return SearchResult(
         entries=entries,
         bound_min=bound_min,

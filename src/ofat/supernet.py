@@ -201,39 +201,57 @@ def project_input(model: SupernetModel, config: SubnetConfig, x) -> Tensor:
     return ad.matmul(x, ws) + ad.slice_prefix(model.input_b, 0, e)
 
 
+def positional_stage(model: SupernetModel, e: int, h: Tensor) -> Tensor:
+    """Sliced grouped positional conv on an [t, e] embedding, added through a GELU."""
+    G = model.space.conv_groups
+    pw = ad.slice_prefix(ad.slice_prefix(model.pos_w, 0, e), 1, e // G)
+    pc = ad.grouped_conv1d(h, pw, ad.slice_prefix(model.pos_b, 0, e), G)
+    return h + ad.gelu(pc)
+
+
+def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, ratio: float) -> Tensor:
+    """Sliced pre-norm block `l` at embed `e` with `heads` heads and FFN `ratio`.
+
+    The output depends only on `h` and these dims, so subnets that share a
+    layer prefix share every block output up to it.
+    """
+    blk = model.blocks[l]
+    hd = model.space.head_dim
+    a = heads * hd
+    f = ffn_hidden(ratio, e)
+
+    hn = ad.layer_norm(h, ad.slice_prefix(blk.ln1_g, 0, e), ad.slice_prefix(blk.ln1_b, 0, e), ATTN_EPS)
+    q = _sliced_linear(hn, blk.wq, blk.bq, e, a)
+    k = _sliced_linear(hn, blk.wk, blk.bk, e, a)
+    v = _sliced_linear(hn, blk.wv, blk.bv, e, a)
+    att = _attention(q, k, v, heads, hd)
+    h = h + _sliced_linear(att, blk.wo, blk.bo, a, e)
+
+    hn2 = ad.layer_norm(h, ad.slice_prefix(blk.ln2_g, 0, e), ad.slice_prefix(blk.ln2_b, 0, e), ATTN_EPS)
+    ff = ad.gelu(_sliced_linear(hn2, blk.w1, blk.b1, e, f))
+    return h + _sliced_linear(ff, blk.w2, blk.b2, f, e)
+
+
+def head_forward(model: SupernetModel, e: int, h: Tensor):
+    """Sliced final norm and prediction head. Returns (final [t, e], head_out [t, teacher_dim])."""
+    final = ad.layer_norm(h, ad.slice_prefix(model.final_g, 0, e), ad.slice_prefix(model.final_b, 0, e), ATTN_EPS)
+    head_out = ad.matmul(final, ad.slice_prefix(model.head_w, 0, e)) + model.head_b
+    return final, head_out
+
+
 def encode(model: SupernetModel, config: SubnetConfig, h: Tensor, collect_hidden: bool = False):
     """Positional conv, `depth` sliced blocks, final norm, prediction head.
 
     Returns (final [t, e], hidden per-block outputs, head_out [t, teacher_dim]).
     """
-    space = model.space
-    e, G, hd = config.embed_dim, space.conv_groups, space.head_dim
-
-    pw = ad.slice_prefix(ad.slice_prefix(model.pos_w, 0, e), 1, e // G)
-    pc = ad.grouped_conv1d(h, pw, ad.slice_prefix(model.pos_b, 0, e), G)
-    h = h + ad.gelu(pc)
-
+    e = config.embed_dim
+    h = positional_stage(model, e, h)
     hidden = []
     for l in range(config.depth):
-        blk = model.blocks[l]
-        a = config.heads[l] * hd
-        f = ffn_hidden(config.ffn_ratio[l], e)
-
-        hn = ad.layer_norm(h, ad.slice_prefix(blk.ln1_g, 0, e), ad.slice_prefix(blk.ln1_b, 0, e), ATTN_EPS)
-        q = _sliced_linear(hn, blk.wq, blk.bq, e, a)
-        k = _sliced_linear(hn, blk.wk, blk.bk, e, a)
-        v = _sliced_linear(hn, blk.wv, blk.bv, e, a)
-        att = _attention(q, k, v, config.heads[l], hd)
-        h = h + _sliced_linear(att, blk.wo, blk.bo, a, e)
-
-        hn2 = ad.layer_norm(h, ad.slice_prefix(blk.ln2_g, 0, e), ad.slice_prefix(blk.ln2_b, 0, e), ATTN_EPS)
-        ff = ad.gelu(_sliced_linear(hn2, blk.w1, blk.b1, e, f))
-        h = h + _sliced_linear(ff, blk.w2, blk.b2, f, e)
+        h = block_forward(model, l, h, e, config.heads[l], config.ffn_ratio[l])
         if collect_hidden:
             hidden.append(h)
-
-    final = ad.layer_norm(h, ad.slice_prefix(model.final_g, 0, e), ad.slice_prefix(model.final_b, 0, e), ATTN_EPS)
-    head_out = ad.matmul(final, ad.slice_prefix(model.head_w, 0, e)) + model.head_b
+    final, head_out = head_forward(model, e, h)
     return final, hidden, head_out
 
 

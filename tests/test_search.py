@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from ofat import autodiff as ad
 from ofat.data import make_synthetic_dataset
-from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss
+from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, student_forward_masked
 from ofat.errors import BudgetInfeasibleError, ConfigurationError
 from ofat.rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from ofat.search import (
@@ -18,12 +19,14 @@ from ofat.search import (
     subnet_params,
     summarize,
 )
-from ofat.spaces import desk_space, max_subnet, min_subnet, sample_subnet
+from ofat.spaces import desk_space, max_subnet, mid_subnet, min_subnet, sample_subnet
 from ofat.supernet import build_supernet, extract_subnet
 from ofat.train import TeacherArch, make_teacher
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
+TEACHER_ARCH = TeacherArch(dim=16, depth=3, heads=4, ffn_ratio=2.0, head_dim=4,
+                           conv_groups=4, conv_kernel=3)
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +43,7 @@ def setup():
         teacher_dim=16,
     )
     model = build_supernet(space, Rng(40, 1))
-    arch = TeacherArch(dim=16, depth=3, heads=4, ffn_ratio=2.0, head_dim=4,
-                       conv_groups=4, conv_kernel=3)
-    teacher = make_teacher(seed=41, arch=arch, frontend_spec=space.frontend)
+    teacher = make_teacher(seed=41, arch=TEACHER_ARCH, frontend_spec=space.frontend)
     val = make_synthetic_dataset(seed=42, n_sequences=5, length=64)
     return space, model, teacher, val
 
@@ -83,6 +84,20 @@ def test_evaluate_cycles_when_batches_exceed_data(setup):
     again = evaluate_subnet(model, cfg, val.sequences, teacher, MASK, TGT,
                             eval_seed=3, eval_batches=len(val.sequences) + 3)
     assert loss == again
+
+
+def test_shared_teacher_scores_a_second_val_set_like_a_fresh_teacher(setup):
+    """Targets cached under ("val", idx) for one held-out set must not be
+    served for another set that reuses the same keys."""
+    space, model, _, val_a = setup
+    val_b = make_synthetic_dataset(seed=43, n_sequences=5, length=64)
+    shared = make_teacher(seed=41, arch=TEACHER_ARCH, frontend_spec=space.frontend)
+    fresh = make_teacher(seed=41, arch=TEACHER_ARCH, frontend_spec=space.frontend)
+    cfg = mid_subnet(space)
+    evaluate_subnet(model, cfg, val_a.sequences, shared, MASK, TGT, eval_seed=4)
+    on_b_after_a = evaluate_subnet(model, cfg, val_b.sequences, shared, MASK, TGT, eval_seed=4)
+    on_b = evaluate_subnet(model, cfg, val_b.sequences, fresh, MASK, TGT, eval_seed=4)
+    assert on_b_after_a == on_b
 
 
 def test_evaluate_no_weight_updates(setup):
@@ -177,6 +192,36 @@ def test_search_bitwise_reproducible(setup):
     assert [(e.config, e.loss, e.params, e.index) for e in r1.entries] == \
            [(e.config, e.loss, e.params, e.index) for e in r2.entries]
     assert (r1.bound_min.loss, r1.bound_max.loss) == (r2.bound_min.loss, r2.bound_max.loss)
+
+
+def _reference_loss(model, config, val, teacher, mask_spec, eval_seed, eval_batches, reduction):
+    """One candidate alone: a fresh mask stream and the full masked forward per batch."""
+    mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
+    losses = []
+    with ad.no_grad():
+        for b in range(eval_batches):
+            feats = model.frontend.forward(val.sequences[b % len(val.sequences)])
+            targets = teacher.targets_from_features(feats, TGT)
+            _, _, head_out, mask = student_forward_masked(model, config, feats, mask_spec, mask_rng)
+            losses.append(distill_loss(head_out, targets, mask.mask_indices, reduction=reduction).item())
+    return float(np.mean(losses))
+
+
+@pytest.mark.parametrize("mask_spec,eval_batches,reduction", [
+    (MASK, 2, "mean"),
+    # more batches than sequences: sequences recur with a different mask
+    (MaskSpec(p=0.2, span_length=3, convention="span_start"), 7, "sum"),
+])
+def test_search_losses_equal_per_candidate_reference(setup, mask_spec, eval_batches, reduction):
+    space, model, teacher, val = setup
+    budget = SearchBudget(max_params=max_params_of(space), n_candidates=200,
+                          eval_batches=eval_batches, seed=13)
+    result = random_search(model, space, budget, val.sequences, teacher, mask_spec, TGT,
+                           l1_reduction=reduction)
+    assert {e.config.depth for e in result.entries} == set(space.depths)
+    for e in result.entries + [result.bound_min, result.bound_max]:
+        assert e.loss == _reference_loss(model, e.config, val, teacher, mask_spec, budget.seed,
+                                         eval_batches, reduction)
 
 
 def test_search_workers_match_serial(setup):
