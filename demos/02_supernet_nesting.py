@@ -12,7 +12,7 @@ from ofat.spaces import (
     base_space, count_subnets, desk_space, max_subnet, min_subnet, named_subnet,
     sample_subnet, small_space,
 )
-from ofat.supernet import build_supernet, count_params, extract_subnet, forward
+from ofat.supernet import build_supernet, count_params, extract_subnet, forward, reference_forward
 
 print("== subnet counting (exact integers) ==")
 small, base = small_space(), base_space()
@@ -37,7 +37,7 @@ x = (Rng(3, 2).uniform((12, space.frontend_dim)) * 2 - 1).astype(np.float32)
 for i in range(3):
     cfg = sample_subnet(space, rng)
     _, _, sup = forward(model, cfg, x)
-    _, _, ext = extract_subnet(model, cfg).forward(x)
+    _, _, ext = reference_forward(extract_subnet(model, cfg), cfg, x)
     diff = float(np.abs(sup.data - ext.data).max())
     print(f"config embed={cfg.embed_dim} depth={cfg.depth} heads={cfg.heads}: "
           f"max |supernet - extracted| = {diff:.1e}")

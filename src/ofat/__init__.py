@@ -53,12 +53,12 @@ from .spaces import (
 )
 from .supernet import (
     ParamCount,
-    StaticEncoder,
     SupernetModel,
     build_supernet,
     count_params,
     extract_subnet,
     forward,
+    reference_forward,
     touched_boxes,
 )
 from .train import Adam, TeacherArch, TrainConfig, TrainLog, make_teacher, stage1_train, stage2_train

@@ -444,10 +444,14 @@ def slice_along(a, dim: int, start: int, stop: int) -> Tensor:
 
 
 def slice_prefix(a, dim: int, n: int) -> Tensor:
-    """First n entries along dim; the nesting primitive for weight sharing."""
+    """First n entries along dim; the nesting primitive for weight sharing.
+    The whole extent is `a` itself (no copy, no tape node), so exact-size
+    models (extracted subnets, the teacher) slice at no cost."""
     a = _as_tensor(a)
     if not (0 <= n <= a.shape[dim]):
         raise DimensionError(f"prefix length {n} out of range for extent {a.shape[dim]} along dim {dim}")
+    if n == a.shape[dim]:
+        return a
     return slice_along(a, dim, 0, n)
 
 

@@ -13,16 +13,19 @@ reproduces the file byte for byte. Tensor order is preserved.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigurationError
-from .frontend import Frontend
-from .spaces import SearchSpace
-from .supernet import StaticEncoder, SupernetModel, _BLOCK_FIELDS
+from .frontend import Frontend, FrontendSpec
+from .rng import Rng
+from .spaces import SearchSpace, SubnetConfig, max_subnet
+from .supernet import SupernetModel, config_dims, full_config, model_from_arrays, touched_boxes
 
 MAGIC = b"OFAT"
 VERSION = 1
@@ -66,110 +69,124 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> Non
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ConfigurationError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ConfigurationError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        metadata = json.loads(fh.read(meta_len).decode())
-        (count,) = struct.unpack("<Q", fh.read(8))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            payload = fh.read(4 * n)
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    """(tensors, metadata) of a checkpoint file; a malformed file raises
+    ConfigurationError naming the byte offset."""
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def take(n: int, what: str) -> int:
+        """Claim the next n bytes; returns their offset."""
+        nonlocal pos
+        if pos + n > len(data):
+            raise ConfigurationError(
+                f"{path}: truncated {what} at byte {pos} (needs {n} bytes, {len(data) - pos} left)")
+        pos += n
+        return pos - n
+
+    def unpack(fmt: str, what: str) -> int:
+        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt), what))[0]
+
+    def text(n: int, what: str) -> str:
+        at = take(n, what)
+        try:
+            return data[at:at + n].decode()
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}: {what} is not UTF-8 at byte {at}") from None
+
+    if data[:4] != MAGIC:
+        raise ConfigurationError(f"{path}: not a checkpoint file (bad magic)")
+    pos = 4
+    version = unpack("<I", "version")
+    if version != VERSION:
+        raise ConfigurationError(f"{path}: unsupported checkpoint version {version}")
+    meta_len = unpack("<I", "metadata length")
+    meta_at = pos
+    try:
+        metadata = json.loads(text(meta_len, "metadata"))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: metadata is not JSON ({exc.msg}) at byte {meta_at + exc.pos}") from None
+    if not isinstance(metadata, dict):
+        raise ConfigurationError(f"{path}: metadata is not a JSON object at byte {meta_at}")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(unpack("<Q", "tensor count")):
+        name = text(unpack("<H", "tensor name length"), "tensor name")
+        rank = unpack("<B", f"rank of {name}")
+        shape = tuple(unpack("<Q", f"extent of {name}") for _ in range(rank))
+        n = math.prod(shape)
+        at = take(4 * n, f"payload of {name} {shape}")
+        tensors[name] = np.frombuffer(data, dtype="<f4", count=n, offset=at).reshape(shape).copy()
     return tensors, metadata
 
 
-# -- model <-> tensor-dict bridges -------------------------------------------
+# -- model <-> checkpoint ----------------------------------------------------------
 
 
 def supernet_to_checkpoint(model: SupernetModel, metadata: dict) -> Checkpoint:
+    """Snapshot a supernet, extracted subnet or teacher.
+
+    The metadata role defaults to "supernet"; a supernet file records its
+    search space, any other role (subnet, teacher) its exact architecture.
+    """
     # Copies, not views: a checkpoint must stay a snapshot even if the model
     # keeps training in place afterwards.
     tensors = {name: arr.copy() for name, arr in model.frontend.named_arrays().items()}
     for name, t in model.named_parameters().items():
         tensors[name] = t.data.copy()
-    meta = dict(metadata)
-    meta["role"] = meta.get("role", "supernet")
-    meta["space"] = model.space.to_dict()
+    meta = {"role": "supernet", **metadata}
+    if meta["role"] == "supernet":
+        meta["space"] = model.space.to_dict()
+    else:
+        config = full_config(model)
+        meta["arch"] = {
+            "embed_dim": config.embed_dim,
+            "head_dim": model.space.head_dim,
+            "groups": model.space.conv_groups,
+            "heads": list(config.heads),
+            "frontend": model.frontend.spec.to_dict(),
+        }
     return Checkpoint(tensors, meta)
 
 
 def supernet_from_checkpoint(ckpt: Checkpoint) -> SupernetModel:
-    from .rng import Rng
-    from .supernet import build_supernet
+    """Rebuild the model of a supernet, extracted-subnet or teacher checkpoint.
 
-    space = SearchSpace.from_dict(ckpt.metadata["space"])
-    model = build_supernet(space, Rng(0, 0))
-    model.frontend.load_arrays(ckpt.tensors)
-    for name, t in model.named_parameters().items():
-        arr = ckpt.tensors[name]
-        if arr.shape != t.shape:
-            raise ConfigurationError(f"checkpoint tensor {name} has shape {arr.shape}, expected {t.shape}")
-        t.data = arr.astype(t.dtype)
-    return model
-
-
-def static_to_checkpoint(enc: StaticEncoder, frontend: Frontend, metadata: dict) -> Checkpoint:
-    tensors = {name: arr.copy() for name, arr in frontend.named_arrays().items()}
-    for name, t in enc.named_parameters().items():
-        tensors[name] = t.data.copy()
-    meta = dict(metadata)
-    meta["arch"] = {
-        "embed_dim": enc.embed_dim,
-        "head_dim": enc.head_dim,
-        "groups": enc.groups,
-        "heads": list(enc.heads_per_layer()),
-        "frontend": frontend.spec.to_dict(),
-    }
-    return Checkpoint(tensors, meta)
-
-
-def static_from_checkpoint(ckpt: Checkpoint, trainable: bool = False):
-    """Rebuild (StaticEncoder, Frontend) from an extracted/teacher checkpoint."""
-    from .frontend import FrontendSpec
-
-    arch = ckpt.metadata["arch"]
-    spec = FrontendSpec.from_dict(arch["frontend"])
-    frontend = Frontend.build(spec, _zero_rng())
-    frontend.load_arrays(ckpt.tensors)
-    heads = arch["heads"]
-    blocks = []
-    for i in range(len(heads)):
-        blk = {"heads": int(heads[i])}
-        for name in _BLOCK_FIELDS:
-            blk[name] = ckpt.tensors[f"blocks.{i}.{name}"]
-        blocks.append(blk)
-    enc = StaticEncoder(
-        embed_dim=int(arch["embed_dim"]),
-        head_dim=int(arch["head_dim"]),
-        groups=int(arch["groups"]),
-        input_w=ckpt.tensors["input_proj.w"],
-        input_b=ckpt.tensors["input_proj.b"],
-        pos_w=ckpt.tensors["pos_conv.w"],
-        pos_b=ckpt.tensors["pos_conv.b"],
-        mask_emb=ckpt.tensors["mask_emb"],
-        blocks=blocks,
-        final_g=ckpt.tensors["final_norm.g"],
-        final_b=ckpt.tensors["final_norm.b"],
-        head_w=ckpt.tensors["head.w"],
-        head_b=ckpt.tensors["head.b"],
-        trainable=trainable,
-    )
-    return enc, frontend
-
-
-def _zero_rng():
-    from .rng import Rng
-
-    return Rng(0, 0)
+    A supernet file carries its space; for the others the space holding only
+    their one config comes from the `arch` metadata plus the tensor shapes
+    (FFN widths, conv kernel, head width).
+    """
+    tensors, meta = ckpt.tensors, ckpt.metadata
+    try:
+        if meta.get("role", "supernet") == "supernet":
+            space = SearchSpace.from_dict(meta["space"])
+            config = max_subnet(space)
+        else:
+            arch = meta["arch"]
+            e, heads = int(arch["embed_dim"]), tuple(int(h) for h in arch["heads"])
+            ratios = tuple(tensors[f"blocks.{l}.w1"].shape[1] / e for l in range(len(heads)))
+            config = SubnetConfig(e, len(heads), heads, ratios)
+            space = SearchSpace(
+                **config_dims(config),
+                head_dim=int(arch["head_dim"]),
+                conv_groups=int(arch["groups"]),
+                conv_kernel=tensors["pos_conv.w"].shape[2],
+                frontend=FrontendSpec.from_dict(arch["frontend"]),
+                teacher_dim=tensors["head.w"].shape[1],
+            )
+        frontend = Frontend.build(space.frontend, Rng(0, 0))
+        frontend.load_arrays(tensors)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ConfigurationError(
+            f"checkpoint does not describe a model ({type(exc).__name__}: {exc})") from None
+    arrays = {}
+    for name, box in touched_boxes(space, config).items():
+        shape = tuple(s.stop for s in box)
+        arr = tensors.get(name)
+        if arr is None or arr.shape != shape:
+            got = "nothing" if arr is None else f"shape {arr.shape}"
+            raise ConfigurationError(f"checkpoint tensor {name} has {got}, expected {shape}")
+        arrays[name] = arr.astype(ad.default_dtype())
+    return model_from_arrays(space, frontend, arrays)
 
 
 def file_digest(path) -> str:

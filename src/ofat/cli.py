@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .checkpoint import Checkpoint, file_digest, static_to_checkpoint, supernet_from_checkpoint
+from .checkpoint import Checkpoint, file_digest, supernet_from_checkpoint, supernet_to_checkpoint
 from .config import RunConfig
 from .data import load_dataset, make_synthetic_dataset, save_dataset
 from .errors import (
@@ -33,9 +33,9 @@ from .errors import (
     DivergenceError,
 )
 from .rng import Rng
-from .search import random_search, report_scatter, subnet_params, summarize
+from .search import evaluate_subnet, random_search, report_scatter, subnet_params, summarize
 from .spaces import max_subnet, min_subnet, parse_subnet_spec
-from .supernet import count_params, extract_subnet, forward
+from .supernet import count_params, extract_subnet, forward, full_config, reference_forward
 from .train import (
     make_teacher,
     stage1_train,
@@ -284,15 +284,16 @@ def _load_supernet(path):
 def cmd_extract(args) -> int:
     model, space = _load_supernet(args.checkpoint)
     config = parse_subnet_spec(space, args.subnet_spec)
-    encoder = extract_subnet(model, config)
+    subnet = extract_subnet(model, config)
 
-    # Equivalence report: sliced supernet forward vs extracted forward.
+    # Equivalence report: sliced supernet forward vs the straight-line
+    # reference forward on the extracted weights.
     rng = Rng(12345, 99)
     worst = 0.0
     for _ in range(5):
         x = (rng.uniform((8, space.frontend_dim)) * 2.0 - 1.0).astype(np.float32)
         _, _, sup_out = forward(model, config, x)
-        _, _, ext_out = encoder.forward(x)
+        _, _, ext_out = reference_forward(subnet, config, x)
         worst = max(worst, float(np.abs(sup_out.data - ext_out.data).max()))
     params = count_params(space, config).total
     meta = {
@@ -302,7 +303,7 @@ def cmd_extract(args) -> int:
         "source_checkpoint_digest": file_digest(args.checkpoint),
         "params_with_frontend_and_head": params,
     }
-    static_to_checkpoint(encoder, model.frontend, meta).save(args.out)
+    supernet_to_checkpoint(subnet, meta).save(args.out)
     print(f"{args.out}  sha256={file_digest(args.out)}")
     print(f"params={params} equivalence_max_abs_diff={worst:.3e}")
     if worst > 1e-6:
@@ -344,35 +345,24 @@ def cmd_eval(args) -> int:
     target_cfg = cfg.target_config()
     eval_batches = cfg.data["search"]["eval_batches"]
     ckpt = Checkpoint.load(args.checkpoint)
-    from .search import evaluate_static, evaluate_subnet
-
-    if "space" in ckpt.metadata:
-        model = supernet_from_checkpoint(ckpt)
-        space = model.space
-        if not args.subnet_spec:
-            raise ConfigurationError("--subnet-spec is required for supernet checkpoints")
-        config = parse_subnet_spec(space, args.subnet_spec)
-        loss = evaluate_subnet(model, config, val.sequences, teacher, mask_spec, target_cfg,
-                               eval_seed=cfg.seed, eval_batches=eval_batches,
-                               l1_reduction=cfg.l1_reduction())
-        print(f"loss[{args.subnet_spec}]: {loss:.8f}")
-        if args.bounds:
-            lo = evaluate_subnet(model, min_subnet(space), val.sequences, teacher, mask_spec,
-                                 target_cfg, eval_seed=cfg.seed, eval_batches=eval_batches,
-                                 l1_reduction=cfg.l1_reduction())
-            hi = evaluate_subnet(model, max_subnet(space), val.sequences, teacher, mask_spec,
-                                 target_cfg, eval_seed=cfg.seed, eval_batches=eval_batches,
-                                 l1_reduction=cfg.l1_reduction())
-            order = "max<=min" if hi <= lo else "max>min"
-            print(f"bounds: min_subnet={lo:.8f} max_subnet={hi:.8f} ({order})")
+    model = supernet_from_checkpoint(ckpt)
+    space = model.space
+    if "space" not in ckpt.metadata:
+        label, configs = "extracted", [full_config(model)]
+    elif not args.subnet_spec:
+        raise ConfigurationError("--subnet-spec is required for supernet checkpoints")
     else:
-        from .checkpoint import static_from_checkpoint
-
-        encoder, frontend = static_from_checkpoint(ckpt)
-        loss = evaluate_static(encoder, frontend, val.sequences, teacher, mask_spec, target_cfg,
-                               eval_seed=cfg.seed, eval_batches=eval_batches,
-                               l1_reduction=cfg.l1_reduction())
-        print(f"loss[extracted]: {loss:.8f}")
+        label, configs = args.subnet_spec, [parse_subnet_spec(space, args.subnet_spec)]
+        if args.bounds:
+            configs += [min_subnet(space), max_subnet(space)]
+    loss, *bounds = [evaluate_subnet(model, c, val.sequences, teacher, mask_spec, target_cfg,
+                                     eval_seed=cfg.seed, eval_batches=eval_batches,
+                                     l1_reduction=cfg.l1_reduction()) for c in configs]
+    print(f"loss[{label}]: {loss:.8f}")
+    if bounds:
+        lo, hi = bounds
+        order = "max<=min" if hi <= lo else "max>min"
+        print(f"bounds: min_subnet={lo:.8f} max_subnet={hi:.8f} ({order})")
     return EXIT_OK
 
 

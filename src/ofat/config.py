@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 from .frontend import FrontendSpec, desk_frontend, hubert_base_frontend
 from .search import SearchBudget
 from .spaces import SearchSpace, base_space, small_space
-from .train import TeacherArch, TrainConfig
+from .train import OFA_INITS, TeacherArch, TrainConfig
 
 _SPACE_PRESETS = ("desk", "small", "base")
 _FRONTEND_PRESETS = ("desk", "hubert_base")
@@ -140,8 +140,7 @@ class RunConfig:
             _expect(isinstance(tr[key], int) and tr[key] >= 0, f"train.{key}", "a non-negative integer")
         _expect(tr["steps"] > 0, "train.steps", "> 0")
         _expect(tr["warmup_steps"] <= tr["steps"], "train.warmup_steps", "<= train.steps")
-        _expect(tr["ofa_init"] in ("stage1_weights", "pretrained_external", "random"),
-                "train.ofa_init", "a known init source")
+        _expect(tr["ofa_init"] in OFA_INITS, "train.ofa_init", f"one of {OFA_INITS}")
         di = d["distill"]
         _expect(0.0 <= di["p"] <= 1.0, "distill.p", "in [0, 1]")
         _expect(di["span_length"] >= 1, "distill.span_length", ">= 1")

@@ -22,7 +22,7 @@ from .errors import ConfigurationError, ContractError
 from .frontend import Frontend
 from .rng import Rng
 from .spaces import SubnetConfig
-from .supernet import StaticEncoder, SupernetModel, encode, project_input
+from .supernet import SupernetModel, encode, forward, full_config, project_input
 
 _NORM_EPS = 1e-5
 
@@ -148,24 +148,36 @@ def distill_loss(student_head_out: Tensor, targets: Tensor, mask_indices, reduct
 
 @dataclass
 class TeacherModel:
-    """Frozen static Transformer plus its frontend; hidden layers exposed."""
+    """Frozen exact-size Transformer (a supernet over its one config) with
+    its frontend; hidden layers exposed."""
 
-    frontend: Frontend
-    encoder: StaticEncoder
+    encoder: SupernetModel
     _target_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for p in self.encoder.named_parameters().values():
+            p.requires_grad = False
+
+    @property
+    def frontend(self) -> Frontend:
+        return self.encoder.frontend
 
     @property
     def depth(self) -> int:
-        return self.encoder.depth
+        return len(self.encoder.blocks)
 
     @property
     def dim(self) -> int:
-        return self.encoder.embed_dim
+        return self.encoder.input_w.shape[1]
+
+    def forward(self, features, collect_hidden: bool = False):
+        """(final, hidden, head_out) of the teacher's one config."""
+        return forward(self.encoder, full_config(self.encoder), features, collect_hidden)
 
     def hidden_layers(self, features) -> list:
         """All block outputs on unmasked features, no tape recorded."""
         with ad.no_grad():
-            _, hidden, _ = self.encoder.forward(features, collect_hidden=True)
+            _, hidden, _ = self.forward(features, collect_hidden=True)
         return hidden
 
     def targets_from_features(self, features, cfg: TargetConfig, cache_key=None) -> Tensor:
@@ -213,16 +225,3 @@ def student_forward_masked(
     final, hidden, head_out = encode(model, config, result.masked_input, collect_hidden)
     return final, hidden, head_out, result
 
-
-def static_forward_masked(
-    encoder: StaticEncoder,
-    features,
-    mask_spec: MaskSpec,
-    rng: Rng,
-    collect_hidden: bool = False,
-):
-    """The extracted-model twin of student_forward_masked."""
-    h = encoder.project(features)
-    result = apply_mask(h, mask_spec, encoder.mask_emb, rng)
-    final, hidden, head_out = encoder.encode(result.masked_input, collect_hidden)
-    return final, hidden, head_out, result

@@ -15,6 +15,7 @@ Two presets:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -126,6 +127,10 @@ class Frontend:
             norm_gain = np.ones(c0, dtype=np.float32)
             norm_bias = np.zeros(c0, dtype=np.float32)
         return cls(spec, weights, biases, norm_gain, norm_bias)
+
+    def copy(self) -> "Frontend":
+        """Independent copy: same spec, every array copied."""
+        return copy.deepcopy(self)
 
     def forward(self, raw: np.ndarray) -> np.ndarray:
         """Raw [n] float signal -> [ceil(n / total_stride), out_dim] features."""

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .distill import MaskSpec, TargetConfig, TeacherModel, apply_mask, distill_loss, static_forward_masked
+from .distill import MaskSpec, TargetConfig, TeacherModel, apply_mask, distill_loss
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from .spaces import SearchSpace, SubnetConfig, max_subnet, min_subnet, sample_subnet, validate_config
 from .supernet import (
-    StaticEncoder, SupernetModel, block_forward, count_params, head_forward, positional_stage,
-    project_input,
+    SupernetModel, block_forward, count_params, head_forward, positional_stage, project_input,
 )
 
 ATTEMPT_FACTOR = 100  # rejection-sampling cap: 100 x n_candidates attempts
@@ -159,33 +158,6 @@ def evaluate_subnets(
                 masks.append(masked.mask_indices)
             walk(root, e, 0, hs, masks)
     return losses
-
-
-def evaluate_static(
-    encoder: StaticEncoder,
-    frontend,
-    val_sequences,
-    teacher: TeacherModel,
-    mask_spec: MaskSpec,
-    target_cfg: TargetConfig,
-    eval_seed: int = 0,
-    eval_batches: int = 4,
-    l1_reduction: str = "mean",
-) -> float:
-    """evaluate_subnet's twin for an extracted standalone model.
-
-    Runs the static forward, not the sliced one, so it stays an independent
-    reference for the supernet path.
-    """
-    batches = _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches)
-    mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
-    losses = []
-    with ad.no_grad():
-        for feats, targets in batches:
-            _, _, head_out, mask = static_forward_masked(encoder, feats, mask_spec, mask_rng)
-            loss = distill_loss(head_out, targets, mask.mask_indices, reduction=l1_reduction)
-            losses.append(loss.item())
-    return float(np.mean(losses))
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):

@@ -7,16 +7,20 @@ columns, the first ffn_hidden FFN units, and the first `depth` blocks. No
 subnet owns private weights, so smaller architectures are literally nested
 in larger ones.
 
-extract_subnet copies the touched slices into a StaticEncoder, a plain
-non-dynamic Transformer with its own straight-line forward. The pair
-(sliced supernet forward, extracted static forward) is the equivalence
-oracle the tests lean on, so the two code paths are kept independent.
+extract_subnet copies the touched slices into an exact-size SupernetModel
+over a space that holds only that config, and the frozen teacher is a
+supernet over its one architecture, so supernet, subnets and teacher all
+run the same sliced forward. reference_forward is the one independent
+straight-line forward over such an exact-size model; the pair (sliced
+supernet forward, reference forward on the extracted copy) is the
+equivalence oracle that `ofat extract` and the tests lean on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +34,9 @@ from .spaces import SearchSpace, SubnetConfig, ffn_hidden, validate_config
 ATTN_EPS = 1e-5  # layer-norm eps, fixed repo-wide
 
 
-_BLOCK_FIELDS = (
-    "ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
-    "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
-)
-
-
 @dataclass
 class BlockWeights:
-    """One pre-norm Transformer block at maximal dimensions."""
+    """One pre-norm Transformer block: maximal dimensions in a supernet, exact in a subnet."""
 
     ln1_g: Tensor
     ln1_b: Tensor
@@ -58,6 +56,15 @@ class BlockWeights:
     b2: Tensor  # [E]
 
 
+_BLOCK_FIELDS = tuple(f.name for f in dataclasses.fields(BlockWeights))
+
+# Checkpoint name -> SupernetModel attribute, in named_parameters order:
+# the tensors before the blocks, then the ones after them.
+_STEM = (("input_proj.w", "input_w"), ("input_proj.b", "input_b"), ("pos_conv.w", "pos_w"),
+         ("pos_conv.b", "pos_b"), ("mask_emb", "mask_emb"))
+_TOP = (("final_norm.g", "final_g"), ("final_norm.b", "final_b"), ("head.w", "head_w"), ("head.b", "head_b"))
+
+
 @dataclass
 class SupernetModel:
     space: SearchSpace
@@ -67,35 +74,35 @@ class SupernetModel:
     pos_w: Tensor  # [E, E // G, kernel]
     pos_b: Tensor  # [E]
     mask_emb: Tensor  # [E]
-    blocks: list[BlockWeights] = field(default_factory=list)
-    final_g: Tensor = None
-    final_b: Tensor = None
-    head_w: Tensor = None  # [E, teacher_dim]
-    head_b: Tensor = None  # [teacher_dim]
+    blocks: list[BlockWeights]
+    final_g: Tensor
+    final_b: Tensor
+    head_w: Tensor  # [E, teacher_dim]
+    head_b: Tensor  # [teacher_dim]
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Trainable tensors in a fixed order (frontend excluded: frozen)."""
-        params = {
-            "input_proj.w": self.input_w,
-            "input_proj.b": self.input_b,
-            "pos_conv.w": self.pos_w,
-            "pos_conv.b": self.pos_b,
-            "mask_emb": self.mask_emb,
-        }
+        params = {name: getattr(self, attr) for name, attr in _STEM}
         for i, blk in enumerate(self.blocks):
-            for name in _BLOCK_FIELDS:
-                params[f"blocks.{i}.{name}"] = getattr(blk, name)
-        params["final_norm.g"] = self.final_g
-        params["final_norm.b"] = self.final_b
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
+            params.update({f"blocks.{i}.{name}": getattr(blk, name) for name in _BLOCK_FIELDS})
+        params.update({name: getattr(self, attr) for name, attr in _TOP})
         return params
 
 
-def _uniform_init(rng: Rng, shape, fan_in: int, dtype) -> Tensor:
+def model_from_arrays(space: SearchSpace, frontend: Frontend, arrays: dict) -> SupernetModel:
+    """A model over `space` holding `arrays`, keyed as in named_parameters, as trainable tensors."""
+
+    def t(name):
+        return Tensor(arrays[name], requires_grad=True)
+
+    blocks = [BlockWeights(**{f: t(f"blocks.{l}.{f}") for f in _BLOCK_FIELDS})
+              for l in range(space.max_depth)]
+    return SupernetModel(space, frontend, blocks=blocks, **{attr: t(name) for name, attr in _STEM + _TOP})
+
+
+def _uniform_init(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
-    data = ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(dtype)
-    return Tensor(data, requires_grad=True)
+    return ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(dtype)
 
 
 def build_supernet(space: SearchSpace, rng: Rng) -> SupernetModel:
@@ -114,57 +121,45 @@ def build_supernet(space: SearchSpace, rng: Rng) -> SupernetModel:
     frontend = Frontend.build(space.frontend, rng)
 
     def zeros(n):
-        return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+        return np.zeros(n, dtype=dtype)
 
     def ones(n):
-        return Tensor(np.ones(n, dtype=dtype), requires_grad=True)
+        return np.ones(n, dtype=dtype)
 
-    model = SupernetModel(
-        space=space,
-        frontend=frontend,
-        input_w=_uniform_init(rng, (fd, E), fd, dtype),
-        input_b=zeros(E),
-        pos_w=_uniform_init(rng, (E, E // G, k), (E // G) * k, dtype),
-        pos_b=zeros(E),
-        mask_emb=Tensor((rng.normal(E) * 0.02).astype(dtype), requires_grad=True),
-    )
-    for _ in range(space.max_depth):
-        model.blocks.append(
-            BlockWeights(
-                ln1_g=ones(E), ln1_b=zeros(E),
-                wq=_uniform_init(rng, (E, A), E, dtype), bq=zeros(A),
-                wk=_uniform_init(rng, (E, A), E, dtype), bk=zeros(A),
-                wv=_uniform_init(rng, (E, A), E, dtype), bv=zeros(A),
-                wo=_uniform_init(rng, (A, E), A, dtype), bo=zeros(E),
-                ln2_g=ones(E), ln2_b=zeros(E),
-                w1=_uniform_init(rng, (E, F), E, dtype), b1=zeros(F),
-                w2=_uniform_init(rng, (F, E), F, dtype), b2=zeros(E),
-            )
+    # Draw order is part of the seed contract: stem, blocks in order, head.
+    arrays = {
+        "input_proj.w": _uniform_init(rng, (fd, E), fd, dtype),
+        "input_proj.b": zeros(E),
+        "pos_conv.w": _uniform_init(rng, (E, E // G, k), (E // G) * k, dtype),
+        "pos_conv.b": zeros(E),
+        "mask_emb": (rng.normal(E) * 0.02).astype(dtype),
+    }
+    for l in range(space.max_depth):
+        block = dict(
+            ln1_g=ones(E), ln1_b=zeros(E),
+            wq=_uniform_init(rng, (E, A), E, dtype), bq=zeros(A),
+            wk=_uniform_init(rng, (E, A), E, dtype), bk=zeros(A),
+            wv=_uniform_init(rng, (E, A), E, dtype), bv=zeros(A),
+            wo=_uniform_init(rng, (A, E), A, dtype), bo=zeros(E),
+            ln2_g=ones(E), ln2_b=zeros(E),
+            w1=_uniform_init(rng, (E, F), E, dtype), b1=zeros(F),
+            w2=_uniform_init(rng, (F, E), F, dtype), b2=zeros(E),
         )
-    model.final_g = ones(E)
-    model.final_b = zeros(E)
-    model.head_w = _uniform_init(rng, (E, dt), E, dtype)
-    model.head_b = zeros(dt)
-    return model
+        arrays.update({f"blocks.{l}.{name}": arr for name, arr in block.items()})
+    arrays.update({
+        "final_norm.g": ones(E),
+        "final_norm.b": zeros(E),
+        "head.w": _uniform_init(rng, (E, dt), E, dtype),
+        "head.b": zeros(dt),
+    })
+    return model_from_arrays(space, frontend, arrays)
 
 
 def clone_supernet(model: SupernetModel) -> SupernetModel:
     """Independent deep copy (weights and frontend); training one never
     touches the other."""
-    out = build_supernet(model.space, _null_rng())
-    src = model.named_parameters()
-    for name, t in out.named_parameters().items():
-        t.data = src[name].data.copy()
-    out.frontend.weights = [w.copy() for w in model.frontend.weights]
-    out.frontend.biases = [None if b is None else b.copy() for b in model.frontend.biases]
-    if model.frontend.norm_gain is not None:
-        out.frontend.norm_gain = model.frontend.norm_gain.copy()
-        out.frontend.norm_bias = model.frontend.norm_bias.copy()
-    return out
-
-
-def _null_rng() -> Rng:
-    return Rng(0, 0)
+    arrays = {name: t.data.copy() for name, t in model.named_parameters().items()}
+    return model_from_arrays(model.space, model.frontend.copy(), arrays)
 
 
 # -- sliced forward ----------------------------------------------------------
@@ -273,15 +268,16 @@ def touched_boxes(space: SearchSpace, config: SubnetConfig) -> dict[str, tuple]:
 
     Everything is a hyper-rectangle anchored at the origin, which is what
     makes weight entanglement monotone: config A's boxes are contained in
-    config B's whenever A <= B elementwise.
+    config B's whenever A <= B elementwise. Every slice is bounded, so the
+    box extents are the shapes of the tensors extract_subnet copies.
     """
     validate_config(space, config)
     e, G, hd = config.embed_dim, space.conv_groups, space.head_dim
-    full = slice(None)
+    dt = slice(0, space.teacher_dim)
     boxes: dict[str, tuple] = {
-        "input_proj.w": (full, slice(0, e)),
+        "input_proj.w": (slice(0, space.frontend_dim), slice(0, e)),
         "input_proj.b": (slice(0, e),),
-        "pos_conv.w": (slice(0, e), slice(0, e // G), full),
+        "pos_conv.w": (slice(0, e), slice(0, e // G), slice(0, space.conv_kernel)),
         "pos_conv.b": (slice(0, e),),
         "mask_emb": (slice(0, e),),
     }
@@ -305,177 +301,75 @@ def touched_boxes(space: SearchSpace, config: SubnetConfig) -> dict[str, tuple]:
         boxes[p + "b2"] = (slice(0, e),)
     boxes["final_norm.g"] = (slice(0, e),)
     boxes["final_norm.b"] = (slice(0, e),)
-    boxes["head.w"] = (slice(0, e), full)
-    boxes["head.b"] = (full,)
+    boxes["head.w"] = (slice(0, e), dt)
+    boxes["head.b"] = (dt,)
     return boxes
 
 
-def touched_index_count(space: SearchSpace, config: SubnetConfig, params: dict[str, Tensor]) -> int:
-    total = 0
-    for name, box in touched_boxes(space, config).items():
-        total += params[name].data[box].size
-    return total
+# -- exact-size models: extraction and the reference forward -------------------
 
 
-# -- standalone extraction -----------------------------------------------------
+def config_dims(config: SubnetConfig) -> dict:
+    """SearchSpace choice sets that hold only `config`."""
+    return {
+        "embed_dims": (config.embed_dim,),
+        "head_choices": tuple(sorted(set(config.heads))),
+        "ffn_ratios": tuple(sorted(set(config.ffn_ratio))),
+        "depths": (config.depth,),
+    }
 
 
-@dataclass
-class StaticBlock:
-    heads: int
-    ln1_g: Tensor
-    ln1_b: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+def extract_subnet(model: SupernetModel, config: SubnetConfig) -> SupernetModel:
+    """Copy the touched prefix boxes into an exact-size model over a space
+    that holds only `config`; it runs the same sliced forward as the supernet."""
+    params = model.named_parameters()
+    arrays = {name: params[name].data[box].copy()
+              for name, box in touched_boxes(model.space, config).items()}
+    space = dataclasses.replace(model.space, **config_dims(config))
+    return model_from_arrays(space, model.frontend.copy(), arrays)
 
 
-class StaticEncoder:
-    """A plain, non-dynamic Transformer holding exact-size weights.
+def full_config(model: SupernetModel) -> SubnetConfig:
+    """The config that uses every weight whole, read off the tensor shapes:
+    max_subnet for a supernet, the extracted config for a subnet or teacher."""
+    e, hd = model.input_w.shape[1], model.space.head_dim
+    ratios = tuple(next(r for r in model.space.ffn_ratios if ffn_hidden(r, e) == blk.w1.shape[1])
+                   for blk in model.blocks)
+    heads = tuple(blk.wq.shape[1] // hd for blk in model.blocks)
+    return SubnetConfig(e, len(model.blocks), heads, ratios)
 
-    Used for extracted subnets and for the frozen teacher. The forward is
-    written straight-line so it stays an independent reference
-    implementation for the sliced supernet path. `blocks` is a list of
-    dicts: {"heads": int, <field>: array} per layer.
+
+def reference_forward(model: SupernetModel, config: SubnetConfig, x, collect_hidden: bool = False):
+    """Straight-line forward over an exact-size model: every weight used whole, no slicing.
+
+    This is the independent reference for the sliced path: the soundness
+    tests and `ofat extract` compare forward(supernet, config) against it
+    on extract_subnet(supernet, config). Returns what forward returns.
     """
-
-    def __init__(self, embed_dim, head_dim, groups, input_w, input_b, pos_w, pos_b,
-                 mask_emb, blocks, final_g, final_b, head_w, head_b, trainable=False):
-        self.embed_dim = embed_dim
-        self.head_dim = head_dim
-        self.groups = groups
-        self.input_w = Tensor(input_w, requires_grad=trainable)
-        self.input_b = Tensor(input_b, requires_grad=trainable)
-        self.pos_w = Tensor(pos_w, requires_grad=trainable)
-        self.pos_b = Tensor(pos_b, requires_grad=trainable)
-        self.mask_emb = Tensor(mask_emb, requires_grad=trainable)
-        self.blocks = [
-            StaticBlock(
-                heads=blk["heads"],
-                **{name: Tensor(blk[name], requires_grad=trainable) for name in _BLOCK_FIELDS},
-            )
-            for blk in blocks
-        ]
-        self.final_g = Tensor(final_g, requires_grad=trainable)
-        self.final_b = Tensor(final_b, requires_grad=trainable)
-        self.head_w = Tensor(head_w, requires_grad=trainable)
-        self.head_b = Tensor(head_b, requires_grad=trainable)
-
-    @property
-    def depth(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def teacher_dim(self) -> int:
-        return self.head_w.shape[1]
-
-    def project(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        return ad.matmul(x, self.input_w) + self.input_b
-
-    def encode(self, h: Tensor, collect_hidden: bool = False):
-        h = h + ad.gelu(ad.grouped_conv1d(h, self.pos_w, self.pos_b, self.groups))
-        hidden = []
-        for blk in self.blocks:
-            hn = ad.layer_norm(h, blk.ln1_g, blk.ln1_b, ATTN_EPS)
-            q = ad.matmul(hn, blk.wq) + blk.bq
-            k = ad.matmul(hn, blk.wk) + blk.bk
-            v = ad.matmul(hn, blk.wv) + blk.bv
-            att = _attention(q, k, v, blk.heads, self.head_dim)
-            h = h + (ad.matmul(att, blk.wo) + blk.bo)
-            hn2 = ad.layer_norm(h, blk.ln2_g, blk.ln2_b, ATTN_EPS)
-            ff = ad.gelu(ad.matmul(hn2, blk.w1) + blk.b1)
-            h = h + (ad.matmul(ff, blk.w2) + blk.b2)
-            if collect_hidden:
-                hidden.append(h)
-        final = ad.layer_norm(h, self.final_g, self.final_b, ATTN_EPS)
-        head_out = ad.matmul(final, self.head_w) + self.head_b
-        return final, hidden, head_out
-
-    def forward(self, x, collect_hidden: bool = False):
-        return self.encode(self.project(x), collect_hidden)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        params = {
-            "input_proj.w": self.input_w,
-            "input_proj.b": self.input_b,
-            "pos_conv.w": self.pos_w,
-            "pos_conv.b": self.pos_b,
-            "mask_emb": self.mask_emb,
-        }
-        for i, blk in enumerate(self.blocks):
-            for name in _BLOCK_FIELDS:
-                params[f"blocks.{i}.{name}"] = getattr(blk, name)
-        params["final_norm.g"] = self.final_g
-        params["final_norm.b"] = self.final_b
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
-        return params
-
-    def param_total(self) -> int:
-        return sum(t.size for t in self.named_parameters().values())
-
-    def heads_per_layer(self) -> tuple[int, ...]:
-        return tuple(blk.heads for blk in self.blocks)
-
-
-def extract_subnet(model: SupernetModel, config: SubnetConfig) -> StaticEncoder:
-    """Copy the touched prefix slices into a self-contained static model."""
-    validate_config(model.space, config)
-    space = model.space
-    e, G, hd = config.embed_dim, space.conv_groups, space.head_dim
-    blocks = []
-    for l in range(config.depth):
-        blk = model.blocks[l]
-        a = config.heads[l] * hd
-        f = ffn_hidden(config.ffn_ratio[l], e)
-        blocks.append(
-            {
-                "heads": config.heads[l],
-                "ln1_g": blk.ln1_g.data[:e].copy(),
-                "ln1_b": blk.ln1_b.data[:e].copy(),
-                "wq": blk.wq.data[:e, :a].copy(),
-                "bq": blk.bq.data[:a].copy(),
-                "wk": blk.wk.data[:e, :a].copy(),
-                "bk": blk.bk.data[:a].copy(),
-                "wv": blk.wv.data[:e, :a].copy(),
-                "bv": blk.bv.data[:a].copy(),
-                "wo": blk.wo.data[:a, :e].copy(),
-                "bo": blk.bo.data[:e].copy(),
-                "ln2_g": blk.ln2_g.data[:e].copy(),
-                "ln2_b": blk.ln2_b.data[:e].copy(),
-                "w1": blk.w1.data[:e, :f].copy(),
-                "b1": blk.b1.data[:f].copy(),
-                "w2": blk.w2.data[:f, :e].copy(),
-                "b2": blk.b2.data[:e].copy(),
-            }
-        )
-    return StaticEncoder(
-        embed_dim=e,
-        head_dim=hd,
-        groups=G,
-        input_w=model.input_w.data[:, :e].copy(),
-        input_b=model.input_b.data[:e].copy(),
-        pos_w=model.pos_w.data[:e, : e // G, :].copy(),
-        pos_b=model.pos_b.data[:e].copy(),
-        mask_emb=model.mask_emb.data[:e].copy(),
-        blocks=blocks,
-        final_g=model.final_g.data[:e].copy(),
-        final_b=model.final_b.data[:e].copy(),
-        head_w=model.head_w.data[:e, :].copy(),
-        head_b=model.head_b.data.copy(),
-    )
+    e, hd = config.embed_dim, model.space.head_dim
+    if (model.input_w.shape[1] != e or len(model.blocks) != config.depth
+            or any(blk.wq.shape[1] != h * hd or blk.w1.shape[1] != ffn_hidden(r, e)
+                   for blk, h, r in zip(model.blocks, config.heads, config.ffn_ratio))):
+        raise DimensionError(f"model weights are not the exact size of {config}")
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    h = ad.matmul(x, model.input_w) + model.input_b
+    h = h + ad.gelu(ad.grouped_conv1d(h, model.pos_w, model.pos_b, model.space.conv_groups))
+    hidden = []
+    for blk, heads in zip(model.blocks, config.heads):
+        hn = ad.layer_norm(h, blk.ln1_g, blk.ln1_b, ATTN_EPS)
+        q = ad.matmul(hn, blk.wq) + blk.bq
+        k = ad.matmul(hn, blk.wk) + blk.bk
+        v = ad.matmul(hn, blk.wv) + blk.bv
+        att = _attention(q, k, v, heads, hd)
+        h = h + (ad.matmul(att, blk.wo) + blk.bo)
+        hn2 = ad.layer_norm(h, blk.ln2_g, blk.ln2_b, ATTN_EPS)
+        ff = ad.gelu(ad.matmul(hn2, blk.w1) + blk.b1)
+        h = h + (ad.matmul(ff, blk.w2) + blk.b2)
+        if collect_hidden:
+            hidden.append(h)
+    final = ad.layer_norm(h, model.final_g, model.final_b, ATTN_EPS)
+    head_out = ad.matmul(final, model.head_w) + model.head_b
+    return final, hidden, head_out
 
 
 # -- parameter counting --------------------------------------------------------
@@ -497,7 +391,7 @@ def count_params(
 ) -> ParamCount:
     """Closed-form parameter count for one subnet.
 
-    Exactly matches the tensor sizes extract_subnet would copy: per layer
+    Exactly matches the tensor sizes extract_subnet copies: per layer
     QKV 3(e*a + a), output a*e + e, FFN e*f + f + f*e + e, two norms 4e;
     plus input projection, positional conv, final norm, mask embedding,
     and optionally the frontend and the prediction head.

@@ -20,15 +20,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import Checkpoint, static_to_checkpoint, supernet_to_checkpoint
+from .checkpoint import Checkpoint, supernet_from_checkpoint, supernet_to_checkpoint
 from .data import CyclicBatcher, SyntheticDataset
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, student_forward_masked
 from .errors import ConfigurationError, DivergenceError
 from .frontend import desk_frontend
 from .rng import Rng, STREAM_ARCH, STREAM_MASK, STREAM_TEACHER, STREAM_WEIGHTS
 from .spaces import SearchSpace, SubnetConfig, max_subnet, sample_subnet
-from .supernet import SupernetModel, build_supernet, clone_supernet, extract_subnet, touched_boxes
+from .supernet import SupernetModel, build_supernet, clone_supernet, forward, touched_boxes
 
+# Stage-2 init sources. "pretrained_external" is an alias of "stage1_weights":
+# both start from init_model / init_checkpoint. It is kept, and recorded
+# verbatim in checkpoint metadata, so existing configs and files stay valid.
 OFA_INITS = ("stage1_weights", "pretrained_external", "random")
 
 
@@ -164,11 +167,7 @@ def _check_teacher_compat(space: SearchSpace, teacher: TeacherModel) -> None:
 def _adopt_teacher_frontend(model: SupernetModel, teacher: TeacherModel) -> None:
     # Student and teacher share the frozen downsampler, weights included,
     # so the distillation task is purely encoder-to-encoder.
-    model.frontend.weights = [w.copy() for w in teacher.frontend.weights]
-    model.frontend.biases = [None if b is None else b.copy() for b in teacher.frontend.biases]
-    if teacher.frontend.norm_gain is not None:
-        model.frontend.norm_gain = teacher.frontend.norm_gain.copy()
-        model.frontend.norm_bias = teacher.frontend.norm_bias.copy()
+    model.frontend = teacher.frontend.copy()
 
 
 def _run_training(
@@ -210,6 +209,8 @@ def _run_training(
         if not math.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
         gn = grad_norm(params)
+        if not math.isfinite(gn):
+            raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
         adam.step(lr, touched_boxes(space, config))
         log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
     return log
@@ -254,8 +255,8 @@ def stage2_train(
     """Once-for-all training: a fresh random subnet per step.
 
     Init comes from cfg.ofa_init: stage 1 weights or an externally
-    pre-trained supernet (both via init_model / cfg.init_checkpoint), or a
-    fresh random build.
+    pre-trained supernet (aliases: both via init_model /
+    cfg.init_checkpoint), or a fresh random build.
     """
     if cfg.stage != 2:
         raise ConfigurationError("stage2_train requires cfg.stage == 2")
@@ -264,8 +265,6 @@ def stage2_train(
         model = build_supernet(space, Rng(cfg.seed, STREAM_WEIGHTS))
     else:
         if init_model is None:
-            from .checkpoint import supernet_from_checkpoint
-
             init_model = supernet_from_checkpoint(Checkpoint.load(cfg.init_checkpoint))
         if init_model.space != space:
             raise ConfigurationError("init checkpoint space does not match the training space")
@@ -330,13 +329,12 @@ def make_teacher(
     space = arch.singleton_space(frontend_spec)
     rng = Rng(seed, STREAM_TEACHER)
     supernet = build_supernet(space, rng)
-    only_config = max_subnet(space)
     if warmup_steps > 0:
         if dataset is None:
             raise ConfigurationError("teacher warmup needs a dataset")
-        _warmup_self_regression(supernet, space, only_config, dataset, warmup_steps, warmup_lr, batch_size)
-    encoder = extract_subnet(supernet, only_config)
-    return TeacherModel(frontend=supernet.frontend, encoder=encoder)
+        _warmup_self_regression(supernet, space, max_subnet(space), dataset, warmup_steps, warmup_lr,
+                                batch_size)
+    return TeacherModel(encoder=supernet)
 
 
 def teacher_self_regression_loss(teacher: TeacherModel, sequences) -> float:
@@ -345,7 +343,7 @@ def teacher_self_regression_loss(teacher: TeacherModel, sequences) -> float:
     with ad.no_grad():
         for seq in sequences:
             feats = teacher.frontend.forward(seq)
-            _, _, head_out = teacher.encoder.forward(feats)
+            _, _, head_out = teacher.forward(feats)
             diff = head_out.data - feats
             total += float((diff.astype(np.float64) ** 2).mean())
     return total / len(sequences)
@@ -356,13 +354,11 @@ def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size
     adam = Adam(params)
     boxes = touched_boxes(space, config)
     batcher = CyclicBatcher(dataset)
-    from .supernet import forward as supernet_forward
-
     for _ in range(steps):
         adam.zero_grad()
         for _, seq in batcher.next_batch(batch_size):
             feats = model.frontend.forward(seq)
-            _, _, head_out = supernet_forward(model, config, feats)
+            _, _, head_out = forward(model, config, feats)
             err = head_out - Tensor(feats)
             loss = ad.tsum(err * err) * (1.0 / (head_out.size * batch_size))
             loss.backward()
@@ -370,17 +366,12 @@ def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size
 
 
 def teacher_to_checkpoint(teacher: TeacherModel, metadata: dict) -> Checkpoint:
-    meta = dict(metadata)
-    meta["role"] = "teacher"
-    return static_to_checkpoint(teacher.encoder, teacher.frontend, meta)
+    return supernet_to_checkpoint(teacher.encoder, {**metadata, "role": "teacher"})
 
 
 def teacher_from_checkpoint(ckpt: Checkpoint) -> TeacherModel:
-    from .checkpoint import static_from_checkpoint
-
     if ckpt.metadata.get("role") != "teacher":
         raise ConfigurationError(
             f"checkpoint role is '{ckpt.metadata.get('role')}', expected 'teacher'"
         )
-    encoder, frontend = static_from_checkpoint(ckpt, trainable=False)
-    return TeacherModel(frontend=frontend, encoder=encoder)
+    return TeacherModel(encoder=supernet_from_checkpoint(ckpt))

@@ -5,17 +5,18 @@ import pytest
 
 from ofat.checkpoint import (
     Checkpoint,
+    canonical_metadata,
+    file_digest,
     load_checkpoint,
     save_checkpoint,
-    static_from_checkpoint,
-    static_to_checkpoint,
     supernet_from_checkpoint,
     supernet_to_checkpoint,
 )
+from ofat.data import make_synthetic_dataset
 from ofat.errors import ConfigurationError
 from ofat.rng import Rng
-from ofat.spaces import max_subnet, sample_subnet
-from ofat.supernet import extract_subnet, forward
+from ofat.spaces import SubnetConfig, max_subnet, sample_subnet
+from ofat.supernet import build_supernet, extract_subnet, forward, full_config, reference_forward
 from ofat.train import make_teacher, teacher_from_checkpoint, teacher_to_checkpoint, TeacherArch
 
 
@@ -68,12 +69,12 @@ def test_extracted_checkpoint_round_trip_reverify(tmp_path, tiny_space, tiny_mod
     cfg = sample_subnet(tiny_space, Rng(3, 4))
     enc = extract_subnet(tiny_model, cfg)
     path = tmp_path / "subnet.ofat"
-    static_to_checkpoint(enc, tiny_model.frontend, {"role": "subnet", "seed": 0}).save(path)
-    enc2, fe2 = static_from_checkpoint(Checkpoint.load(path))
+    supernet_to_checkpoint(enc, {"role": "subnet", "seed": 0}).save(path)
+    enc2 = supernet_from_checkpoint(Checkpoint.load(path))
     for i in range(3):
         x = (Rng(50 + i, 2).uniform((8, tiny_space.frontend_dim)) * 2 - 1).astype(np.float32)
-        _, _, a = enc.forward(x)
-        _, _, b = enc2.forward(x)
+        _, _, a = reference_forward(enc, cfg, x)
+        _, _, b = reference_forward(enc2, cfg, x)
         np.testing.assert_array_equal(a.data, b.data)
         _, _, s = forward(tiny_model, cfg, x)
         assert float(np.abs(b.data - s.data).max()) < 1e-6
@@ -127,3 +128,92 @@ def test_checkpoint_snapshot_detached_from_training(tiny_space, tiny_model):
     tiny_model.input_w.data[0, 0] += 1.0
     np.testing.assert_array_equal(ckpt.tensors["input_proj.w"], before)
     tiny_model.input_w.data[0, 0] -= 1.0  # restore the session fixture
+
+
+# -- malformed files and metadata -------------------------------------------------
+
+
+def test_truncation_at_every_byte_offset_is_a_configuration_error(tmp_path):
+    path = tmp_path / "small.ofat"
+    tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2, dtype=np.float32)}
+    save_checkpoint(path, tensors, {"role": "supernet", "seed": 1})
+    data = path.read_bytes()
+    cut = tmp_path / "cut.ofat"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ConfigurationError, match="byte|magic"):
+            load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("meta, match", [
+    (b"\xff\xfe", "not UTF-8 at byte 12"),
+    (b'{"role": ', "not JSON .* at byte 21"),
+    (b"[1, 2]", "not a JSON object at byte 12"),
+])
+def test_bad_metadata_is_a_configuration_error(tmp_path, meta, match):
+    path = tmp_path / "bad.ofat"
+    path.write_bytes(b"OFAT" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta)
+    with pytest.raises(ConfigurationError, match=match):
+        load_checkpoint(path)
+
+
+def test_extents_overrunning_the_file_are_a_configuration_error(tmp_path):
+    meta = canonical_metadata({})
+    head = b"OFAT" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta
+    path = tmp_path / "huge.ofat"
+    path.write_bytes(head + (1).to_bytes(8, "little") + b"\x01\x00w\x01" + (2**40).to_bytes(8, "little"))
+    with pytest.raises(ConfigurationError, match=f"payload of w .* at byte {len(head) + 20}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop", ["space", "arch", "heads"])
+def test_loader_maps_missing_metadata_keys_to_configuration_error(tiny_space, tiny_model, drop):
+    if drop == "space":
+        ckpt = supernet_to_checkpoint(tiny_model, {"seed": 1})
+        del ckpt.metadata["space"]
+    else:
+        cfg = sample_subnet(tiny_space, Rng(3, 4))
+        ckpt = supernet_to_checkpoint(extract_subnet(tiny_model, cfg), {"role": "subnet"})
+        meta = ckpt.metadata if drop == "arch" else ckpt.metadata["arch"]
+        del meta[drop]
+    with pytest.raises(ConfigurationError, match=drop):
+        supernet_from_checkpoint(ckpt)
+
+
+# -- golden files -----------------------------------------------------------------
+
+# sha256 of the files below as written before extracted subnets and the
+# teacher ran on the sliced supernet path; the formats must not move.
+GOLDEN_SHA256 = {
+    "teacher": "4e55028b2c381a48107d6c141986285476585e0b068070fe6bf5b8a3c83d05bb",
+    "supernet": "5b77522cbf4171fe3c94d4d95d7908dc2c79c89a2280531cc2034f4155e4db97",
+    "subnet": "df86b6ac71db19e9aab001dbf4f93ef97afce414b33c21dc7dc5c6171b5134a1",
+}
+
+
+def test_golden_checkpoints_keep_their_bytes_and_load_to_the_reference(tmp_path, tiny_space):
+    arch = TeacherArch(dim=16, depth=3, heads=4, ffn_ratio=2.0, head_dim=4,
+                       conv_groups=4, conv_kernel=3)
+    teacher = make_teacher(seed=77, arch=arch, frontend_spec=tiny_space.frontend, warmup_steps=2,
+                           dataset=make_synthetic_dataset(seed=5, n_sequences=4, length=64), batch_size=2)
+    model = build_supernet(tiny_space, Rng(11, 1))
+    cfg = SubnetConfig(12, 2, (2, 1), (3.0, 2.0))
+    ckpts = {
+        "teacher": teacher_to_checkpoint(teacher, {"seed": 77}),
+        "supernet": supernet_to_checkpoint(model, {"seed": 11, "stage": 1}),
+        "subnet": supernet_to_checkpoint(extract_subnet(model, cfg),
+                                         {"role": "subnet", "seed": 11, "config": cfg.to_dict()}),
+    }
+    x = (Rng(7, 2).uniform((9, tiny_space.frontend_dim)) * 2 - 1).astype(np.float32)
+    for role, ckpt in ckpts.items():
+        path = tmp_path / f"{role}.ofat"
+        ckpt.save(path)
+        assert file_digest(path) == GOLDEN_SHA256[role], role
+        loaded = supernet_from_checkpoint(Checkpoint.load(path))
+        config = full_config(loaded)
+        if role == "subnet":
+            assert config == cfg
+        final_a, hid_a, out_a = forward(loaded, config, x, collect_hidden=True)
+        final_b, hid_b, out_b = reference_forward(loaded, config, x, collect_hidden=True)
+        for a, b in zip([final_a, out_a, *hid_a], [final_b, out_b, *hid_b]):
+            np.testing.assert_array_equal(a.data, b.data)

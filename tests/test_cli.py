@@ -1,10 +1,14 @@
 """End-to-end CLI runs in temp dirs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ofat
 from ofat.cli import main
 
 FAST_CONFIG = """
@@ -239,3 +243,31 @@ def test_help_lists_every_command(capsys):
     out = capsys.readouterr().out
     for cmd in ("gen-data", "init-teacher", "train", "search", "extract", "count", "eval"):
         assert cmd in out
+
+
+def _run_cli(*args):
+    """`python -m ofat.cli ARGS` in a fresh process, to see what reaches stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ofat.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "ofat.cli", *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("cut", [6, 20, "half", "3 short"])
+def test_truncated_checkpoint_exits_2_without_traceback(workdir, tmp_path, cut):
+    root, cfg, data_dir, _ = workdir
+    s1 = tmp_path / "s1.ofat"
+    assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
+    sub = tmp_path / "sub.ofat"
+    assert main(["extract", "--checkpoint", str(s1), "--subnet-spec", "mid", "--out", str(sub)]) == 0
+    for path in (s1, sub):
+        data = path.read_bytes()
+        n = {"half": len(data) // 2, "3 short": len(data) - 3}.get(cut, cut)
+        path.write_bytes(data[:n])
+    runs = [
+        _run_cli("extract", "--checkpoint", str(s1), "--subnet-spec", "min", "--out", str(tmp_path / "x.ofat")),
+        _run_cli("eval", "--config", str(cfg), "--checkpoint", str(sub), "--data", str(data_dir / "val.ofad")),
+    ]
+    for proc in runs:
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "byte" in proc.stderr

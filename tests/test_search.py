@@ -10,7 +10,6 @@ from ofat.errors import BudgetInfeasibleError, ConfigurationError
 from ofat.rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from ofat.search import (
     SearchBudget,
-    evaluate_static,
     evaluate_subnet,
     parse_scatter,
     random_search,
@@ -70,7 +69,7 @@ def test_evaluate_supernet_vs_extracted(setup):
     via_supernet = evaluate_subnet(model, cfg, val.sequences, teacher, MASK, TGT,
                                    eval_seed=8, eval_batches=4)
     enc = extract_subnet(model, cfg)
-    via_static = evaluate_static(enc, model.frontend, val.sequences, teacher, MASK, TGT,
+    via_static = evaluate_subnet(enc, cfg, val.sequences, teacher, MASK, TGT,
                                  eval_seed=8, eval_batches=4)
     assert abs(via_supernet - via_static) < 1e-6
 

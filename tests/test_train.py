@@ -313,3 +313,22 @@ def test_divergence_aborts_with_diagnostic():
     cfg = TrainConfig(stage=1, steps=3, batch_size=1, seed=10)
     with pytest.raises(DivergenceError, match="step 0"):
         stage1_train(cfg, space, teacher, poisoned, MASK, TGT)
+
+
+def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
+    """A finite loss with a non-finite gradient must not reach the weights."""
+    from ofat import train
+    from ofat.errors import DivergenceError
+    from ofat.supernet import build_supernet
+    from ofat.train import _adopt_teacher_frontend
+
+    space, teacher, data, _ = small_setup()
+    model = build_supernet(space, Rng(10, 1))
+    _adopt_teacher_frontend(model, teacher)
+    before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+    monkeypatch.setattr(train, "grad_norm", lambda params: float("inf"))
+    cfg = TrainConfig(stage=1, steps=3, batch_size=2, seed=10)
+    with pytest.raises(DivergenceError, match="grad norm inf at step 0"):
+        train._run_training(model, space, teacher, data, cfg, MASK, TGT, lambda step: max_subnet(space))
+    for n, p in model.named_parameters().items():
+        np.testing.assert_array_equal(p.data, before[n])
