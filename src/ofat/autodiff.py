@@ -1,11 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: float32 row-major arrays (float64 behind
-a switch used by the gradient-check tests), a tape built from parent
-pointers, and exactly the operations the encoder needs. Broadcasting in
-binary elementwise ops is limited to the patterns the models use: equal
-shapes, python scalars, a trailing [d] vector against [..., d], and a
-column [t, 1] against [t, d].
+a per-thread switch used by the gradient-check tests), a tape built from
+parent pointers, and exactly the operations the encoder needs:
+
+- elementwise add, sub, mul, div, neg, tabs; reductions tsum, tmean;
+- matmul, transpose, reshape, concat, slice_along, slice_prefix;
+- gelu, softmax_lastdim, layer_norm, grouped_conv1d;
+- two fused ops for the sliced supernet forward: linear_prefix (a layer on
+  a prefix box of a larger weight, reading views, no weight copy) and
+  attention (every head in one tape node).
+
+Broadcasting in binary elementwise ops is limited to the patterns the
+models use: equal shapes, python scalars, a trailing [d] vector against
+[..., d], and a column [t, 1] against [t, d].
 
 Gradient correctness is enforced by :func:`finite_diff_check`, a central
 finite-difference oracle that every differentiable op is tested against.
@@ -14,6 +22,7 @@ finite-difference oracle that every differentiable op is tested against.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass
 
@@ -21,9 +30,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 
-_DEFAULT_DTYPE = np.dtype(np.float32)
-# Tape recording is per-thread: a no-grad evaluation in one thread must not
-# disable gradients for anyone else.
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# Tape recording and the default dtype are per-thread: a no-grad or float64
+# evaluation in one thread must not change them for anyone else.
 _TLS = threading.local()
 
 
@@ -35,28 +44,22 @@ _GELU_C1 = 0.044715
 
 
 def default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype new tensors are created with (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt
+    """The dtype new tensors are created with in this thread (float32 unless in precision())."""
+    return getattr(_TLS, "dtype", _FLOAT_DTYPES[0])
 
 
 @contextlib.contextmanager
 def precision(dtype):
-    """Temporarily switch the default dtype (the float64 verification mode)."""
-    global _DEFAULT_DTYPE
-    saved = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    """Switch this thread's default dtype (the float64 verification mode)."""
+    dt = np.dtype(dtype)
+    if dt not in _FLOAT_DTYPES:
+        raise ContractError(f"unsupported dtype {dt}; use float32 or float64")
+    saved = default_dtype()
+    _TLS.dtype = dt
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = saved
+        _TLS.dtype = saved
 
 
 @contextlib.contextmanager
@@ -83,7 +86,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(default_dtype())
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -221,11 +224,16 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    _accum_box(t, (), g)
+
+
+def _accum_box(t: Tensor, box: tuple, g: np.ndarray) -> None:
+    """Add g into the `box` region of t.grad (frozen and no-grad tensors skip)."""
     if not (t.requires_grad or t._vjp is not None):
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad[box] += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -386,6 +394,31 @@ def matmul(a, b) -> Tensor:
     return _result(data, (a, b), vjp)
 
 
+def linear_prefix(x, w, b, n_in: int, n_out: int) -> Tensor:
+    """x @ w[:n_in, :n_out] + b[:n_out], the layer nested in a larger one.
+
+    The product reads views of the weight prefix box, and backward adds into
+    that box of w.grad and b.grad, so a sliced layer copies no weights and
+    costs one tape node.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.ndim != 2 or b.ndim != 1 or not (n_in <= w.shape[0] and 0 <= n_out <= min(w.shape[1], b.shape[0])):
+        raise DimensionError(
+            f"linear_prefix box [{n_in}, {n_out}] out of range for weight {w.shape} and bias {b.shape}")
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise DimensionError(f"linear_prefix input {x.shape} does not match prefix width {n_in}")
+    box = (slice(0, n_in), slice(0, n_out))
+    wv = w.data[box]
+    data = x.data @ wv + b.data[:n_out]
+
+    def vjp(g):
+        _accum(x, g @ wv.T)
+        _accum_box(w, box, x.data.T @ g)
+        _accum_box(b, box[1:], g.sum(axis=0))
+
+    return _result(data, (x, w, b), vjp)
+
+
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
@@ -434,11 +467,7 @@ def slice_along(a, dim: int, start: int, stop: int) -> Tensor:
     data = a.data[idx].copy()
 
     def vjp(g):
-        if not (a.requires_grad or a._vjp is not None):
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[idx] += g
+        _accum_box(a, idx, g)
 
     return _result(data, (a,), vjp)
 
@@ -489,6 +518,52 @@ def softmax_lastdim(a) -> Tensor:
         _accum(a, y * (g - dot))
 
     return _result(y, (a,), vjp)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [t, heads*hd] q, k, v.
+
+    One tape node over [heads, t, hd] stacks. Each head runs the expressions
+    of slicing it out and composing matmul, transpose, softmax_lastdim and
+    concat, in their order, so values and gradients equal that composition
+    bit for bit.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if heads < 1 or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] % heads:
+        raise DimensionError(
+            f"attention needs equal [t, heads*hd] q, k, v for {heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    t, width = q.shape
+    hd = width // heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(x):  # [t, heads*hd] -> contiguous [heads, t, hd]
+        return np.ascontiguousarray(x.reshape(t, heads, hd).transpose(1, 0, 2))
+
+    def merge(x):  # [heads, t, hd] -> [t, heads*hd]
+        return x.transpose(1, 0, 2).reshape(t, width)
+
+    Q, V = split(q.data), split(v.data)
+    KT = np.ascontiguousarray(k.data.reshape(t, heads, hd).transpose(1, 2, 0))  # [heads, hd, t]
+    # The [heads, t, t] scores are updated in place: one large temporary,
+    # not one per step, and the same values as the out-of-place expressions.
+    P = np.matmul(Q, KT)
+    P *= scale
+    P -= P.max(axis=-1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        G = split(g)
+        dV = np.matmul(P.transpose(0, 2, 1), G)
+        dS = np.matmul(G, V.transpose(0, 2, 1))  # dP, turned into dS in place:
+        dS -= (dS * P).sum(axis=-1, keepdims=True)  # P * (dP - sum(dP * P)) * scale
+        dS *= P
+        dS *= scale
+        _accum(q, merge(np.matmul(dS, KT.transpose(0, 2, 1))))
+        _accum(k, merge(np.matmul(Q.transpose(0, 2, 1), dS).transpose(0, 2, 1)))
+        _accum(v, merge(dV))
+
+    return _result(merge(np.matmul(P, V)), (q, k, v), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

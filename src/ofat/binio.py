@@ -1,0 +1,55 @@
+"""Bounds-checked reads of the binary formats (OFAT checkpoints, OFAD datasets).
+
+A reader holds a whole file's bytes and a cursor. Every read claims its
+bytes first, so a short or malformed file raises ConfigurationError naming
+what was being read and the byte offset, never struct.error or a silently
+short array.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigurationError
+
+
+class ByteReader:
+    def __init__(self, path, magic: bytes, version: int, kind: str):
+        """Read the whole file and check its header: `magic`, then a u32 `version`."""
+        self.path = path
+        self.data = Path(path).read_bytes()
+        if self.data[:len(magic)] != magic:
+            raise ConfigurationError(f"{path}: not a {kind} file (bad magic)")
+        self.pos = len(magic)
+        found = self.unpack("<I", "version")
+        if found != version:
+            raise ConfigurationError(f"{path}: unsupported {kind} version {found}")
+
+    def take(self, n: int, what: str) -> int:
+        """Claim the next n bytes; returns their offset."""
+        if self.pos + n > len(self.data):
+            raise ConfigurationError(
+                f"{self.path}: truncated {what} at byte {self.pos} "
+                f"(needs {n} bytes, {len(self.data) - self.pos} left)")
+        self.pos += n
+        return self.pos - n
+
+    def unpack(self, fmt: str, what: str) -> int:
+        return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt), what))[0]
+
+    def text(self, n: int, what: str) -> str:
+        at = self.take(n, what)
+        try:
+            return self.data[at:at + n].decode()
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{self.path}: {what} is not UTF-8 at byte {at}") from None
+
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        """A little-endian f32 array of `shape`, copied out of the file bytes."""
+        n = math.prod(shape)
+        at = self.take(4 * n, what)
+        return np.frombuffer(self.data, dtype="<f4", count=n, offset=at).reshape(shape).copy()

@@ -13,7 +13,6 @@ reproduces the file byte for byte. Tensor order is preserved.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .binio import ByteReader
 from .errors import ConfigurationError
 from .frontend import Frontend, FrontendSpec
 from .rng import Rng
@@ -71,51 +71,22 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> Non
 def load_checkpoint(path):
     """(tensors, metadata) of a checkpoint file; a malformed file raises
     ConfigurationError naming the byte offset."""
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int, what: str) -> int:
-        """Claim the next n bytes; returns their offset."""
-        nonlocal pos
-        if pos + n > len(data):
-            raise ConfigurationError(
-                f"{path}: truncated {what} at byte {pos} (needs {n} bytes, {len(data) - pos} left)")
-        pos += n
-        return pos - n
-
-    def unpack(fmt: str, what: str) -> int:
-        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt), what))[0]
-
-    def text(n: int, what: str) -> str:
-        at = take(n, what)
-        try:
-            return data[at:at + n].decode()
-        except UnicodeDecodeError:
-            raise ConfigurationError(f"{path}: {what} is not UTF-8 at byte {at}") from None
-
-    if data[:4] != MAGIC:
-        raise ConfigurationError(f"{path}: not a checkpoint file (bad magic)")
-    pos = 4
-    version = unpack("<I", "version")
-    if version != VERSION:
-        raise ConfigurationError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = unpack("<I", "metadata length")
-    meta_at = pos
+    r = ByteReader(path, MAGIC, VERSION, "checkpoint")
+    meta_len = r.unpack("<I", "metadata length")
+    meta_at = r.pos
     try:
-        metadata = json.loads(text(meta_len, "metadata"))
+        metadata = json.loads(r.text(meta_len, "metadata"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: metadata is not JSON ({exc.msg}) at byte {meta_at + exc.pos}") from None
     if not isinstance(metadata, dict):
         raise ConfigurationError(f"{path}: metadata is not a JSON object at byte {meta_at}")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(unpack("<Q", "tensor count")):
-        name = text(unpack("<H", "tensor name length"), "tensor name")
-        rank = unpack("<B", f"rank of {name}")
-        shape = tuple(unpack("<Q", f"extent of {name}") for _ in range(rank))
-        n = math.prod(shape)
-        at = take(4 * n, f"payload of {name} {shape}")
-        tensors[name] = np.frombuffer(data, dtype="<f4", count=n, offset=at).reshape(shape).copy()
+    for _ in range(r.unpack("<Q", "tensor count")):
+        name = r.text(r.unpack("<H", "tensor name length"), "tensor name")
+        rank = r.unpack("<B", f"rank of {name}")
+        shape = tuple(r.unpack("<Q", f"extent of {name}") for _ in range(rank))
+        tensors[name] = r.floats(shape, f"payload of {name} {shape}")
     return tensors, metadata
 
 

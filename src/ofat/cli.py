@@ -238,7 +238,8 @@ def cmd_train(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _load_config(args)
-    model, space = _load_supernet(args.checkpoint)
+    model, _ = _load_supernet(args.checkpoint)
+    space = model.space
     teacher = _load_teacher(cfg)
     val = _load_train_data(cfg, "val_data")
     max_params = args.max_params
@@ -272,17 +273,18 @@ def cmd_search(args) -> int:
 
 
 def _load_supernet(path):
+    """(model, metadata) of a supernet checkpoint file, parsed once."""
     if not Path(path).exists():
         raise ConfigurationError(f"checkpoint not found: {path}")
     ckpt = Checkpoint.load(path)
     if "space" not in ckpt.metadata:
         raise ConfigurationError(f"{path} is not a supernet checkpoint (no space metadata)")
-    model = supernet_from_checkpoint(ckpt)
-    return model, model.space
+    return supernet_from_checkpoint(ckpt), ckpt.metadata
 
 
 def cmd_extract(args) -> int:
-    model, space = _load_supernet(args.checkpoint)
+    model, source_meta = _load_supernet(args.checkpoint)
+    space = model.space
     config = parse_subnet_spec(space, args.subnet_spec)
     subnet = extract_subnet(model, config)
 
@@ -298,7 +300,7 @@ def cmd_extract(args) -> int:
     params = count_params(space, config).total
     meta = {
         "role": "subnet",
-        "seed": Checkpoint.load(args.checkpoint).metadata.get("seed", 0),
+        "seed": source_meta.get("seed", 0),
         "config": config.to_dict(),
         "source_checkpoint_digest": file_digest(args.checkpoint),
         "params_with_frontend_and_head": params,

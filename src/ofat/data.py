@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import ByteReader
 from .errors import ConfigurationError
 from .rng import Rng, STREAM_DATA
 
@@ -77,17 +78,12 @@ def save_dataset(path, dataset: SyntheticDataset) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ConfigurationError(f"{path}: not a dataset file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ConfigurationError(f"{path}: unsupported dataset version {version}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        sequences = []
-        for _ in range(count):
-            (n,) = struct.unpack("<Q", fh.read(8))
-            sequences.append(np.frombuffer(fh.read(4 * n), dtype="<f4").copy())
+    """Read an OFAD file; a malformed one raises ConfigurationError naming the byte offset."""
+    r = ByteReader(path, MAGIC, VERSION, "dataset")
+    sequences = []
+    for i in range(r.unpack("<Q", "sequence count")):
+        n = r.unpack("<Q", f"length of sequence {i}")
+        sequences.append(r.floats((n,), f"samples of sequence {i} ({n})"))
     return SyntheticDataset(sequences)
 
 

@@ -5,13 +5,15 @@ forward touches only prefix slices of those stores: the first embed_dim
 rows/columns of every projection, the first heads*head_dim attention
 columns, the first ffn_hidden FFN units, and the first `depth` blocks. No
 subnet owns private weights, so smaller architectures are literally nested
-in larger ones.
+in larger ones. The projections read those prefixes as views through
+autodiff.linear_prefix, and autodiff.attention runs all heads as one op.
 
 extract_subnet copies the touched slices into an exact-size SupernetModel
 over a space that holds only that config, and the frozen teacher is a
 supernet over its one architecture, so supernet, subnets and teacher all
 run the same sliced forward. reference_forward is the one independent
-straight-line forward over such an exact-size model; the pair (sliced
+straight-line forward over such an exact-size model, built from primitive
+ops (a per-head attention loop, plain matmul and bias); the pair (sliced
 supernet forward, reference forward on the extracted copy) is the
 equivalence oracle that `ofat extract` and the tests lean on.
 """
@@ -165,12 +167,8 @@ def clone_supernet(model: SupernetModel) -> SupernetModel:
 # -- sliced forward ----------------------------------------------------------
 
 
-def _sliced_linear(x: Tensor, w: Tensor, b: Tensor, n_in: int, n_out: int) -> Tensor:
-    ws = ad.slice_prefix(ad.slice_prefix(w, 0, n_in), 1, n_out)
-    return ad.matmul(x, ws) + ad.slice_prefix(b, 0, n_out)
-
-
 def _attention(q: Tensor, k: Tensor, v: Tensor, heads: int, head_dim: int) -> Tensor:
+    """Per-head attention from primitive ops: the reference for ad.attention."""
     scale = 1.0 / math.sqrt(head_dim)
     outs = []
     for h in range(heads):
@@ -191,9 +189,7 @@ def project_input(model: SupernetModel, config: SubnetConfig, x) -> Tensor:
         raise DimensionError(
             f"expected input [t, {model.space.frontend_dim}], got {x.shape}"
         )
-    e = config.embed_dim
-    ws = ad.slice_prefix(model.input_w, 1, e)
-    return ad.matmul(x, ws) + ad.slice_prefix(model.input_b, 0, e)
+    return ad.linear_prefix(x, model.input_w, model.input_b, x.shape[1], config.embed_dim)
 
 
 def positional_stage(model: SupernetModel, e: int, h: Tensor) -> Tensor:
@@ -211,26 +207,25 @@ def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, r
     layer prefix share every block output up to it.
     """
     blk = model.blocks[l]
-    hd = model.space.head_dim
-    a = heads * hd
+    a = heads * model.space.head_dim
     f = ffn_hidden(ratio, e)
 
     hn = ad.layer_norm(h, ad.slice_prefix(blk.ln1_g, 0, e), ad.slice_prefix(blk.ln1_b, 0, e), ATTN_EPS)
-    q = _sliced_linear(hn, blk.wq, blk.bq, e, a)
-    k = _sliced_linear(hn, blk.wk, blk.bk, e, a)
-    v = _sliced_linear(hn, blk.wv, blk.bv, e, a)
-    att = _attention(q, k, v, heads, hd)
-    h = h + _sliced_linear(att, blk.wo, blk.bo, a, e)
+    q = ad.linear_prefix(hn, blk.wq, blk.bq, e, a)
+    k = ad.linear_prefix(hn, blk.wk, blk.bk, e, a)
+    v = ad.linear_prefix(hn, blk.wv, blk.bv, e, a)
+    att = ad.attention(q, k, v, heads)
+    h = h + ad.linear_prefix(att, blk.wo, blk.bo, a, e)
 
     hn2 = ad.layer_norm(h, ad.slice_prefix(blk.ln2_g, 0, e), ad.slice_prefix(blk.ln2_b, 0, e), ATTN_EPS)
-    ff = ad.gelu(_sliced_linear(hn2, blk.w1, blk.b1, e, f))
-    return h + _sliced_linear(ff, blk.w2, blk.b2, f, e)
+    ff = ad.gelu(ad.linear_prefix(hn2, blk.w1, blk.b1, e, f))
+    return h + ad.linear_prefix(ff, blk.w2, blk.b2, f, e)
 
 
 def head_forward(model: SupernetModel, e: int, h: Tensor):
     """Sliced final norm and prediction head. Returns (final [t, e], head_out [t, teacher_dim])."""
     final = ad.layer_norm(h, ad.slice_prefix(model.final_g, 0, e), ad.slice_prefix(model.final_b, 0, e), ATTN_EPS)
-    head_out = ad.matmul(final, ad.slice_prefix(model.head_w, 0, e)) + model.head_b
+    head_out = ad.linear_prefix(final, model.head_w, model.head_b, e, model.head_w.shape[1])
     return final, head_out
 
 

@@ -7,6 +7,7 @@ from ofat import autodiff as ad
 from ofat.autodiff import ComputeGraph, Tensor, finite_diff_check
 from ofat.errors import ConfigurationError, ContractError, DimensionError
 from ofat.rng import Rng
+from ofat.supernet import _attention
 
 F32_TOL = 1e-3
 F64_TOL = 1e-6
@@ -239,7 +240,7 @@ def _rand_shape(rng, lo=1, hi=6, ndim=2):
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "layer_norm", "gelu", "softmax", "grouped_conv1d", "slice_prefix",
-    "add", "mul", "abs", "mean",
+    "add", "mul", "abs", "mean", "linear_prefix", "attention",
 ])
 def test_gradcheck_randomized_trials_f32(op_name):
     _sweep(op_name, np.float32, F32_TOL)
@@ -247,7 +248,7 @@ def test_gradcheck_randomized_trials_f32(op_name):
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "layer_norm", "gelu", "softmax", "grouped_conv1d", "slice_prefix",
-    "add", "mul", "abs", "mean",
+    "add", "mul", "abs", "mean", "linear_prefix", "attention",
 ])
 def test_gradcheck_randomized_trials_f64(op_name):
     with ad.precision(np.float64):
@@ -331,7 +332,136 @@ def _one_gradcheck(op_name, rng, dtype):
     if op_name == "mean":
         x = T(rng.normal(_rand_shape(rng)), rg=True)
         return finite_diff_check(lambda t: ad.tmean(t * t), x)
+    if op_name == "linear_prefix":
+        rows, cols = _rand_shape(rng, 1, 5)
+        n_in, n_out = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
+        x = T(rng.normal((int(rng.integers(1, 5)), n_in)), rg=True)
+        w = T(rng.normal((rows, cols)), rg=True)
+        b = T(rng.normal(cols), rg=True)
+        c = T(rng.normal((x.shape[0], n_out)))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.linear_prefix(t, w, b, n_in, n_out) * c), x),
+            finite_diff_check(lambda t: ad.tsum(ad.linear_prefix(x, t, b, n_in, n_out) * c), w),
+            finite_diff_check(lambda t: ad.tsum(ad.linear_prefix(x, w, t, n_in, n_out) * c), b),
+        )
+    if op_name == "attention":
+        # At least three frames: with two, a head's q gradient is a multiple
+        # of k0 - k1, and a component where the keys nearly agree gives an
+        # entry far below what central differences resolve at |f| ~ 1 (the
+        # near-constant layer-norm rows above are the same measurement noise).
+        heads, hd = _rand_shape(rng, 1, 3)
+        t_len = int(rng.integers(3, 7))
+        q, k, v = (T(rng.normal((t_len, heads * hd)), rg=True) for _ in range(3))
+        c = T(rng.normal(q.shape))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.attention(t, k, v, heads) * c), q),
+            finite_diff_check(lambda t: ad.tsum(ad.attention(q, t, v, heads) * c), k),
+            finite_diff_check(lambda t: ad.tsum(ad.attention(q, k, t, heads) * c), v),
+        )
     raise AssertionError(op_name)
+
+
+# -- fused ops against their compositions, bit for bit ------------------------------
+
+
+def _twins(rng, shape, rg=True, scale=1.0):
+    """Two independent tensors holding the same float32 values."""
+    arr = (rng.normal(shape) * scale).astype(np.float32)
+    return Tensor(arr.copy(), requires_grad=rg), Tensor(arr.copy(), requires_grad=rg)
+
+
+def _grads(*tensors):
+    return [None if t.grad is None else t.grad.copy() for t in tensors]
+
+
+def _assert_same(a, b):
+    for x, y in zip(a, b):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n_in,n_out,frozen", [
+    (24, 20, False),  # whole extent
+    (16, 12, False),  # strict prefix in both dims
+    (24, 12, False),  # strict prefix of the columns only
+    (16, 20, True),   # frozen weight and bias
+])
+def test_linear_prefix_equals_slice_matmul_add_bitwise(n_in, n_out, frozen):
+    rng = Rng(53, 1)
+    x1, x2 = _twins(rng, (16, n_in))
+    w1, w2 = _twins(rng, (24, 20), rg=not frozen, scale=0.3)
+    b1, b2 = _twins(rng, (20,), rg=not frozen)
+    c = Tensor(rng.normal((16, n_out)).astype(np.float32))
+
+    y1 = ad.linear_prefix(x1, w1, b1, n_in, n_out)
+    ws = ad.slice_prefix(ad.slice_prefix(w2, 0, n_in), 1, n_out)
+    y2 = ad.matmul(x2, ws) + ad.slice_prefix(b2, 0, n_out)
+    assert np.array_equal(y1.data, y2.data)
+    ad.tsum(y1 * c).backward()
+    ad.tsum(y2 * c).backward()
+    _assert_same(_grads(x1, w1, b1), _grads(x2, w2, b2))
+    assert (w1.grad is None) == frozen
+
+
+def test_linear_prefix_two_boxes_of_one_weight_accumulate_like_the_composition():
+    # The second use adds into w.grad where the first one left it.
+    rng = Rng(54, 1)
+    x1, x2 = _twins(rng, (8, 12))
+    w1, w2 = _twins(rng, (12, 10), scale=0.3)
+    b1, b2 = _twins(rng, (10,))
+    fused = ad.tsum(ad.linear_prefix(x1, w1, b1, 12, 10)) + ad.tsum(
+        ad.gelu(ad.linear_prefix(ad.slice_prefix(x1, 1, 6), w1, b1, 6, 4)))
+
+    def composed(x, n_in, n_out):
+        ws = ad.slice_prefix(ad.slice_prefix(w2, 0, n_in), 1, n_out)
+        return ad.matmul(x, ws) + ad.slice_prefix(b2, 0, n_out)
+
+    ref = ad.tsum(composed(x2, 12, 10)) + ad.tsum(ad.gelu(composed(ad.slice_prefix(x2, 1, 6), 6, 4)))
+    assert fused.item() == ref.item()
+    fused.backward()
+    ref.backward()
+    _assert_same(_grads(x1, w1, b1), _grads(x2, w2, b2))
+
+
+def test_linear_prefix_box_out_of_range():
+    w, b = t32(np.zeros((4, 3))), t32(np.zeros(3))
+    with pytest.raises(DimensionError, match="box"):
+        ad.linear_prefix(t32(np.zeros((2, 4))), w, b, 4, 5)
+    with pytest.raises(DimensionError, match="input"):
+        ad.linear_prefix(t32(np.zeros((2, 3))), w, b, 4, 3)
+
+
+@pytest.mark.parametrize("heads,hd,t_len,k_frozen", [
+    (1, 8, 16, False),
+    (4, 8, 16, False),
+    (8, 8, 128, False),  # the desk teacher's attention
+    (3, 5, 7, True),
+])
+def test_attention_equals_per_head_composition_bitwise(heads, hd, t_len, k_frozen):
+    rng = Rng(55, heads)
+    q1, q2 = _twins(rng, (t_len, heads * hd))
+    k1, k2 = _twins(rng, (t_len, heads * hd), rg=not k_frozen)
+    v1, v2 = _twins(rng, (t_len, heads * hd))
+    c = Tensor(rng.normal((t_len, heads * hd)).astype(np.float32))
+
+    y1 = ad.attention(q1, k1, v1, heads)
+    y2 = _attention(q2, k2, v2, heads, hd)  # the per-head composition in reference_forward
+    assert np.array_equal(y1.data, y2.data)
+    ad.tsum(y1 * c).backward()
+    ad.tsum(y2 * c).backward()
+    _assert_same(_grads(q1, k1, v1), _grads(q2, k2, v2))
+    assert (k1.grad is None) == k_frozen
+
+
+def test_attention_shape_errors():
+    z = t32(np.zeros((4, 6)))
+    with pytest.raises(DimensionError):
+        ad.attention(z, z, z, 4)
+    with pytest.raises(DimensionError):
+        ad.attention(z, t32(np.zeros((3, 6))), z, 2)
+    with pytest.raises(DimensionError):
+        ad.attention(z, z, z, 0)
 
 
 # -- chain-rule consistency through slicing ----------------------------------------
@@ -429,6 +559,41 @@ def test_no_grad_is_thread_local():
             w.join()
     y = t32([1.0], requires_grad=True) * 5.0
     assert y.requires_grad
+
+
+def test_precision_is_thread_local():
+    # A float64 verification in one thread must not widen tensors made elsewhere.
+    import threading
+
+    stop = threading.Event()
+    seen = []
+
+    def spin_float64():
+        while not stop.is_set():
+            with ad.precision(np.float64):
+                seen.append(Tensor([1]).dtype)
+    workers = [threading.Thread(target=spin_float64) for _ in range(4)]
+    for w in workers:
+        w.start()
+    try:
+        for _ in range(200):
+            assert Tensor([1]).dtype == np.float32, "worker thread precision leaked into this thread"
+            assert ad.default_dtype() == np.float32
+    finally:
+        stop.set()
+        for w in workers:
+            w.join(timeout=10)
+    assert not any(w.is_alive() for w in workers)
+    assert seen and all(dt == np.float64 for dt in seen)
+    with ad.precision(np.float64):
+        assert Tensor([1]).dtype == np.float64
+    assert Tensor([1]).dtype == np.float32
+
+
+def test_precision_rejects_non_float_dtypes():
+    with pytest.raises(ContractError):
+        with ad.precision(np.int32):
+            pass
 
 
 # -- determinism ------------------------------------------------------------------

@@ -271,3 +271,16 @@ def test_truncated_checkpoint_exits_2_without_traceback(workdir, tmp_path, cut):
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "byte" in proc.stderr
+
+
+def test_truncated_dataset_exits_2_without_traceback(workdir, tmp_path):
+    root, cfg, data_dir, _ = workdir
+    s1 = tmp_path / "s1.ofat"
+    assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
+    val = tmp_path / "val.ofad"
+    val.write_bytes((data_dir / "val.ofad").read_bytes()[:500])
+    proc = _run_cli("eval", "--config", str(cfg), "--checkpoint", str(s1), "--subnet-spec", "mid",
+                    "--data", str(val))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "at byte" in proc.stderr

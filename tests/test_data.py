@@ -55,6 +55,26 @@ def test_bad_magic_rejected(tmp_path):
         load_dataset(bad)
 
 
+def test_truncation_at_every_byte_offset_is_a_configuration_error(tmp_path):
+    path = tmp_path / "small.ofad"
+    save_dataset(path, make_synthetic_dataset(13, 2, 5))
+    data = path.read_bytes()
+    cut = tmp_path / "cut.ofad"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ConfigurationError, match="byte|magic"):
+            load_dataset(cut)
+
+
+def test_short_final_payload_names_its_offset(tmp_path):
+    # np.frombuffer alone would hand back a shorter last sequence.
+    path = tmp_path / "short.ofad"
+    save_dataset(path, make_synthetic_dataset(13, 2, 5))
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ConfigurationError, match=r"samples of sequence 1 \(5\) at byte 52 \(needs 20 bytes, 16 left\)"):
+        load_dataset(path)
+
+
 def test_frontend_length_arithmetic():
     spec = desk_frontend()
     for n in (64, 100, 511, 512):
