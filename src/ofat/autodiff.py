@@ -9,7 +9,7 @@ parent pointers, and exactly the operations the encoder needs:
 - gelu, softmax_lastdim, layer_norm, grouped_conv1d;
 - two fused ops for the sliced supernet forward: linear_prefix (a layer on
   a prefix box of a larger weight, reading views, no weight copy) and
-  attention (every head in one tape node).
+  attention (every head of every sequence in a row stack, one tape node).
 
 Broadcasting in binary elementwise ops is limited to the patterns the
 models use: equal shapes, python scalars, a trailing [d] vector against
@@ -520,31 +520,35 @@ def softmax_lastdim(a) -> Tensor:
     return _result(y, (a,), vjp)
 
 
-def attention(q, k, v, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over [t, heads*hd] q, k, v.
+def attention(q, k, v, heads: int, seqs: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention over [seqs*t, heads*hd] q, k, v.
 
-    One tape node over [heads, t, hd] stacks. Each head runs the expressions
-    of slicing it out and composing matmul, transpose, softmax_lastdim and
-    concat, in their order, so values and gradients equal that composition
-    bit for bit.
+    The rows hold `seqs` sequences of t frames each, one after the other;
+    each attends only within itself. One tape node over [seqs*heads, t, hd]
+    stacks. Each (sequence, head) pair runs the expressions of slicing it
+    out and composing matmul, transpose, softmax_lastdim and concat, in
+    their order, so values and gradients equal that composition, and one
+    call per sequence, bit for bit.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if heads < 1 or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] % heads:
+    if (heads < 1 or seqs < 1 or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape
+            or q.shape[1] % heads or q.shape[0] % seqs):
         raise DimensionError(
-            f"attention needs equal [t, heads*hd] q, k, v for {heads} heads, got {q.shape}, {k.shape}, {v.shape}")
-    t, width = q.shape
-    hd = width // heads
+            f"attention needs equal [seqs*t, heads*hd] q, k, v for {seqs} sequences and {heads} heads, "
+            f"got {q.shape}, {k.shape}, {v.shape}")
+    rows, width = q.shape
+    t, hd, n = rows // seqs, width // heads, seqs * heads
     scale = 1.0 / math.sqrt(hd)
 
-    def split(x):  # [t, heads*hd] -> contiguous [heads, t, hd]
-        return np.ascontiguousarray(x.reshape(t, heads, hd).transpose(1, 0, 2))
+    def split(x):  # [seqs*t, heads*hd] -> contiguous [seqs*heads, t, hd]
+        return np.ascontiguousarray(x.reshape(seqs, t, heads, hd).transpose(0, 2, 1, 3)).reshape(n, t, hd)
 
-    def merge(x):  # [heads, t, hd] -> [t, heads*hd]
-        return x.transpose(1, 0, 2).reshape(t, width)
+    def merge(x):  # [seqs*heads, t, hd] -> [seqs*t, heads*hd]
+        return x.reshape(seqs, heads, t, hd).transpose(0, 2, 1, 3).reshape(rows, width)
 
     Q, V = split(q.data), split(v.data)
-    KT = np.ascontiguousarray(k.data.reshape(t, heads, hd).transpose(1, 2, 0))  # [heads, hd, t]
-    # The [heads, t, t] scores are updated in place: one large temporary,
+    KT = np.ascontiguousarray(k.data.reshape(seqs, t, heads, hd).transpose(0, 2, 3, 1)).reshape(n, hd, t)
+    # The [seqs*heads, t, t] scores are updated in place: one large temporary,
     # not one per step, and the same values as the out-of-place expressions.
     P = np.matmul(Q, KT)
     P *= scale
@@ -655,14 +659,17 @@ def finite_diff_check(f, x: Tensor, h: float | None = None) -> float:
 
     f must map the tensor to a scalar Tensor and be a pure function of its
     argument. The numeric side evaluates f at float64-perturbed copies with
-    a power-of-two step (default 2^-10, or 2^-20 when x is float64) so the
+    a power-of-two step (default 2^-10, or 2^-16 when x is float64) so the
     probes stay exactly representable; the relative error uses an absolute
-    floor of 1e-6 in the denominator.
+    floor of 1e-6 in the denominator. The float64 step is near the
+    cube root of machine epsilon, where rounding in f (about eps * |f| / h)
+    and the truncation error (about h^2) balance; a smaller step cannot
+    resolve gradient entries far below |f|.
     """
     if not x.requires_grad:
         raise ContractError("finite_diff_check needs a requires_grad tensor")
     if h is None:
-        h = 2.0**-20 if x.dtype == np.float64 else 2.0**-10
+        h = 2.0**-16 if x.dtype == np.float64 else 2.0**-10
     y = f(x)
     if not isinstance(y, Tensor) or y.size != 1:
         raise ContractError("finite_diff_check needs a scalar-valued function")

@@ -1,14 +1,21 @@
-"""Bounds-checked reads of the binary formats (OFAT checkpoints, OFAD datasets).
+"""File I/O shared by every output: bounds-checked reads of the binary
+formats (OFAT checkpoints, OFAD datasets) and atomic writes.
 
 A reader holds a whole file's bytes and a cursor. Every read claims its
 bytes first, so a short or malformed file raises ConfigurationError naming
 what was being read and the byte offset, never struct.error or a silently
 short array.
+
+Every file the package writes goes through atomic_open: a reader sees the
+previous file or the complete new one, never a half-written one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -48,8 +55,35 @@ class ByteReader:
         except UnicodeDecodeError:
             raise ConfigurationError(f"{self.path}: {what} is not UTF-8 at byte {at}") from None
 
+    def end(self) -> None:
+        """Refuse bytes after the last field, such as those a lowered count or length leaves."""
+        if self.pos != len(self.data):
+            raise ConfigurationError(
+                f"{self.path}: {len(self.data) - self.pos} unread bytes after the last field at byte {self.pos}")
+
     def floats(self, shape: tuple, what: str) -> np.ndarray:
         """A little-endian f32 array of `shape`, copied out of the file bytes."""
         n = math.prod(shape)
         at = self.take(4 * n, what)
-        return np.frombuffer(self.data, dtype="<f4", count=n, offset=at).reshape(shape).copy()
+        try:
+            return np.frombuffer(self.data, dtype="<f4", count=n, offset=at).reshape(shape).copy()
+        except ValueError as exc:  # an extent numpy cannot index, in an empty array
+            raise ConfigurationError(f"{self.path}: {what} at byte {at} is not an array ({exc})") from None
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write `path` through a temp file beside it, moved over `path` on a clean exit.
+
+    `mode` is "w" or "wb". If the block raises, `path` keeps its previous
+    contents (or stays absent) and the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)

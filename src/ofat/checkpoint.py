@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .binio import ByteReader
+from .binio import ByteReader, atomic_open
 from .errors import ConfigurationError
 from .frontend import Frontend, FrontendSpec
 from .rng import Rng
@@ -29,6 +29,7 @@ from .supernet import SupernetModel, config_dims, full_config, model_from_arrays
 
 MAGIC = b"OFAT"
 VERSION = 1
+MAX_RANK = 32  # the array rank every numpy release supports
 
 
 @dataclass
@@ -51,7 +52,7 @@ def canonical_metadata(metadata: dict) -> bytes:
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> None:
     meta = canonical_metadata(metadata)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(meta)))
@@ -85,8 +86,11 @@ def load_checkpoint(path):
     for _ in range(r.unpack("<Q", "tensor count")):
         name = r.text(r.unpack("<H", "tensor name length"), "tensor name")
         rank = r.unpack("<B", f"rank of {name}")
+        if rank > MAX_RANK:
+            raise ConfigurationError(f"{path}: rank {rank} of {name} at byte {r.pos - 1} exceeds {MAX_RANK}")
         shape = tuple(r.unpack("<Q", f"extent of {name}") for _ in range(rank))
         tensors[name] = r.floats(shape, f"payload of {name} {shape}")
+    r.end()
     return tensors, metadata
 
 

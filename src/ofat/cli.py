@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .binio import atomic_open
 from .checkpoint import Checkpoint, file_digest, supernet_from_checkpoint, supernet_to_checkpoint
 from .config import RunConfig
 from .data import load_dataset, make_synthetic_dataset, save_dataset
@@ -33,7 +34,7 @@ from .errors import (
     DivergenceError,
 )
 from .rng import Rng
-from .search import evaluate_subnet, random_search, report_scatter, subnet_params, summarize
+from .search import evaluate_subnets, random_search, report_scatter, subnet_params, summarize
 from .spaces import max_subnet, min_subnet, parse_subnet_spec
 from .supernet import count_params, extract_subnet, forward, full_config, reference_forward
 from .train import (
@@ -144,7 +145,8 @@ def _load_config(args) -> RunConfig:
 
 def _sidecar(path, cfg: RunConfig, extra: dict) -> None:
     meta = {"config_digest": cfg.digest(), "seed": cfg.seed, **extra}
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    with atomic_open(str(path) + ".meta.json") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def _load_teacher(cfg: RunConfig):
@@ -257,13 +259,14 @@ def cmd_search(args) -> int:
         l1_reduction=cfg.l1_reduction(),
     )
     csv_path = f"{args.out}.csv"
-    with open(csv_path, "w") as fh:
+    with atomic_open(csv_path) as fh:
         fh.write(report_scatter(result, header_lines=(
             f"config_digest={cfg.digest()}", f"seed={budget.seed}")))
     summary = summarize(result)
     summary["config_digest"] = cfg.digest()
     summary_path = f"{args.out}.summary.yaml"
-    Path(summary_path).write_text(yaml.safe_dump(summary, sort_keys=True))
+    with atomic_open(summary_path) as fh:
+        fh.write(yaml.safe_dump(summary, sort_keys=True))
     best = result.best
     print(f"{csv_path}  candidates={len(result.entries)} acceptance={result.acceptance_rate:.4f}")
     print(f"{summary_path}")
@@ -357,9 +360,9 @@ def cmd_eval(args) -> int:
         label, configs = args.subnet_spec, [parse_subnet_spec(space, args.subnet_spec)]
         if args.bounds:
             configs += [min_subnet(space), max_subnet(space)]
-    loss, *bounds = [evaluate_subnet(model, c, val.sequences, teacher, mask_spec, target_cfg,
+    loss, *bounds = evaluate_subnets(model, configs, val.sequences, teacher, mask_spec, target_cfg,
                                      eval_seed=cfg.seed, eval_batches=eval_batches,
-                                     l1_reduction=cfg.l1_reduction()) for c in configs]
+                                     l1_reduction=cfg.l1_reduction())
     print(f"loss[{label}]: {loss:.8f}")
     if bounds:
         lo, hi = bounds

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import ByteReader
+from .binio import ByteReader, atomic_open
 from .errors import ConfigurationError
 from .rng import Rng, STREAM_DATA
 
@@ -67,7 +67,7 @@ def _one_sequence(rng: Rng, length: int) -> np.ndarray:
 
 
 def save_dataset(path, dataset: SyntheticDataset) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(dataset.sequences)))
@@ -84,6 +84,7 @@ def load_dataset(path) -> SyntheticDataset:
     for i in range(r.unpack("<Q", "sequence count")):
         n = r.unpack("<Q", f"length of sequence {i}")
         sequences.append(r.floats((n,), f"samples of sequence {i} ({n})"))
+    r.end()
     return SyntheticDataset(sequences)
 
 

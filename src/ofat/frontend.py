@@ -34,6 +34,10 @@ class FrontendLayer:
     kernel: int
     stride: int
 
+    def __post_init__(self):
+        if min(self.out_channels, self.kernel, self.stride) < 1:
+            raise ConfigurationError(f"frontend layer sizes must be positive, got {self}")
+
 
 @dataclass(frozen=True)
 class FrontendSpec:
@@ -161,6 +165,11 @@ class Frontend:
         return out
 
     def load_arrays(self, tensors: dict) -> None:
+        """Adopt the arrays named as in named_arrays; each must have the shape this spec builds."""
+        for name, built in self.named_arrays().items():
+            if tensors[name].shape != built.shape:
+                raise ConfigurationError(
+                    f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {built.shape}")
         for i in range(len(self.weights)):
             self.weights[i] = tensors[f"frontend.conv{i}.w"]
             if self.biases[i] is not None:

@@ -120,8 +120,10 @@ def evaluate_subnets(
     frontend and teacher targets run once per batch; the projection, mask
     and positional stage once per embed dim and batch; and the blocks once
     per node of a trie keyed by (heads[l], ffn_ratio[l]), walked depth
-    first. The head and loss run where a config's depth ends. Only the
-    root-to-node path is held: at most max_depth x eval_batches arrays.
+    first over the batches of one sequence length stacked as rows. Where a
+    config's depth ends, the head runs once on the stack and the loss once
+    per batch on its rows. Only the root-to-node path is held: at most
+    max_depth stacked arrays.
     """
     tries: dict[int, tuple[SubnetConfig, _PrefixNode]] = {}
     for i, config in enumerate(configs):
@@ -132,19 +134,21 @@ def evaluate_subnets(
         node.ends.append(i)
 
     batches = _heldout_batches(model.frontend, val_sequences, teacher, target_cfg, eval_batches)
-    losses = [0.0] * len(configs)
+    stacks: dict[int, list[int]] = {}  # frame count -> the batches of that length, in order
+    for b, (feats, _) in enumerate(batches):
+        stacks.setdefault(feats.shape[0], []).append(b)
+    per_batch = np.zeros((len(configs), len(batches)))
 
-    def walk(node, e, depth, hs, masks):
+    def walk(node, e, depth, h, scored):
+        """h stacks the rows of the batches in `scored`, a list of (batch, targets, mask)."""
         if node.ends:
-            per_batch = [
-                distill_loss(head_forward(model, e, h)[1], targets, mask, reduction=l1_reduction).item()
-                for h, (_, targets), mask in zip(hs, batches, masks)
-            ]
-            loss = float(np.mean(per_batch))
-            for i in node.ends:
-                losses[i] = loss
+            head_out = head_forward(model, e, h)[1].data
+            t = head_out.shape[0] // len(scored)
+            for j, (b, targets, mask) in enumerate(scored):
+                rows = ad.Tensor(head_out[j * t:(j + 1) * t])
+                per_batch[node.ends, b] = distill_loss(rows, targets, mask, reduction=l1_reduction).item()
         for (heads, ratio), child in node.children.items():
-            walk(child, e, depth + 1, [block_forward(model, depth, h, e, heads, ratio) for h in hs], masks)
+            walk(child, e, depth + 1, block_forward(model, depth, h, e, heads, ratio, len(scored)), scored)
 
     with ad.no_grad():
         for e, (first, root) in tries.items():
@@ -156,8 +160,10 @@ def evaluate_subnets(
                 masked = apply_mask(project_input(model, first, feats), mask_spec, mask_emb, mask_rng)
                 hs.append(positional_stage(model, e, masked.masked_input))
                 masks.append(masked.mask_indices)
-            walk(root, e, 0, hs, masks)
-    return losses
+            for group in stacks.values():
+                walk(root, e, 0, ad.concat([hs[b] for b in group]),
+                     [(b, batches[b][1], masks[b]) for b in group])
+    return [float(np.mean(row)) for row in per_batch]
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):

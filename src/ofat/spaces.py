@@ -48,6 +48,8 @@ class SearchSpace:
                 raise ConfigurationError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigurationError(f"{name} must be strictly increasing, got {values}")
+        if self.conv_groups < 1:
+            raise ConfigurationError(f"conv_groups must be positive, got {self.conv_groups}")
         for e in self.embed_dims:
             if e % self.conv_groups != 0:
                 raise ConfigurationError(

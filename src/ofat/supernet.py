@@ -7,6 +7,9 @@ columns, the first ffn_hidden FFN units, and the first `depth` blocks. No
 subnet owns private weights, so smaller architectures are literally nested
 in larger ones. The projections read those prefixes as views through
 autodiff.linear_prefix, and autodiff.attention runs all heads as one op.
+block_forward also takes `seqs` equal-length sequences stacked as rows,
+each attending only within itself; search runs every eval batch through
+a block at once this way.
 
 extract_subnet copies the touched slices into an exact-size SupernetModel
 over a space that holds only that config, and the frozen teacher is a
@@ -200,11 +203,15 @@ def positional_stage(model: SupernetModel, e: int, h: Tensor) -> Tensor:
     return h + ad.gelu(pc)
 
 
-def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, ratio: float) -> Tensor:
+def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, ratio: float,
+                  seqs: int = 1) -> Tensor:
     """Sliced pre-norm block `l` at embed `e` with `heads` heads and FFN `ratio`.
 
     The output depends only on `h` and these dims, so subnets that share a
-    layer prefix share every block output up to it.
+    layer prefix share every block output up to it. `h` may stack `seqs`
+    equal-length sequences as [seqs*t, e] rows: only attention mixes rows,
+    and it attends within each sequence, so every sequence's rows equal its
+    own block_forward bit for bit.
     """
     blk = model.blocks[l]
     a = heads * model.space.head_dim
@@ -214,7 +221,7 @@ def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, r
     q = ad.linear_prefix(hn, blk.wq, blk.bq, e, a)
     k = ad.linear_prefix(hn, blk.wk, blk.bk, e, a)
     v = ad.linear_prefix(hn, blk.wv, blk.bv, e, a)
-    att = ad.attention(q, k, v, heads)
+    att = ad.attention(q, k, v, heads, seqs)
     h = h + ad.linear_prefix(att, blk.wo, blk.bo, a, e)
 
     hn2 = ad.layer_norm(h, ad.slice_prefix(blk.ln2_g, 0, e), ad.slice_prefix(blk.ln2_b, 0, e), ATTN_EPS)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .binio import atomic_open
 from .checkpoint import Checkpoint, supernet_from_checkpoint, supernet_to_checkpoint
 from .data import CyclicBatcher, SyntheticDataset
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, student_forward_masked
@@ -81,7 +82,7 @@ class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
             fh.write("step,loss,grad_norm,lr,embed,depth,heads,ffn_ratios\n")

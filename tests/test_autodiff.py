@@ -240,7 +240,7 @@ def _rand_shape(rng, lo=1, hi=6, ndim=2):
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "layer_norm", "gelu", "softmax", "grouped_conv1d", "slice_prefix",
-    "add", "mul", "abs", "mean", "linear_prefix", "attention",
+    "add", "mul", "abs", "mean", "linear_prefix", "attention", "attention_seqs",
 ])
 def test_gradcheck_randomized_trials_f32(op_name):
     _sweep(op_name, np.float32, F32_TOL)
@@ -248,7 +248,7 @@ def test_gradcheck_randomized_trials_f32(op_name):
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "layer_norm", "gelu", "softmax", "grouped_conv1d", "slice_prefix",
-    "add", "mul", "abs", "mean", "linear_prefix", "attention",
+    "add", "mul", "abs", "mean", "linear_prefix", "attention", "attention_seqs",
 ])
 def test_gradcheck_randomized_trials_f64(op_name):
     with ad.precision(np.float64):
@@ -358,6 +358,17 @@ def _one_gradcheck(op_name, rng, dtype):
             finite_diff_check(lambda t: ad.tsum(ad.attention(q, t, v, heads) * c), k),
             finite_diff_check(lambda t: ad.tsum(ad.attention(q, k, t, heads) * c), v),
         )
+    if op_name == "attention_seqs":
+        # Two or three sequences stacked as rows, each attending only within itself.
+        heads, hd = _rand_shape(rng, 1, 3)
+        seqs, t_len = int(rng.integers(2, 4)), int(rng.integers(3, 6))
+        q, k, v = (T(rng.normal((seqs * t_len, heads * hd)), rg=True) for _ in range(3))
+        c = T(rng.normal(q.shape))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.attention(t, k, v, heads, seqs) * c), q),
+            finite_diff_check(lambda t: ad.tsum(ad.attention(q, t, v, heads, seqs) * c), k),
+            finite_diff_check(lambda t: ad.tsum(ad.attention(q, k, t, heads, seqs) * c), v),
+        )
     raise AssertionError(op_name)
 
 
@@ -454,6 +465,31 @@ def test_attention_equals_per_head_composition_bitwise(heads, hd, t_len, k_froze
     assert (k1.grad is None) == k_frozen
 
 
+@pytest.mark.parametrize("seqs,heads,hd,t_len", [
+    (2, 1, 8, 16),
+    (3, 4, 8, 16),
+    (2, 4, 8, 128),  # the desk search stack: two 128-frame batches
+    (3, 3, 5, 7),
+])
+def test_attention_over_stacked_sequences_equals_per_sequence_calls_bitwise(seqs, heads, hd, t_len):
+    rng = Rng(56, seqs * heads)
+    shape = (seqs * t_len, heads * hd)
+    arrays = [rng.normal(shape).astype(np.float32) for _ in range(3)]
+    c = rng.normal(shape).astype(np.float32)
+    stacked = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    y = ad.attention(*stacked, heads, seqs)
+    ad.tsum(y * Tensor(c)).backward()
+
+    for s in range(seqs):
+        rows = slice(s * t_len, (s + 1) * t_len)
+        alone = [Tensor(a[rows].copy(), requires_grad=True) for a in arrays]
+        ys = ad.attention(*alone, heads)
+        assert np.array_equal(y.data[rows], ys.data)
+        ad.tsum(ys * Tensor(c[rows])).backward()
+        for whole, part in zip(stacked, alone):
+            assert np.array_equal(whole.grad[rows], part.grad)
+
+
 def test_attention_shape_errors():
     z = t32(np.zeros((4, 6)))
     with pytest.raises(DimensionError):
@@ -462,6 +498,10 @@ def test_attention_shape_errors():
         ad.attention(z, t32(np.zeros((3, 6))), z, 2)
     with pytest.raises(DimensionError):
         ad.attention(z, z, z, 0)
+    with pytest.raises(DimensionError):
+        ad.attention(z, z, z, 2, seqs=3)  # 4 rows are not 3 equal sequences
+    with pytest.raises(DimensionError):
+        ad.attention(z, z, z, 2, seqs=0)
 
 
 # -- chain-rule consistency through slicing ----------------------------------------

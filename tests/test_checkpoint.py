@@ -1,8 +1,11 @@
 """Checkpoint format: byte-exact round trips and model bridges."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from ofat.binio import atomic_open
 from ofat.checkpoint import (
     Checkpoint,
     canonical_metadata,
@@ -164,6 +167,71 @@ def test_extents_overrunning_the_file_are_a_configuration_error(tmp_path):
     path.write_bytes(head + (1).to_bytes(8, "little") + b"\x01\x00w\x01" + (2**40).to_bytes(8, "little"))
     with pytest.raises(ConfigurationError, match=f"payload of w .* at byte {len(head) + 20}"):
         load_checkpoint(path)
+
+
+def test_bytes_after_the_last_tensor_are_a_configuration_error(tmp_path):
+    path = tmp_path / "long.ofat"
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)}, {})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ConfigurationError, match=f"4 unread bytes after the last field at byte {size}"):
+        load_checkpoint(path)
+
+
+def test_absurd_rank_or_extent_is_a_configuration_error(tmp_path):
+    meta = canonical_metadata({})
+    head = b"OFAT" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta
+    tensor = (1).to_bytes(8, "little") + b"\x01\x00w"
+    path = tmp_path / "bad.ofat"
+    # A rank no numpy array has, followed by 200 extents the file does hold.
+    path.write_bytes(head + tensor + bytes([200]) + b"\xff" * 1600)
+    with pytest.raises(ConfigurationError, match=f"rank 200 of w at byte {len(head) + 11}"):
+        load_checkpoint(path)
+    # An empty array with an extent numpy cannot index.
+    path.write_bytes(head + tensor + b"\x02" + (0).to_bytes(8, "little") + (2**63).to_bytes(8, "little"))
+    with pytest.raises(ConfigurationError, match=f"payload of w .* at byte {len(head) + 28} is not an array"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("conv_groups", 0, "conv_groups must be positive"),
+    ("frontend", {"layers": [[8, 5, 0], [8, 5, 2]]}, "frontend layer sizes must be positive"),
+    ("frontend", {"layers": [[0, 5, 2], [8, 5, 2]]}, "frontend layer sizes must be positive"),
+    ("frontend", {"layers": [[8, 7, 2], [8, 5, 2]]}, r"frontend.conv0.w has shape \(8, 1, 5\), expected \(8, 1, 7\)"),
+])
+def test_loader_maps_bad_space_values_to_configuration_error(tiny_model, key, value, match):
+    ckpt = supernet_to_checkpoint(tiny_model, {"seed": 1})
+    space = copy.deepcopy(ckpt.metadata["space"])
+    space[key] = {**space[key], **value} if isinstance(value, dict) else value
+    ckpt.metadata["space"] = space
+    with pytest.raises(ConfigurationError, match=match):
+        supernet_from_checkpoint(ckpt)
+
+
+def test_a_write_that_fails_part_way_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "c.ofat"
+    save_checkpoint(path, {"a": np.ones(3, dtype=np.float32)}, {"k": 1})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second tensor fails after the first is written
+        save_checkpoint(path, {"a": np.zeros(3, dtype=np.float32), "b": np.array(["x"])}, {"k": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ofat"]
+
+
+def test_atomic_open_leaves_no_file_on_failure_and_plain_permissions_on_success(tmp_path):
+    new = tmp_path / "new.csv"
+    with pytest.raises(RuntimeError):
+        with atomic_open(new) as fh:
+            fh.write("half a row")
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []
+    with atomic_open(new) as fh:
+        fh.write("a,b\n")
+    plain = tmp_path / "plain.csv"
+    plain.write_text("a,b\n")
+    assert new.read_bytes() == plain.read_bytes()
+    assert new.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "plain.csv"]
 
 
 @pytest.mark.parametrize("drop", ["space", "arch", "heads"])

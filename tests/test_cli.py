@@ -2,14 +2,20 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ofat
+from ofat.checkpoint import supernet_to_checkpoint
 from ofat.cli import main
+from ofat.rng import Rng
+from ofat.spaces import desk_space
+from ofat.supernet import build_supernet
 
 FAST_CONFIG = """
 seed: 3
@@ -116,6 +122,13 @@ def test_train_stage1_then_stage2_and_eval(workdir, tmp_path, capsys):
                  "--subnet-spec", "mid", "--data", str(data_dir / "val.ofad")]) == 0
     out2 = capsys.readouterr().out
     assert out.splitlines()[0] == out2.splitlines()[0]
+    # the bounds, scored in one pass with mid, print what each prints alone
+    alone = {}
+    for spec in ("min", "max"):
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(s2),
+                     "--subnet-spec", spec, "--data", str(data_dir / "val.ofad")]) == 0
+        alone[spec] = capsys.readouterr().out.split(":")[1].strip()
+    assert f"bounds: min_subnet={alone['min']} max_subnet={alone['max']} " in out
 
 
 def test_train_stage2_without_init_is_config_error(workdir, tmp_path):
@@ -284,3 +297,91 @@ def test_truncated_dataset_exits_2_without_traceback(workdir, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "at byte" in proc.stderr
+
+
+def _ofat_field_offsets(data: bytes) -> list:
+    """Offsets of every OFAT byte that is not tensor payload: header, metadata,
+    tensor count, and each tensor's name length, name, rank and extents."""
+    meta_len = struct.unpack_from("<I", data, 8)[0]
+    offsets = list(range(12 + meta_len + 8))
+    pos = 12 + meta_len + 8
+    for _ in range(struct.unpack_from("<Q", data, 12 + meta_len)[0]):
+        name_len = struct.unpack_from("<H", data, pos)[0]
+        rank = data[pos + 2 + name_len]
+        end = pos + 3 + name_len + 8 * rank
+        shape = struct.unpack_from(f"<{rank}Q", data, end - 8 * rank)
+        offsets += range(pos, end)
+        pos = end + 4 * int(np.prod(shape))
+    return offsets
+
+
+def _ofad_field_offsets(data: bytes) -> list:
+    """Offsets of the OFAD header, sequence count and every length field."""
+    offsets, pos = list(range(16)), 16
+    for _ in range(struct.unpack_from("<Q", data, 8)[0]):
+        offsets += range(pos, pos + 8)
+        pos += 8 + 4 * struct.unpack_from("<Q", data, pos)[0]
+    return offsets
+
+
+def test_byte_flips_exit_with_a_documented_code(workdir, tmp_path, capsys):
+    """Seeded single-byte flips over the non-payload fields of a supernet file
+    (through extract), a subnet file and a dataset (through eval). A flip may
+    leave a checkpoint loadable (metadata the loader does not read), never a
+    dataset: every OFAD field sets where the next one starts."""
+    root, cfg, data_dir, _ = workdir
+    s1, sub, val = tmp_path / "s1.ofat", tmp_path / "sub.ofat", data_dir / "val.ofad"
+    assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
+    assert main(["extract", "--checkpoint", str(s1), "--subnet-spec", "mid", "--out", str(sub)]) == 0
+    cases = [
+        (s1, _ofat_field_offsets, lambda p: ["extract", "--checkpoint", p, "--subnet-spec", "min",
+                                             "--out", str(tmp_path / "x.ofat")]),
+        (sub, _ofat_field_offsets, lambda p: ["eval", "--config", str(cfg), "--checkpoint", p,
+                                              "--data", str(val)]),
+        (val, _ofad_field_offsets, lambda p: ["eval", "--config", str(cfg), "--checkpoint", str(sub),
+                                              "--data", p]),
+    ]
+    rng = Rng(71, 1)
+    for source, field_offsets, argv in cases:
+        data = source.read_bytes()
+        offsets = field_offsets(data)
+        flipped = tmp_path / f"flipped{source.suffix}"
+        codes = set()
+        for _ in range(150):
+            at, xor = offsets[rng.index(len(offsets))], 1 + rng.index(255)
+            flipped.write_bytes(data[:at] + bytes([data[at] ^ xor]) + data[at + 1:])
+            code = main(argv(str(flipped)))
+            assert code in (0, 2, 3), f"{source.name} byte {at} ^ {xor}: exit {code}"
+            codes.add(code)
+        if source.suffix == ".ofad":
+            assert codes == {2}
+        else:
+            assert 2 in codes  # most flips break the file
+    capsys.readouterr()
+
+
+def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
+    """The stacked search products must not depend on how OpenBLAS splits them."""
+    data_dir, teacher = tmp_path / "data", tmp_path / "teacher.ofat"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "seed: 5\n"
+        "train: {n_train_sequences: 1, n_val_sequences: 4}\n"
+        "search: {n_candidates: 200}\n"
+        f"paths: {{teacher: '{teacher}', train_data: '{data_dir / 'train.ofad'}', "
+        f"val_data: '{data_dir / 'val.ofad'}'}}\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data_dir)]) == 0
+    assert main(["init-teacher", "--config", str(cfg), "--out", str(teacher)]) == 0
+    supernet = tmp_path / "supernet.ofat"
+    supernet_to_checkpoint(build_supernet(desk_space(), Rng(5, 1)), {"seed": 5}).save(supernet)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(ofat.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ofat.cli", "search", "--config", str(cfg),
+                               "--checkpoint", str(supernet), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.summary.yaml").read_bytes()))
+    assert outputs[0] == outputs[1]

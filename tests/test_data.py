@@ -75,6 +75,17 @@ def test_short_final_payload_names_its_offset(tmp_path):
         load_dataset(path)
 
 
+def test_a_lowered_sequence_count_leaves_unread_bytes(tmp_path):
+    # Without the check the second sequence would be dropped silently.
+    path = tmp_path / "fewer.ofad"
+    save_dataset(path, make_synthetic_dataset(13, 2, 5))
+    data = bytearray(path.read_bytes())
+    data[8] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConfigurationError, match="28 unread bytes after the last field at byte 44"):
+        load_dataset(path)
+
+
 def test_frontend_length_arithmetic():
     spec = desk_frontend()
     for n in (64, 100, 511, 512):

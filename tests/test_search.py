@@ -1,16 +1,20 @@
 """Budgeted random search: determinism, budget enforcement, reporting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ofat import autodiff as ad
-from ofat.data import make_synthetic_dataset
+from ofat import search
+from ofat.data import SyntheticDataset, make_synthetic_dataset
 from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, student_forward_masked
 from ofat.errors import BudgetInfeasibleError, ConfigurationError
 from ofat.rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from ofat.search import (
     SearchBudget,
     evaluate_subnet,
+    evaluate_subnets,
     parse_scatter,
     random_search,
     report_scatter,
@@ -221,6 +225,67 @@ def test_search_losses_equal_per_candidate_reference(setup, mask_spec, eval_batc
     for e in result.entries + [result.bound_min, result.bound_max]:
         assert e.loss == _reference_loss(model, e.config, val, teacher, mask_spec, budget.seed,
                                          eval_batches, reduction)
+
+
+@pytest.fixture(scope="module")
+def desk_setup():
+    """Desk dims: the default space and teacher, 512-sample (128-frame) sequences."""
+    space = desk_space()
+    model = build_supernet(space, Rng(43, 1))
+    teacher = make_teacher(seed=44, arch=TeacherArch(), frontend_spec=space.frontend)
+    val = make_synthetic_dataset(seed=45, n_sequences=4, length=512)
+    return space, model, teacher, val
+
+
+@pytest.mark.parametrize("eval_batches", [1, 4])
+def test_search_losses_equal_per_candidate_reference_at_desk_dims(desk_setup, eval_batches):
+    space, model, teacher, val = desk_setup
+    budget = SearchBudget(max_params=max_params_of(space), n_candidates=30,
+                          eval_batches=eval_batches, seed=14)
+    result = random_search(model, space, budget, val.sequences, teacher, MaskSpec(), TGT)
+    for e in result.entries + [result.bound_min, result.bound_max]:
+        assert e.loss == _reference_loss(model, e.config, val, teacher, MaskSpec(), budget.seed,
+                                         eval_batches, "mean")
+
+
+def _two_length_val():
+    """Held-out sequences of 64 and 96 samples (16 and 24 frames), interleaved."""
+    short = make_synthetic_dataset(seed=46, n_sequences=3, length=64).sequences
+    long = make_synthetic_dataset(seed=47, n_sequences=2, length=96).sequences
+    return SyntheticDataset([short[0], long[0], short[1], long[1], short[2]])
+
+
+def test_search_losses_equal_per_candidate_reference_on_two_sequence_lengths(setup):
+    space, model, teacher, _ = setup
+    val = _two_length_val()
+    budget = SearchBudget(max_params=max_params_of(space), n_candidates=60, eval_batches=7, seed=15)
+    result = random_search(model, space, budget, val.sequences, teacher, MASK, TGT)
+    for e in result.entries + [result.bound_min, result.bound_max]:
+        assert e.loss == _reference_loss(model, e.config, val, teacher, MASK, budget.seed, 7, "mean")
+
+
+@pytest.mark.parametrize("eval_batches,two_lengths", [(1, False), (4, False), (1, True), (7, True)])
+def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkeypatch, eval_batches,
+                                                                    two_lengths):
+    space, model, teacher, val = setup
+    if two_lengths:
+        val = _two_length_val()
+    calls = Counter()
+    for name in ("block_forward", "head_forward"):
+        def counted(*args, _real=getattr(search, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(search, name, counted)
+    rng = Rng(16, 4)
+    configs = [sample_subnet(space, rng) for _ in range(40)]
+    evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
+
+    paths = [(c.embed_dim, tuple(zip(c.heads, c.ffn_ratio))) for c in configs]
+    nodes = {(e, path[:l + 1]) for e, path in paths for l in range(len(path))}
+    lengths = {len(val.sequences[b % len(val.sequences)]) for b in range(eval_batches)}
+    assert len(lengths) == (2 if two_lengths and eval_batches > 1 else 1)
+    assert calls["block_forward"] == len(nodes) * len(lengths)
+    assert calls["head_forward"] == len(set(paths)) * len(lengths)
 
 
 def test_search_workers_match_serial(setup):
