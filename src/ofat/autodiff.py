@@ -4,8 +4,8 @@ The engine is deliberately small: float32 row-major arrays (float64 behind
 a per-thread switch used by the gradient-check tests), a tape built from
 parent pointers, and exactly the operations the encoder needs:
 
-- elementwise add, sub, mul, div, neg, tabs; reductions tsum, tmean;
-- matmul, transpose, reshape, concat, slice_along, slice_prefix;
+- elementwise add, sub, mul, neg, tabs; reductions tsum, tmean;
+- matmul, transpose, concat, slice_along, slice_prefix;
 - gelu, softmax_lastdim, layer_norm, grouped_conv1d;
 - two fused ops for the sliced supernet forward: linear_prefix (a layer on
   a prefix box of a larger weight, reading views, no weight copy) and
@@ -139,9 +139,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -156,9 +153,6 @@ class Tensor:
 
     def abs(self):
         return tabs(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def transpose(self):
         return transpose(self)
@@ -314,28 +308,6 @@ def mul(a, b) -> Tensor:
     return _result(data, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    if _py_scalar(b):
-        return mul(a, 1.0 / float(b))
-    if _py_scalar(a):
-        s = float(a)
-        b = _as_tensor(b)
-        data = s / b.data
-
-        def vjp_s(g):
-            _accum(b, -g * s / (b.data * b.data))
-
-        return _result(data, (b,), vjp_s)
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _result(data, (a, b), vjp)
-
-
 def neg(a) -> Tensor:
     a = _as_tensor(a)
 
@@ -428,16 +400,6 @@ def transpose(a) -> Tensor:
         _accum(a, g.T)
 
     return _result(a.data.T.copy(), (a,), vjp)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def vjp(g):
-        _accum(a, g.reshape(a.shape))
-
-    return _result(data, (a,), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

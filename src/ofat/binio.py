@@ -4,7 +4,7 @@ formats (OFAT checkpoints, OFAD datasets) and atomic writes.
 A reader holds a whole file's bytes and a cursor. Every read claims its
 bytes first, so a short or malformed file raises ConfigurationError naming
 what was being read and the byte offset, never struct.error or a silently
-short array.
+short array. A missing file raises ConfigurationError naming its path.
 
 Every file the package writes goes through atomic_open: a reader sees the
 previous file or the complete new one, never a half-written one.
@@ -28,7 +28,10 @@ class ByteReader:
     def __init__(self, path, magic: bytes, version: int, kind: str):
         """Read the whole file and check its header: `magic`, then a u32 `version`."""
         self.path = path
-        self.data = Path(path).read_bytes()
+        try:
+            self.data = Path(path).read_bytes()
+        except FileNotFoundError:
+            raise ConfigurationError(f"{kind} not found: {path}") from None
         if self.data[:len(magic)] != magic:
             raise ConfigurationError(f"{path}: not a {kind} file (bad magic)")
         self.pos = len(magic)

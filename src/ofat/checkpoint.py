@@ -161,7 +161,27 @@ def supernet_from_checkpoint(ckpt: Checkpoint) -> SupernetModel:
             got = "nothing" if arr is None else f"shape {arr.shape}"
             raise ConfigurationError(f"checkpoint tensor {name} has {got}, expected {shape}")
         arrays[name] = arr.astype(ad.default_dtype())
+    # A tensor the model does not read means the metadata describes less
+    # than the file holds, such as an `arch.heads` list that lost a layer.
+    unread = tensors.keys() - arrays.keys() - frontend.named_arrays().keys()
+    if unread:
+        raise ConfigurationError(f"checkpoint tensor {min(unread)} is not part of the model its metadata describes")
     return model_from_arrays(space, frontend, arrays)
+
+
+def load_model(path, *roles: str) -> tuple[SupernetModel, dict]:
+    """(model, metadata) of the checkpoint file at `path`, parsed once.
+
+    `roles` are the metadata roles the caller accepts ("supernet",
+    "subnet", "teacher"; a file without one is a supernet). Any other role,
+    like a missing or malformed file, raises ConfigurationError.
+    """
+    ckpt = Checkpoint.load(path)
+    role = ckpt.metadata.get("role", "supernet")
+    if role not in roles:
+        expected = " or ".join(f"'{r}'" for r in roles)
+        raise ConfigurationError(f"{path}: checkpoint role is '{role}', expected {expected}")
+    return supernet_from_checkpoint(ckpt), ckpt.metadata
 
 
 def file_digest(path) -> str:

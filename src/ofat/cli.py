@@ -23,9 +23,10 @@ import yaml
 
 from . import __version__
 from .binio import atomic_open
-from .checkpoint import Checkpoint, file_digest, supernet_from_checkpoint, supernet_to_checkpoint
+from .checkpoint import file_digest, load_model, supernet_to_checkpoint
 from .config import RunConfig
 from .data import load_dataset, make_synthetic_dataset, save_dataset
+from .distill import TeacherModel
 from .errors import (
     BudgetInfeasibleError,
     ConfigurationError,
@@ -38,10 +39,10 @@ from .search import evaluate_subnets, random_search, report_scatter, subnet_para
 from .spaces import max_subnet, min_subnet, parse_subnet_spec
 from .supernet import count_params, extract_subnet, forward, full_config, reference_forward
 from .train import (
+    check_teacher_compat,
     make_teacher,
     stage1_train,
     stage2_train,
-    teacher_from_checkpoint,
     teacher_self_regression_loss,
     teacher_to_checkpoint,
 )
@@ -153,9 +154,7 @@ def _load_teacher(cfg: RunConfig):
     teacher_path = cfg.paths["teacher"]
     if not teacher_path:
         raise ConfigurationError("config paths.teacher must point at a teacher checkpoint")
-    if not Path(teacher_path).exists():
-        raise ConfigurationError(f"teacher checkpoint not found: {teacher_path}")
-    return teacher_from_checkpoint(Checkpoint.load(teacher_path))
+    return TeacherModel(encoder=load_model(teacher_path, "teacher")[0])
 
 
 def cmd_gen_data(args) -> int:
@@ -209,8 +208,6 @@ def _load_train_data(cfg: RunConfig, key: str):
     path = cfg.paths[key]
     if not path:
         raise ConfigurationError(f"config paths.{key} must point at a dataset file")
-    if not Path(path).exists():
-        raise ConfigurationError(f"dataset not found: {path}")
     return load_dataset(path)
 
 
@@ -240,9 +237,10 @@ def cmd_train(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = _load_config(args)
-    model, _ = _load_supernet(args.checkpoint)
+    model, _ = load_model(args.checkpoint, "supernet")
     space = model.space
     teacher = _load_teacher(cfg)
+    check_teacher_compat(model, teacher)
     val = _load_train_data(cfg, "val_data")
     max_params = args.max_params
     if max_params is None:
@@ -275,18 +273,8 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _load_supernet(path):
-    """(model, metadata) of a supernet checkpoint file, parsed once."""
-    if not Path(path).exists():
-        raise ConfigurationError(f"checkpoint not found: {path}")
-    ckpt = Checkpoint.load(path)
-    if "space" not in ckpt.metadata:
-        raise ConfigurationError(f"{path} is not a supernet checkpoint (no space metadata)")
-    return supernet_from_checkpoint(ckpt), ckpt.metadata
-
-
 def cmd_extract(args) -> int:
-    model, source_meta = _load_supernet(args.checkpoint)
+    model, source_meta = load_model(args.checkpoint, "supernet")
     space = model.space
     config = parse_subnet_spec(space, args.subnet_spec)
     subnet = extract_subnet(model, config)
@@ -343,16 +331,14 @@ def cmd_count(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     teacher = _load_teacher(cfg)
-    if not Path(args.data).exists():
-        raise ConfigurationError(f"dataset not found: {args.data}")
     val = load_dataset(args.data)
     mask_spec = cfg.mask_spec()
     target_cfg = cfg.target_config()
     eval_batches = cfg.data["search"]["eval_batches"]
-    ckpt = Checkpoint.load(args.checkpoint)
-    model = supernet_from_checkpoint(ckpt)
+    model, meta = load_model(args.checkpoint, "supernet", "subnet")
+    check_teacher_compat(model, teacher)
     space = model.space
-    if "space" not in ckpt.metadata:
+    if meta.get("role") == "subnet":
         label, configs = "extracted", [full_config(model)]
     elif not args.subnet_spec:
         raise ConfigurationError("--subnet-spec is required for supernet checkpoints")

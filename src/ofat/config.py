@@ -188,7 +188,6 @@ class RunConfig:
             stage=stage,
             steps=tr["steps"],
             batch_size=tr["batch_size"],
-            sequence_length=tr["sequence_length"],
             learning_rate=float(tr["learning_rate"]),
             warmup_steps=tr["warmup_steps"],
             adam_betas=(float(tr["adam_beta1"]), float(tr["adam_beta2"])),

@@ -257,11 +257,6 @@ def forward(model: SupernetModel, config: SubnetConfig, x, collect_hidden: bool 
     return encode(model, config, project_input(model, config, x), collect_hidden)
 
 
-def forward_raw(model: SupernetModel, config: SubnetConfig, raw, collect_hidden: bool = False):
-    """Entry point from a raw 1-D signal: frontend first, then forward."""
-    return forward(model, config, model.frontend.forward(raw), collect_hidden)
-
-
 # -- touched-slice bookkeeping ------------------------------------------------
 
 

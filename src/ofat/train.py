@@ -1,7 +1,7 @@
 """Two-stage supernet training with masked distillation.
 
 Stage 1 trains the largest architecture from scratch against the frozen
-teacher. Stage 2 continues from those weights (or another init source)
+teacher. Stage 2 continues from those weights (or a fresh random build)
 while sampling a fresh random subnet every step, updating only the weight
 slices that subnet touched. The frontend is shared with the teacher and
 never trained.
@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .binio import atomic_open
-from .checkpoint import Checkpoint, supernet_from_checkpoint, supernet_to_checkpoint
+from .checkpoint import Checkpoint, load_model, supernet_to_checkpoint
 from .data import CyclicBatcher, SyntheticDataset
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, student_forward_masked
 from .errors import ConfigurationError, DivergenceError
@@ -30,10 +30,8 @@ from .rng import Rng, STREAM_ARCH, STREAM_MASK, STREAM_TEACHER, STREAM_WEIGHTS
 from .spaces import SearchSpace, SubnetConfig, max_subnet, sample_subnet
 from .supernet import SupernetModel, build_supernet, clone_supernet, forward, touched_boxes
 
-# Stage-2 init sources. "pretrained_external" is an alias of "stage1_weights":
-# both start from init_model / init_checkpoint. It is kept, and recorded
-# verbatim in checkpoint metadata, so existing configs and files stay valid.
-OFA_INITS = ("stage1_weights", "pretrained_external", "random")
+# Stage-2 init sources: the weights of init_model / init_checkpoint, or a fresh build.
+OFA_INITS = ("stage1_weights", "random")
 
 
 @dataclass
@@ -41,7 +39,6 @@ class TrainConfig:
     stage: int
     steps: int
     batch_size: int = 4
-    sequence_length: int = 512
     learning_rate: float = 2e-3
     warmup_steps: int = 0
     adam_betas: tuple[float, float] = (0.9, 0.98)
@@ -154,15 +151,23 @@ def grad_norm(params: dict[str, Tensor]) -> float:
 # -- the shared step loop ------------------------------------------------------
 
 
-def _check_teacher_compat(space: SearchSpace, teacher: TeacherModel) -> None:
-    if teacher.frontend.spec != space.frontend:
+def check_teacher_compat(model: SupernetModel, teacher: TeacherModel) -> None:
+    """Refuse a student that does not read the teacher's features or predict its width.
+
+    Targets are the teacher's hidden layers over its own frontend features,
+    so a distillation loss means something only when the student's frontend
+    has the teacher's spec and bitwise-equal arrays, and its head is as wide
+    as the teacher. Each mismatch is a ConfigurationError naming what differs.
+    """
+    if model.space.frontend != teacher.frontend.spec:
+        raise ConfigurationError("student frontend spec differs from the teacher's frontend spec")
+    theirs = teacher.frontend.named_arrays()
+    for name, arr in model.frontend.named_arrays().items():
+        if arr.tobytes() != theirs[name].tobytes():
+            raise ConfigurationError(f"student frontend array {name} differs from the teacher's")
+    if model.space.teacher_dim != teacher.dim:
         raise ConfigurationError(
-            "teacher frontend spec does not match the search space frontend"
-        )
-    if teacher.dim != space.teacher_dim:
-        raise ConfigurationError(
-            f"space.teacher_dim {space.teacher_dim} != teacher width {teacher.dim}"
-        )
+            f"space.teacher_dim {model.space.teacher_dim} != teacher width {teacher.dim}")
 
 
 def _adopt_teacher_frontend(model: SupernetModel, teacher: TeacherModel) -> None:
@@ -230,9 +235,9 @@ def stage1_train(
     """Train the largest architecture from scratch. Returns (ckpt, model, log)."""
     if cfg.stage != 1:
         raise ConfigurationError("stage1_train requires cfg.stage == 1")
-    _check_teacher_compat(space, teacher)
     model = build_supernet(space, Rng(cfg.seed, STREAM_WEIGHTS))
     _adopt_teacher_frontend(model, teacher)
+    check_teacher_compat(model, teacher)
     largest = max_subnet(space)
     log = _run_training(
         model, space, teacher, dataset, cfg, mask_spec, target_cfg,
@@ -255,22 +260,23 @@ def stage2_train(
 ):
     """Once-for-all training: a fresh random subnet per step.
 
-    Init comes from cfg.ofa_init: stage 1 weights or an externally
-    pre-trained supernet (aliases: both via init_model /
-    cfg.init_checkpoint), or a fresh random build.
+    Init comes from cfg.ofa_init: the stage 1 weights of init_model (or,
+    without one, of the supernet file cfg.init_checkpoint), which must
+    already carry the teacher's frontend, or a fresh random build, which
+    adopts it.
     """
     if cfg.stage != 2:
         raise ConfigurationError("stage2_train requires cfg.stage == 2")
-    _check_teacher_compat(space, teacher)
     if cfg.ofa_init == "random":
         model = build_supernet(space, Rng(cfg.seed, STREAM_WEIGHTS))
+        _adopt_teacher_frontend(model, teacher)
     else:
         if init_model is None:
-            init_model = supernet_from_checkpoint(Checkpoint.load(cfg.init_checkpoint))
+            init_model, _ = load_model(cfg.init_checkpoint, "supernet")
         if init_model.space != space:
             raise ConfigurationError("init checkpoint space does not match the training space")
         model = clone_supernet(init_model)  # never mutate the caller's init model
-    _adopt_teacher_frontend(model, teacher)
+    check_teacher_compat(model, teacher)
     arch_rng = Rng(cfg.seed, STREAM_ARCH)
     log = _run_training(
         model, space, teacher, dataset, cfg, mask_spec, target_cfg,
@@ -368,11 +374,3 @@ def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size
 
 def teacher_to_checkpoint(teacher: TeacherModel, metadata: dict) -> Checkpoint:
     return supernet_to_checkpoint(teacher.encoder, {**metadata, "role": "teacher"})
-
-
-def teacher_from_checkpoint(ckpt: Checkpoint) -> TeacherModel:
-    if ckpt.metadata.get("role") != "teacher":
-        raise ConfigurationError(
-            f"checkpoint role is '{ckpt.metadata.get('role')}', expected 'teacher'"
-        )
-    return TeacherModel(encoder=supernet_from_checkpoint(ckpt))

@@ -11,6 +11,7 @@ from ofat.checkpoint import (
     canonical_metadata,
     file_digest,
     load_checkpoint,
+    load_model,
     save_checkpoint,
     supernet_from_checkpoint,
     supernet_to_checkpoint,
@@ -20,7 +21,8 @@ from ofat.errors import ConfigurationError
 from ofat.rng import Rng
 from ofat.spaces import SubnetConfig, max_subnet, sample_subnet
 from ofat.supernet import build_supernet, extract_subnet, forward, full_config, reference_forward
-from ofat.train import make_teacher, teacher_from_checkpoint, teacher_to_checkpoint, TeacherArch
+from ofat.distill import TeacherModel
+from ofat.train import make_teacher, teacher_to_checkpoint, TeacherArch
 
 
 def test_round_trip_bytes_exact(tmp_path):
@@ -89,7 +91,7 @@ def test_teacher_checkpoint_round_trip(tmp_path, tiny_space):
     teacher = make_teacher(seed=5, arch=arch, frontend_spec=tiny_space.frontend)
     path = tmp_path / "teacher.ofat"
     teacher_to_checkpoint(teacher, {"seed": 5}).save(path)
-    loaded = teacher_from_checkpoint(Checkpoint.load(path))
+    loaded = TeacherModel(encoder=load_model(path, "teacher")[0])
     raw = (Rng(6, 2).uniform(72) * 2 - 1).astype(np.float32)
     feats_a = teacher.frontend.forward(raw)
     feats_b = loaded.frontend.forward(raw)
@@ -106,7 +108,7 @@ def test_teacher_loader_rejects_wrong_role(tmp_path, tiny_model):
     path = tmp_path / "supernet.ofat"
     supernet_to_checkpoint(tiny_model, {"seed": 1}).save(path)
     with pytest.raises(ConfigurationError, match="role"):
-        teacher_from_checkpoint(Checkpoint.load(path))
+        load_model(path, "teacher")
 
 
 def test_load_then_save_supernet_is_byte_identical(tmp_path, tiny_model):
@@ -121,6 +123,14 @@ def test_supernet_loader_rejects_mismatched_tensor_shape(tiny_model):
     ckpt = supernet_to_checkpoint(tiny_model, {"seed": 4})
     ckpt.tensors["head.w"] = ckpt.tensors["head.w"][:-1]
     with pytest.raises(ConfigurationError, match="head.w"):
+        supernet_from_checkpoint(ckpt)
+
+
+def test_supernet_loader_rejects_a_tensor_the_metadata_leaves_out(tiny_space, tiny_model):
+    config = max_subnet(tiny_space)
+    ckpt = supernet_to_checkpoint(extract_subnet(tiny_model, config), {"role": "subnet"})
+    ckpt.metadata["arch"]["heads"] = ckpt.metadata["arch"]["heads"][:-1]
+    with pytest.raises(ConfigurationError, match=f"blocks.{config.depth - 1}"):
         supernet_from_checkpoint(ckpt)
 
 

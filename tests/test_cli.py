@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ofat
-from ofat.checkpoint import supernet_to_checkpoint
+from ofat.checkpoint import load_model, supernet_to_checkpoint
 from ofat.cli import main
 from ofat.rng import Rng
 from ofat.spaces import desk_space
@@ -72,6 +72,30 @@ def workdir(tmp_path_factory):
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
     assert main(["init-teacher", "--config", str(cfg_path), "--out", str(teacher_path)]) == 0
     return root, cfg_path, data_dir, teacher_path
+
+
+@pytest.fixture(scope="module")
+def trained(workdir):
+    """A stage-1 supernet trained against the workdir teacher, and its extracted mid subnet."""
+    root, cfg, _, _ = workdir
+    s1, sub = root / "trained_s1.ofat", root / "trained_sub.ofat"
+    assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
+    assert main(["extract", "--checkpoint", str(s1), "--subnet-spec", "mid", "--out", str(sub)]) == 0
+    return s1, sub
+
+
+@pytest.fixture(scope="module")
+def teacher_b_config(workdir):
+    """The workdir config with its teacher swapped for one of the same
+    architecture and another seed, so another frontend."""
+    root, cfg, data_dir, _ = workdir
+    teacher_b = root / "teacher_b.ofat"
+    seed_b = root / "seed_b.yaml"
+    seed_b.write_text(cfg.read_text().replace("seed: 3", "seed: 4"))
+    assert main(["init-teacher", "--config", str(seed_b), "--out", str(teacher_b)]) == 0
+    cfg_b = root / "run_b.yaml"
+    cfg_b.write_text(cfg.read_text().replace(str(root / "teacher.ofat"), str(teacher_b)))
+    return cfg_b
 
 
 def test_gen_data_creates_both_files_with_sidecars(workdir, capsys):
@@ -299,6 +323,63 @@ def test_truncated_dataset_exits_2_without_traceback(workdir, tmp_path):
     assert "at byte" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "search", "extract", "train"])
+def test_missing_checkpoint_exits_2_naming_it(workdir, tmp_path, command):
+    root, cfg, data_dir, _ = workdir
+    missing = str(tmp_path / "absent.ofat")
+    argv = {
+        "eval": ["eval", "--config", str(cfg), "--checkpoint", missing, "--data", str(data_dir / "val.ofad")],
+        "search": ["search", "--config", str(cfg), "--checkpoint", missing, "--out", str(tmp_path / "s")],
+        "extract": ["extract", "--checkpoint", missing, "--subnet-spec", "min", "--out", str(tmp_path / "x.ofat")],
+        "train": ["train", "--config", str(cfg), "--stage", "2", "--init", missing,
+                  "--out", str(tmp_path / "x.ofat")],
+    }[command]
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert missing in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["search", "eval", "train"])
+def test_a_model_trained_against_another_teacher_exits_2(workdir, trained, teacher_b_config, tmp_path,
+                                                         capsys, command):
+    root, _, data_dir, _ = workdir
+    s1, cfg_b = str(trained[0]), str(teacher_b_config)
+    argv = {
+        "search": ["search", "--config", cfg_b, "--checkpoint", s1, "--out", str(tmp_path / "s")],
+        "eval": ["eval", "--config", cfg_b, "--checkpoint", s1, "--subnet-spec", "mid",
+                 "--data", str(data_dir / "val.ofad")],
+        "train": ["train", "--config", cfg_b, "--stage", "2", "--init", s1, "--out", str(tmp_path / "x.ofat")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "frontend" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("field, flipped_field, named", [
+    # The stride leaves no trace in any tensor shape: only the teacher check sees it.
+    (b'"layers":[[8,5,2],[8,5,2]]', b'"layers":[[8,5,2],[8,5,3]]', "frontend spec"),
+    # One flipped comma makes the heads list [2.2], read as one layer of 2 heads.
+    (b'"heads":[2,2]},"config"', b'"heads":[2.2]},"config"', "blocks.1"),
+], ids=["stride", "heads"])
+def test_subnet_file_with_one_flipped_arch_byte_exits_2(workdir, trained, tmp_path, capsys, field,
+                                                         flipped_field, named):
+    root, cfg, data_dir, _ = workdir
+    sub = trained[1]
+    argv = ["eval", "--config", str(cfg), "--data", str(data_dir / "val.ofad"), "--checkpoint"]
+    assert main(argv + [str(sub)]) == 0
+    data = sub.read_bytes()
+    assert data.count(field) == 1
+    diff = [i for i, (a, b) in enumerate(zip(field, flipped_field)) if a != b]
+    assert len(field) == len(flipped_field) and len(diff) == 1
+    flipped = tmp_path / "flipped.ofat"
+    flipped.write_bytes(data.replace(field, flipped_field))
+    capsys.readouterr()
+    assert main(argv + [str(flipped)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def _ofat_field_offsets(data: bytes) -> list:
     """Offsets of every OFAT byte that is not tensor payload: header, metadata,
     tensor count, and each tensor's name length, name, rank and extents."""
@@ -328,7 +409,8 @@ def test_byte_flips_exit_with_a_documented_code(workdir, tmp_path, capsys):
     """Seeded single-byte flips over the non-payload fields of a supernet file
     (through extract), a subnet file and a dataset (through eval). A flip may
     leave a checkpoint loadable (metadata the loader does not read), never a
-    dataset: every OFAD field sets where the next one starts."""
+    dataset: every OFAD field sets where the next one starts. An eval that
+    exits 0 on a flipped file prints the unflipped file's loss."""
     root, cfg, data_dir, _ = workdir
     s1, sub, val = tmp_path / "s1.ofat", tmp_path / "sub.ofat", data_dir / "val.ofad"
     assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
@@ -346,12 +428,18 @@ def test_byte_flips_exit_with_a_documented_code(workdir, tmp_path, capsys):
         data = source.read_bytes()
         offsets = field_offsets(data)
         flipped = tmp_path / f"flipped{source.suffix}"
+        assert main(argv(str(source))) == 0
+        unflipped = capsys.readouterr().out
         codes = set()
         for _ in range(150):
             at, xor = offsets[rng.index(len(offsets))], 1 + rng.index(255)
             flipped.write_bytes(data[:at] + bytes([data[at] ^ xor]) + data[at + 1:])
-            code = main(argv(str(flipped)))
+            cmd = argv(str(flipped))
+            code = main(cmd)
+            printed = capsys.readouterr().out
             assert code in (0, 2, 3), f"{source.name} byte {at} ^ {xor}: exit {code}"
+            if code == 0 and cmd[0] == "eval":
+                assert printed == unflipped, f"{source.name} byte {at} ^ {xor}"
             codes.add(code)
         if source.suffix == ".ofad":
             assert codes == {2}
@@ -373,7 +461,9 @@ def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
     assert main(["gen-data", "--config", str(cfg), "--out", str(data_dir)]) == 0
     assert main(["init-teacher", "--config", str(cfg), "--out", str(teacher)]) == 0
     supernet = tmp_path / "supernet.ofat"
-    supernet_to_checkpoint(build_supernet(desk_space(), Rng(5, 1)), {"seed": 5}).save(supernet)
+    model = build_supernet(desk_space(), Rng(5, 1))
+    model.frontend = load_model(teacher, "teacher")[0].frontend  # search scores only on the teacher's features
+    supernet_to_checkpoint(model, {"seed": 5}).save(supernet)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

@@ -51,6 +51,8 @@ def test_invalid_values_name_their_field():
         RunConfig.from_text("distill:\n  k: 99\n")
     with pytest.raises(ConfigurationError, match="warmup"):
         RunConfig.from_text("train:\n  steps: 5\n  warmup_steps: 6\n")
+    with pytest.raises(ConfigurationError, match="train.ofa_init"):
+        RunConfig.from_text("train:\n  ofa_init: pretrained_external\n")
 
 
 def test_echo_round_trip_lossless():

@@ -23,7 +23,6 @@ from ofat.supernet import (
     encode,
     extract_subnet,
     forward,
-    forward_raw,
     project_input,
     reference_forward,
     touched_boxes,
@@ -90,12 +89,6 @@ def test_forward_rejects_invalid_config(tiny_space, tiny_model):
 def test_forward_rejects_bad_input_width(tiny_space, tiny_model):
     with pytest.raises(DimensionError):
         forward(tiny_model, min_subnet(tiny_space), rand_input(1, 4, 5))
-
-
-def test_forward_raw_runs_frontend_first(tiny_space, tiny_model):
-    raw = (Rng(8, 2).uniform(64) * 2 - 1).astype(np.float32)
-    final, _, _ = forward_raw(tiny_model, min_subnet(tiny_space), raw)
-    assert final.shape[0] == tiny_space.frontend.output_length(64)
 
 
 def test_largest_forward_equals_static_reference(tiny_space, tiny_model):
@@ -239,7 +232,7 @@ def test_frontend_never_has_gradients(tiny_space, tiny_model):
     # and a forward+backward leaves the weights bitwise unchanged.
     before = [w.copy() for w in tiny_model.frontend.weights]
     raw = (Rng(9, 2).uniform(48) * 2 - 1).astype(np.float32)
-    _, _, head_out = forward_raw(tiny_model, min_subnet(tiny_space), raw)
+    _, _, head_out = forward(tiny_model, min_subnet(tiny_space), tiny_model.frontend.forward(raw))
     ad.tsum(head_out).backward()
     for w_before, w_now in zip(before, tiny_model.frontend.weights):
         np.testing.assert_array_equal(w_before, w_now)

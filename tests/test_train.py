@@ -1,5 +1,7 @@
 """Optimizer semantics, schedules, and the two training stages."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,16 @@ from ofat.autodiff import Tensor
 from ofat.data import make_synthetic_dataset
 from ofat.distill import MaskSpec, TargetConfig
 from ofat.errors import ConfigurationError
-from ofat.rng import Rng, STREAM_ARCH
+from ofat.frontend import FrontendLayer
+from ofat.rng import Rng, STREAM_ARCH, STREAM_WEIGHTS
 from ofat.search import evaluate_subnet
 from ofat.spaces import desk_space, max_subnet, sample_subnet
-from ofat.supernet import touched_boxes
+from ofat.supernet import build_supernet, touched_boxes
 from ofat.train import (
     Adam,
     TeacherArch,
     TrainConfig,
+    check_teacher_compat,
     lr_at,
     make_teacher,
     stage1_train,
@@ -24,6 +28,10 @@ from ofat.train import (
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
+
+
+SMALL_TEACHER = TeacherArch(dim=16, depth=3, heads=4, ffn_ratio=2.0, head_dim=4,
+                            conv_groups=4, conv_kernel=3)
 
 
 def small_setup():
@@ -39,9 +47,7 @@ def small_setup():
         frontend_dim=8,
         teacher_dim=16,
     )
-    arch = TeacherArch(dim=16, depth=3, heads=4, ffn_ratio=2.0, head_dim=4,
-                       conv_groups=4, conv_kernel=3)
-    teacher = make_teacher(seed=99, arch=arch, frontend_spec=space.frontend)
+    teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
     data = make_synthetic_dataset(seed=13, n_sequences=6, length=64)
     val = make_synthetic_dataset(seed=14, n_sequences=4, length=64)
     return space, teacher, data, val
@@ -212,6 +218,36 @@ def test_stage2_from_stage1_checkpoint_runs(tmp_path):
     ck2, _, log = stage2_train(c2, space, teacher, data, MASK, TGT)
     assert ck2.metadata["ofa_init"] == "stage1_weights"
     assert len(log.records) == 6
+
+
+def test_stage2_refuses_an_init_model_trained_against_another_teacher():
+    space, teacher, data, _ = small_setup()
+    other = make_teacher(seed=98, arch=SMALL_TEACHER, frontend_spec=space.frontend)
+    _, model, _ = stage1_train(TrainConfig(stage=1, steps=2, batch_size=1, seed=7),
+                               space, other, data, MASK, TGT)
+    c2 = TrainConfig(stage=2, steps=2, batch_size=1, seed=7, init_checkpoint="-")
+    with pytest.raises(ConfigurationError, match="frontend"):
+        stage2_train(c2, space, teacher, data, MASK, TGT, init_model=model)
+
+
+def test_teacher_compat_names_what_differs():
+    space, teacher, _, _ = small_setup()
+
+    def student(space):
+        model = build_supernet(space, Rng(1, STREAM_WEIGHTS))
+        model.frontend = teacher.frontend.copy()
+        return model
+
+    check_teacher_compat(student(space), teacher)
+    with pytest.raises(ConfigurationError, match="frontend array frontend.conv0.w"):
+        check_teacher_compat(build_supernet(space, Rng(1, STREAM_WEIGHTS)), teacher)
+    last = space.frontend.layers[-1]
+    strided = dataclasses.replace(space.frontend, layers=space.frontend.layers[:-1] + (
+        FrontendLayer(last.out_channels, last.kernel, last.stride + 1),))
+    with pytest.raises(ConfigurationError, match="frontend spec"):
+        check_teacher_compat(student(dataclasses.replace(space, frontend=strided)), teacher)
+    with pytest.raises(ConfigurationError, match="teacher_dim 8 != teacher width 16"):
+        check_teacher_compat(student(dataclasses.replace(space, teacher_dim=8)), teacher)
 
 
 def test_stage2_gradients_confined_to_sampled_subnet():
