@@ -22,10 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .binio import ByteReader, atomic_open
 from .errors import ConfigurationError
-from .frontend import Frontend, FrontendSpec
-from .rng import Rng
+from .frontend import Frontend, FrontendSpec, checkpoint_array
 from .spaces import SearchSpace, SubnetConfig, max_subnet
-from .supernet import SupernetModel, config_dims, full_config, model_from_arrays, touched_boxes
+from .supernet import SupernetModel, config_dims, count_params, full_config, model_from_arrays, touched_boxes
 
 MAGIC = b"OFAT"
 VERSION = 1
@@ -105,7 +104,7 @@ def supernet_to_checkpoint(model: SupernetModel, metadata: dict) -> Checkpoint:
     """
     # Copies, not views: a checkpoint must stay a snapshot even if the model
     # keeps training in place afterwards.
-    tensors = {name: arr.copy() for name, arr in model.frontend.named_arrays().items()}
+    tensors = {name: arr.copy() for name, arr in model.frontend.arrays.items()}
     for name, t in model.named_parameters().items():
         tensors[name] = t.data.copy()
     meta = {"role": "supernet", **metadata}
@@ -148,24 +147,21 @@ def supernet_from_checkpoint(ckpt: Checkpoint) -> SupernetModel:
                 frontend=FrontendSpec.from_dict(arch["frontend"]),
                 teacher_dim=tensors["head.w"].shape[1],
             )
-        frontend = Frontend.build(space.frontend, Rng(0, 0))
-        frontend.load_arrays(tensors)
+        frontend = Frontend.from_arrays(space.frontend, tensors)
     except (KeyError, IndexError, TypeError) as exc:
         raise ConfigurationError(
             f"checkpoint does not describe a model ({type(exc).__name__}: {exc})") from None
-    arrays = {}
-    for name, box in touched_boxes(space, config).items():
-        shape = tuple(s.stop for s in box)
-        arr = tensors.get(name)
-        if arr is None or arr.shape != shape:
-            got = "nothing" if arr is None else f"shape {arr.shape}"
-            raise ConfigurationError(f"checkpoint tensor {name} has {got}, expected {shape}")
-        arrays[name] = arr.astype(ad.default_dtype())
+    arrays = {name: checkpoint_array(tensors, name, tuple(s.stop for s in box)).astype(ad.default_dtype())
+              for name, box in touched_boxes(space, config).items()}
     # A tensor the model does not read means the metadata describes less
     # than the file holds, such as an `arch.heads` list that lost a layer.
-    unread = tensors.keys() - arrays.keys() - frontend.named_arrays().keys()
+    unread = tensors.keys() - arrays.keys() - frontend.arrays.keys()
     if unread:
         raise ConfigurationError(f"checkpoint tensor {min(unread)} is not part of the model its metadata describes")
+    recorded, params = meta.get("params_with_frontend_and_head"), count_params(space, config).total
+    if recorded is not None and recorded != params:
+        raise ConfigurationError(
+            f"checkpoint records params_with_frontend_and_head={recorded}, its architecture has {params}")
     return model_from_arrays(space, frontend, arrays)
 
 

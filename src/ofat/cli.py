@@ -102,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="validation distillation loss of one subnet")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True, help="supernet or extracted-subnet checkpoint")
-    p.add_argument("--subnet-spec", help="required for supernet checkpoints")
+    p.add_argument("--subnet-spec", help="required for supernet checkpoints, refused for subnet ones")
     p.add_argument("--data", required=True, help="validation dataset file")
-    p.add_argument("--bounds", action="store_true", help="also evaluate the min and max subnets")
+    p.add_argument("--bounds", action="store_true",
+                   help="also evaluate the min and max subnets (supernet checkpoints only)")
 
     return parser
 
@@ -339,6 +340,9 @@ def cmd_eval(args) -> int:
     check_teacher_compat(model, teacher)
     space = model.space
     if meta.get("role") == "subnet":
+        for flag, value in (("--subnet-spec", args.subnet_spec), ("--bounds", args.bounds)):
+            if value:
+                raise ConfigurationError(f"{flag} does not apply to a subnet checkpoint, which holds one subnet")
         label, configs = "extracted", [full_config(model)]
     elif not args.subnet_spec:
         raise ConfigurationError("--subnet-spec is required for supernet checkpoints")

@@ -15,7 +15,6 @@ Two presets:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -71,6 +70,18 @@ class FrontendSpec:
             in_ch = layer.out_channels
         return total
 
+    def array_shapes(self) -> dict:
+        """Checkpoint name -> shape of every frontend array, in file order."""
+        shapes, in_ch = {}, 1
+        for i, layer in enumerate(self.layers):
+            shapes[f"frontend.conv{i}.w"] = (layer.out_channels, in_ch, layer.kernel)
+            if self.bias:
+                shapes[f"frontend.conv{i}.b"] = (layer.out_channels,)
+            in_ch = layer.out_channels
+        if self.first_layer_norm:
+            shapes["frontend.norm.g"] = shapes["frontend.norm.b"] = (self.layers[0].out_channels,)
+        return shapes
+
     def to_dict(self) -> dict:
         return {
             "layers": [[l.out_channels, l.kernel, l.stride] for l in self.layers],
@@ -105,36 +116,35 @@ def hubert_base_frontend() -> FrontendSpec:
 
 
 class Frontend:
-    """Frozen frontend weights plus the numpy-only forward pass."""
+    """Frozen frontend arrays, keyed as in FrontendSpec.array_shapes, plus the numpy-only forward pass."""
 
-    def __init__(self, spec: FrontendSpec, weights, biases, norm_gain=None, norm_bias=None):
+    def __init__(self, spec: FrontendSpec, arrays: dict):
         self.spec = spec
-        self.weights = weights  # list of [out, in, k] float32 arrays
-        self.biases = biases  # list of [out] arrays or None entries
-        self.norm_gain = norm_gain
-        self.norm_bias = norm_bias
+        self.arrays = arrays  # checkpoint name -> float32 array, file order
 
     @classmethod
     def build(cls, spec: FrontendSpec, rng: Rng) -> "Frontend":
-        weights, biases = [], []
-        in_ch = 1
-        for layer in spec.layers:
-            fan_in = in_ch * layer.kernel
-            bound = 1.0 / math.sqrt(fan_in)
-            w = (rng.uniform((layer.out_channels, in_ch, layer.kernel)) * 2.0 - 1.0) * bound
-            weights.append(w.astype(np.float32))
-            biases.append(np.zeros(layer.out_channels, dtype=np.float32) if spec.bias else None)
-            in_ch = layer.out_channels
-        norm_gain = norm_bias = None
-        if spec.first_layer_norm:
-            c0 = spec.layers[0].out_channels
-            norm_gain = np.ones(c0, dtype=np.float32)
-            norm_bias = np.zeros(c0, dtype=np.float32)
-        return cls(spec, weights, biases, norm_gain, norm_bias)
+        """Conv weights uniform with bound 1/sqrt(fan_in), drawn in layer
+        order; biases zero, norm gain one, norm bias zero."""
+        arrays = {}
+        for name, shape in spec.array_shapes().items():
+            if name.endswith(".w"):
+                bound = 1.0 / math.sqrt(shape[1] * shape[2])
+                arrays[name] = ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(np.float32)
+            else:
+                arrays[name] = (np.ones if name == "frontend.norm.g" else np.zeros)(shape, dtype=np.float32)
+        return cls(spec, arrays)
+
+    @classmethod
+    def from_arrays(cls, spec: FrontendSpec, tensors: dict) -> "Frontend":
+        """The frontend of `spec` holding its arrays out of `tensors`; each
+        must be there with the shape the spec gives it."""
+        return cls(spec, {name: checkpoint_array(tensors, name, shape)
+                          for name, shape in spec.array_shapes().items()})
 
     def copy(self) -> "Frontend":
         """Independent copy: same spec, every array copied."""
-        return copy.deepcopy(self)
+        return Frontend(self.spec, {name: arr.copy() for name, arr in self.arrays.items()})
 
     def forward(self, raw: np.ndarray) -> np.ndarray:
         """Raw [n] float signal -> [ceil(n / total_stride), out_dim] features."""
@@ -143,43 +153,24 @@ class Frontend:
             raise ConfigurationError(f"frontend input must be 1-D, got shape {raw.shape}")
         x = raw[None, :]  # [channels, time]
         for i, layer in enumerate(self.spec.layers):
-            x = _strided_conv_same(x, self.weights[i], self.biases[i], layer.stride)
+            x = _strided_conv_same(x, self.arrays[f"frontend.conv{i}.w"],
+                                   self.arrays.get(f"frontend.conv{i}.b"), layer.stride)
             if i == 0 and self.spec.first_layer_norm:
                 mu = x.mean(axis=1, keepdims=True)
                 var = x.var(axis=1, keepdims=True)
                 x = (x - mu) / np.sqrt(var + _NORM_EPS)
-                x = x * self.norm_gain[:, None] + self.norm_bias[:, None]
+                x = x * self.arrays["frontend.norm.g"][:, None] + self.arrays["frontend.norm.b"][:, None]
             x = gelu_array(x)
         return np.ascontiguousarray(x.T)
 
-    def named_arrays(self) -> dict:
-        """Checkpoint view: name -> array, fixed order."""
-        out = {}
-        for i, w in enumerate(self.weights):
-            out[f"frontend.conv{i}.w"] = w
-            if self.biases[i] is not None:
-                out[f"frontend.conv{i}.b"] = self.biases[i]
-        if self.norm_gain is not None:
-            out["frontend.norm.g"] = self.norm_gain
-            out["frontend.norm.b"] = self.norm_bias
-        return out
 
-    def load_arrays(self, tensors: dict) -> None:
-        """Adopt the arrays named as in named_arrays; each must have the shape this spec builds."""
-        for name, built in self.named_arrays().items():
-            if tensors[name].shape != built.shape:
-                raise ConfigurationError(
-                    f"checkpoint tensor {name} has shape {tensors[name].shape}, expected {built.shape}")
-        for i in range(len(self.weights)):
-            self.weights[i] = tensors[f"frontend.conv{i}.w"]
-            if self.biases[i] is not None:
-                self.biases[i] = tensors[f"frontend.conv{i}.b"]
-        if self.norm_gain is not None:
-            self.norm_gain = tensors["frontend.norm.g"]
-            self.norm_bias = tensors["frontend.norm.b"]
-
-    def param_count(self) -> int:
-        return self.spec.param_count()
+def checkpoint_array(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """tensors[name], which must be there with `shape`; else a ConfigurationError naming both."""
+    arr = tensors.get(name)
+    if arr is None or arr.shape != shape:
+        got = "nothing" if arr is None else f"shape {arr.shape}"
+        raise ConfigurationError(f"checkpoint tensor {name} has {got}, expected {shape}")
+    return arr
 
 
 def _strided_conv_same(x: np.ndarray, w: np.ndarray, b, stride: int) -> np.ndarray:

@@ -67,24 +67,8 @@ class SearchSpace:
         return self.frontend.out_dim
 
     @property
-    def max_embed(self) -> int:
-        return self.embed_dims[-1]
-
-    @property
-    def max_heads(self) -> int:
-        return self.head_choices[-1]
-
-    @property
-    def max_attn(self) -> int:
-        return self.max_heads * self.head_dim
-
-    @property
     def max_depth(self) -> int:
         return self.depths[-1]
-
-    @property
-    def max_ffn(self) -> int:
-        return ffn_hidden(self.ffn_ratios[-1], self.max_embed)
 
     def to_dict(self) -> dict:
         return {

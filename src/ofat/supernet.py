@@ -34,7 +34,7 @@ from .autodiff import Tensor
 from .errors import DimensionError
 from .frontend import Frontend
 from .rng import Rng
-from .spaces import SearchSpace, SubnetConfig, ffn_hidden, validate_config
+from .spaces import SearchSpace, SubnetConfig, ffn_hidden, max_subnet, validate_config
 
 ATTN_EPS = 1e-5  # layer-norm eps, fixed repo-wide
 
@@ -105,58 +105,29 @@ def model_from_arrays(space: SearchSpace, frontend: Frontend, arrays: dict) -> S
     return SupernetModel(space, frontend, blocks=blocks, **{attr: t(name) for name, attr in _STEM + _TOP})
 
 
-def _uniform_init(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(dtype)
-
-
 def build_supernet(space: SearchSpace, rng: Rng) -> SupernetModel:
     """Initialize every weight at maximal dimensions, deterministically.
 
-    Linear and conv weights are uniform with bound 1/sqrt(fan_in) at the
-    maximal fan-in, biases zero, layer norms identity, and the mask
-    embedding standard normal scaled by 0.02. The frontend comes from the
-    same rng but stays frozen forever.
+    Each tensor's shape is its box in the max subnet. Linear and conv
+    weights are uniform with bound 1/sqrt(fan_in) at the maximal fan-in,
+    layer-norm gains one, biases zero, and the mask embedding standard
+    normal scaled by 0.02. The frontend comes from the same rng but stays
+    frozen forever.
     """
     dtype = ad.default_dtype()
-    E, A, F = space.max_embed, space.max_attn, space.max_ffn
-    G, k = space.conv_groups, space.conv_kernel
-    fd, dt = space.frontend_dim, space.teacher_dim
-
     frontend = Frontend.build(space.frontend, rng)
-
-    def zeros(n):
-        return np.zeros(n, dtype=dtype)
-
-    def ones(n):
-        return np.ones(n, dtype=dtype)
-
     # Draw order is part of the seed contract: stem, blocks in order, head.
-    arrays = {
-        "input_proj.w": _uniform_init(rng, (fd, E), fd, dtype),
-        "input_proj.b": zeros(E),
-        "pos_conv.w": _uniform_init(rng, (E, E // G, k), (E // G) * k, dtype),
-        "pos_conv.b": zeros(E),
-        "mask_emb": (rng.normal(E) * 0.02).astype(dtype),
-    }
-    for l in range(space.max_depth):
-        block = dict(
-            ln1_g=ones(E), ln1_b=zeros(E),
-            wq=_uniform_init(rng, (E, A), E, dtype), bq=zeros(A),
-            wk=_uniform_init(rng, (E, A), E, dtype), bk=zeros(A),
-            wv=_uniform_init(rng, (E, A), E, dtype), bv=zeros(A),
-            wo=_uniform_init(rng, (A, E), A, dtype), bo=zeros(E),
-            ln2_g=ones(E), ln2_b=zeros(E),
-            w1=_uniform_init(rng, (E, F), E, dtype), b1=zeros(F),
-            w2=_uniform_init(rng, (F, E), F, dtype), b2=zeros(E),
-        )
-        arrays.update({f"blocks.{l}.{name}": arr for name, arr in block.items()})
-    arrays.update({
-        "final_norm.g": ones(E),
-        "final_norm.b": zeros(E),
-        "head.w": _uniform_init(rng, (E, dt), E, dtype),
-        "head.b": zeros(dt),
-    })
+    arrays = {}
+    for name, box in touched_boxes(space, max_subnet(space)).items():
+        shape = tuple(s.stop for s in box)
+        if len(shape) > 1:
+            fan_in = shape[1] * shape[2] if len(shape) == 3 else shape[0]
+            arr = (rng.uniform(shape) * 2.0 - 1.0) * (1.0 / math.sqrt(fan_in))
+        elif name == "mask_emb":
+            arr = rng.normal(shape) * 0.02
+        else:
+            arr = np.ones(shape) if name.endswith(("_g", ".g")) else np.zeros(shape)  # norm gains
+        arrays[name] = arr.astype(dtype)
     return model_from_arrays(space, frontend, arrays)
 
 
@@ -266,7 +237,8 @@ def touched_boxes(space: SearchSpace, config: SubnetConfig) -> dict[str, tuple]:
     Everything is a hyper-rectangle anchored at the origin, which is what
     makes weight entanglement monotone: config A's boxes are contained in
     config B's whenever A <= B elementwise. Every slice is bounded, so the
-    box extents are the shapes of the tensors extract_subnet copies.
+    box extents are the shapes of the tensors extract_subnet copies, and
+    the max subnet's boxes are the supernet's layout (build_supernet).
     """
     validate_config(space, config)
     e, G, hd = config.embed_dim, space.conv_groups, space.head_dim

@@ -53,6 +53,11 @@ class TrainConfig:
             raise ConfigurationError(f"stage must be 1 or 2, got {self.stage}")
         if self.steps <= 0:
             raise ConfigurationError(f"steps must be positive, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for i, beta in enumerate(self.adam_betas):
+            if not 0.0 <= beta < 1.0:
+                raise ConfigurationError(f"adam_beta{i + 1} must be in [0, 1), got {beta}")
         if self.warmup_steps > self.steps:
             raise ConfigurationError(
                 f"warmup_steps {self.warmup_steps} exceeds steps {self.steps}"
@@ -161,8 +166,8 @@ def check_teacher_compat(model: SupernetModel, teacher: TeacherModel) -> None:
     """
     if model.space.frontend != teacher.frontend.spec:
         raise ConfigurationError("student frontend spec differs from the teacher's frontend spec")
-    theirs = teacher.frontend.named_arrays()
-    for name, arr in model.frontend.named_arrays().items():
+    theirs = teacher.frontend.arrays
+    for name, arr in model.frontend.arrays.items():
         if arr.tobytes() != theirs[name].tobytes():
             raise ConfigurationError(f"student frontend array {name} differs from the teacher's")
     if model.space.teacher_dim != teacher.dim:

@@ -134,6 +134,19 @@ def test_supernet_loader_rejects_a_tensor_the_metadata_leaves_out(tiny_space, ti
         supernet_from_checkpoint(ckpt)
 
 
+def test_loading_a_checkpoint_draws_no_random_numbers(monkeypatch, tiny_space, tiny_model, tiny_teacher):
+    ckpts = [supernet_to_checkpoint(tiny_model, {"seed": 4}),
+             supernet_to_checkpoint(extract_subnet(tiny_model, max_subnet(tiny_space)), {"role": "subnet"}),
+             teacher_to_checkpoint(tiny_teacher, {"seed": 77})]
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a loader built an Rng")
+
+    monkeypatch.setattr(Rng, "__init__", no_rng)
+    for ckpt in ckpts:
+        supernet_from_checkpoint(ckpt)
+
+
 def test_checkpoint_snapshot_detached_from_training(tiny_space, tiny_model):
     """Saving then mutating the model must not change the snapshot."""
     ckpt = supernet_to_checkpoint(tiny_model, {"seed": 4})

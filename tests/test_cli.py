@@ -380,6 +380,45 @@ def test_subnet_file_with_one_flipped_arch_byte_exits_2(workdir, trained, tmp_pa
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--subnet-spec", "min"], ["--bounds"]], ids=["subnet-spec", "bounds"])
+def test_eval_refuses_subnet_flags_for_a_subnet_file(workdir, trained, capsys, flag):
+    root, cfg, data_dir, _ = workdir
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                 "--data", str(data_dir / "val.ofad"), *flag]) == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err and "loss" not in captured.out
+
+
+@pytest.mark.parametrize("line, named", [
+    ("  batch_size: 0", "batch_size"),
+    ("  batch_size: 2\n  adam_beta1: 1.0", "adam_beta1"),
+    ("  batch_size: 2\n  adam_beta2: 1.0", "adam_beta2"),
+], ids=["batch_size", "beta1", "beta2"])
+def test_training_values_that_can_only_give_nan_exit_2(workdir, tmp_path, capsys, line, named):
+    root, cfg, _, _ = workdir
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(cfg.read_text().replace("  batch_size: 2", line))
+    capsys.readouterr()
+    assert main(["train", "--config", str(bad), "--stage", "1", "--out", str(tmp_path / "x.ofat")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x.ofat").exists()
+
+
+def test_subnet_file_with_a_flipped_param_count_digit_exits_2(workdir, trained, tmp_path, capsys):
+    root, cfg, data_dir, _ = workdir
+    data = trained[1].read_bytes()
+    key = b'"params_with_frontend_and_head":'
+    at = data.index(key) + len(key)  # the value's first digit
+    flipped = tmp_path / "flipped.ofat"
+    flipped.write_bytes(data[:at] + str((int(chr(data[at])) % 9) + 1).encode() + data[at + 1:])
+    argv = ["eval", "--config", str(cfg), "--data", str(data_dir / "val.ofad"), "--checkpoint"]
+    assert main(argv + [str(trained[1])]) == 0
+    capsys.readouterr()
+    assert main(argv + [str(flipped)]) == 2
+    assert "params_with_frontend_and_head" in capsys.readouterr().err
+
+
 def _ofat_field_offsets(data: bytes) -> list:
     """Offsets of every OFAT byte that is not tensor payload: header, metadata,
     tensor count, and each tensor's name length, name, rank and extents."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ofat.errors import ConfigurationError
 from ofat.frontend import Frontend, FrontendSpec, desk_frontend, hubert_base_frontend
 from ofat.rng import Rng
 
@@ -35,18 +36,26 @@ def test_frontend_deterministic_by_seed():
     b = Frontend.build(spec, Rng(3, 8))
     x = Rng(4, 2).uniform(64).astype(np.float32)
     np.testing.assert_array_equal(a.forward(x), b.forward(x))
-    for wa, wb in zip(a.weights, b.weights):
+    for wa, wb in zip(a.arrays.values(), b.arrays.values()):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_frontend_named_arrays_round_trip():
     spec = desk_frontend()
     fe = Frontend.build(spec, Rng(5, 8))
-    arrays = fe.named_arrays()
-    clone = Frontend.build(spec, Rng(99, 8))
-    clone.load_arrays(arrays)
+    clone = Frontend.from_arrays(spec, fe.arrays)
     x = Rng(6, 2).uniform(32).astype(np.float32)
     np.testing.assert_array_equal(fe.forward(x), clone.forward(x))
+
+
+def test_frontend_from_arrays_refuses_a_missing_or_misshapen_array():
+    spec = desk_frontend()
+    arrays = Frontend.build(spec, Rng(5, 8)).arrays
+    assert list(arrays) == list(spec.array_shapes())
+    with pytest.raises(ConfigurationError, match="frontend.conv1.b has nothing"):
+        Frontend.from_arrays(spec, {n: a for n, a in arrays.items() if n != "frontend.conv1.b"})
+    with pytest.raises(ConfigurationError, match="frontend.conv0.w has shape"):
+        Frontend.from_arrays(spec, {**arrays, "frontend.conv0.w": arrays["frontend.conv0.w"][:, :, :-1]})
 
 
 def test_frontend_spec_dict_round_trip():

@@ -42,7 +42,7 @@ def test_build_deterministic_same_seed(tiny_space):
     for (na, ta), (nb, tb) in zip(a.named_parameters().items(), b.named_parameters().items()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
-    for wa, wb in zip(a.frontend.weights, b.frontend.weights):
+    for wa, wb in zip(a.frontend.arrays.values(), b.frontend.arrays.values()):
         np.testing.assert_array_equal(wa, wb)
 
 
@@ -230,11 +230,11 @@ def test_gradients_confined_to_touched_slices(tiny_space, tiny_model):
 def test_frontend_never_has_gradients(tiny_space, tiny_model):
     # Frontend arrays are plain numpy: there is no gradient buffer at all,
     # and a forward+backward leaves the weights bitwise unchanged.
-    before = [w.copy() for w in tiny_model.frontend.weights]
+    before = [w.copy() for w in tiny_model.frontend.arrays.values()]
     raw = (Rng(9, 2).uniform(48) * 2 - 1).astype(np.float32)
     _, _, head_out = forward(tiny_model, min_subnet(tiny_space), tiny_model.frontend.forward(raw))
     ad.tsum(head_out).backward()
-    for w_before, w_now in zip(before, tiny_model.frontend.weights):
+    for w_before, w_now in zip(before, tiny_model.frontend.arrays.values()):
         np.testing.assert_array_equal(w_before, w_now)
         assert isinstance(w_now, np.ndarray)
 

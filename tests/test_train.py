@@ -113,6 +113,12 @@ def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         TrainConfig(stage=2, steps=5, ofa_init="stage1_weights")  # missing init
     TrainConfig(stage=2, steps=5, ofa_init="random")  # fine
+    # An empty batch averages nothing; a beta of 1 zeroes Adam's bias correction.
+    for fields, named in (({"batch_size": 0}, "batch_size"), ({"adam_betas": (1.0, 0.98)}, "adam_beta1"),
+                          ({"adam_betas": (0.9, 1.0)}, "adam_beta2"), ({"adam_betas": (-0.1, 0.9)}, "adam_beta1")):
+        with pytest.raises(ConfigurationError, match=named):
+            TrainConfig(stage=1, steps=5, **fields)
+    TrainConfig(stage=1, steps=5, batch_size=1, adam_betas=(0.0, 0.0))  # fine
 
 
 # -- stage 1 ---------------------------------------------------------------------
@@ -143,15 +149,15 @@ def test_stage1_loss_decreases_on_validation():
 def test_stage1_teacher_and_frontend_bitwise_frozen():
     space, teacher, data, _ = small_setup()
     t_before = {n: p.data.copy() for n, p in teacher.encoder.named_parameters().items()}
-    fe_before = [w.copy() for w in teacher.frontend.weights]
+    fe_before = [w.copy() for w in teacher.frontend.arrays.values()]
     cfg = TrainConfig(stage=1, steps=8, batch_size=2, learning_rate=3e-3, seed=2)
     _, model, _ = stage1_train(cfg, space, teacher, data, MASK, TGT)
     for n, p in teacher.encoder.named_parameters().items():
         np.testing.assert_array_equal(p.data, t_before[n])
-    for w_now, w_then in zip(teacher.frontend.weights, fe_before):
+    for w_now, w_then in zip(teacher.frontend.arrays.values(), fe_before):
         np.testing.assert_array_equal(w_now, w_then)
     # student frontend is the teacher copy and never trains
-    for w_model, w_teacher in zip(model.frontend.weights, teacher.frontend.weights):
+    for w_model, w_teacher in zip(model.frontend.arrays.values(), teacher.frontend.arrays.values()):
         np.testing.assert_array_equal(w_model, w_teacher)
 
 
