@@ -105,8 +105,7 @@ def supernet_to_checkpoint(model: SupernetModel, metadata: dict) -> Checkpoint:
     # Copies, not views: a checkpoint must stay a snapshot even if the model
     # keeps training in place afterwards.
     tensors = {name: arr.copy() for name, arr in model.frontend.arrays.items()}
-    for name, t in model.named_parameters().items():
-        tensors[name] = t.data.copy()
+    tensors.update((name, t.data.copy()) for name, t in model.params.items())
     meta = {"role": "supernet", **metadata}
     if meta["role"] == "supernet":
         meta["space"] = model.space.to_dict()

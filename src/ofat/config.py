@@ -86,7 +86,7 @@ DEFAULTS = {
 
 
 def _merge_defaults(defaults, given, path=""):
-    """Defaults overlaid by given keys; unknown keys rejected by path."""
+    """Defaults overlaid by given keys; unknown keys and mistyped values rejected by path."""
     if not isinstance(given, dict):
         raise ConfigurationError(f"config section '{path or '<root>'}' must be a mapping")
     merged = copy.deepcopy(defaults)
@@ -97,8 +97,29 @@ def _merge_defaults(defaults, given, path=""):
         if isinstance(defaults[key], dict):
             merged[key] = _merge_defaults(defaults[key], value, where)
         else:
+            _check_type(defaults[key], value, where)
             merged[key] = value
     return merged
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def _check_type(default, value, where: str) -> None:
+    """Refuse a value whose type is not its default's, naming its field. An int,
+    or a string float() reads (PyYAML reads `2e-3` as one), stands for a float;
+    list items follow the default's first item. Nothing is converted."""
+    ok = type(value) is type(default) or (type(default) is float and type(value) is int)
+    if type(default) is float and isinstance(value, str):
+        try:
+            float(value)
+            ok = True
+        except ValueError:
+            pass
+    _expect(ok, where, f"{_KINDS[type(default)]}, got {value!r}")
+    if type(default) is list:
+        for i, item in enumerate(value):
+            _check_type(default[0], item, f"{where}[{i}]")
 
 
 class RunConfig:
@@ -110,26 +131,20 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
-        if raw is None:
-            raw = {}
-        return cls(raw)
+        with open(path) as fh:
+            return cls.from_text(fh.read(), f"{path}: ")
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
+    def from_text(cls, text: str, source: str = "") -> "RunConfig":
         try:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
-            raise ConfigurationError(f"invalid YAML: {exc}") from exc
-        return cls(raw or {})
+            raise ConfigurationError(f"{source}invalid YAML: {exc}") from exc
+        return cls({} if raw is None else raw)
 
     def _validate(self) -> None:
         d = self.data
-        _expect(isinstance(d["seed"], int) and d["seed"] >= 0, "seed", "a non-negative integer")
+        _expect(d["seed"] >= 0, "seed", "a non-negative integer")
         sp = d["space"]
         _expect(sp["preset"] in _SPACE_PRESETS, "space.preset", f"one of {_SPACE_PRESETS}")
         _expect(sp["frontend"]["preset"] in _FRONTEND_PRESETS,
@@ -137,12 +152,12 @@ class RunConfig:
         tr = d["train"]
         for key in ("steps", "batch_size", "sequence_length", "n_train_sequences",
                     "n_val_sequences", "warmup_steps"):
-            _expect(isinstance(tr[key], int) and tr[key] >= 0, f"train.{key}", "a non-negative integer")
+            _expect(tr[key] >= 0, f"train.{key}", "a non-negative integer")
         _expect(tr["steps"] > 0, "train.steps", "> 0")
         _expect(tr["warmup_steps"] <= tr["steps"], "train.warmup_steps", "<= train.steps")
         _expect(tr["ofa_init"] in OFA_INITS, "train.ofa_init", f"one of {OFA_INITS}")
         di = d["distill"]
-        _expect(0.0 <= di["p"] <= 1.0, "distill.p", "in [0, 1]")
+        _expect(0.0 <= float(di["p"]) <= 1.0, "distill.p", "in [0, 1]")
         _expect(di["span_length"] >= 1, "distill.span_length", ">= 1")
         _expect(di["mask_convention"] in ("fraction", "span_start"),
                 "distill.mask_convention", "'fraction' or 'span_start'")

@@ -155,7 +155,7 @@ class TeacherModel:
     _target_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for p in self.encoder.named_parameters().values():
+        for p in self.encoder.params.values():
             p.requires_grad = False
 
     @property
@@ -164,11 +164,11 @@ class TeacherModel:
 
     @property
     def depth(self) -> int:
-        return len(self.encoder.blocks)
+        return self.encoder.space.max_depth
 
     @property
     def dim(self) -> int:
-        return self.encoder.input_w.shape[1]
+        return self.encoder.params["input_proj.w"].shape[1]
 
     def forward(self, features, collect_hidden: bool = False):
         """(final, hidden, head_out) of the teacher's one config."""
@@ -220,7 +220,7 @@ def student_forward_masked(
     Returns (final, hidden, head_out, MaskResult).
     """
     h = project_input(model, config, features)
-    mask_emb = ad.slice_prefix(model.mask_emb, 0, config.embed_dim)
+    mask_emb = ad.slice_prefix(model.params["mask_emb"], 0, config.embed_dim)
     result = apply_mask(h, mask_spec, mask_emb, rng)
     final, hidden, head_out = encode(model, config, result.masked_input, collect_hidden)
     return final, hidden, head_out, result

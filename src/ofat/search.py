@@ -154,7 +154,7 @@ def evaluate_subnets(
         for e, (first, root) in tries.items():
             # Each candidate alone draws its masks from a fresh stream, in batch order.
             mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
-            mask_emb = ad.slice_prefix(model.mask_emb, 0, e)
+            mask_emb = ad.slice_prefix(model.params["mask_emb"], 0, e)
             hs, masks = [], []
             for feats, _ in batches:
                 masked = apply_mask(project_input(model, first, feats), mask_spec, mask_emb, mask_rng)

@@ -46,21 +46,20 @@ class SearchSpace:
         ):
             if len(values) == 0:
                 raise ConfigurationError(f"{name} must be non-empty")
+            if any(v <= 0 for v in values):
+                raise ConfigurationError(f"{name} must be positive, got {values}")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigurationError(f"{name} must be strictly increasing, got {values}")
-        if self.conv_groups < 1:
-            raise ConfigurationError(f"conv_groups must be positive, got {self.conv_groups}")
+        # Odd kernels are enforced by the conv op itself; counting-only spaces
+        # may carry the even reference-scale kernel.
+        for name in ("head_dim", "conv_groups", "conv_kernel", "teacher_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         for e in self.embed_dims:
             if e % self.conv_groups != 0:
                 raise ConfigurationError(
                     f"embed dim {e} not divisible by conv_groups {self.conv_groups}"
                 )
-        # Odd kernels are enforced by the conv op itself; counting-only spaces
-        # may carry the even reference-scale kernel.
-        if self.conv_kernel < 1:
-            raise ConfigurationError(f"conv_kernel must be positive, got {self.conv_kernel}")
-        if self.head_dim <= 0 or self.teacher_dim <= 0:
-            raise ConfigurationError("head_dim and teacher_dim must be positive")
 
     @property
     def frontend_dim(self) -> int:

@@ -40,69 +40,19 @@ ATTN_EPS = 1e-5  # layer-norm eps, fixed repo-wide
 
 
 @dataclass
-class BlockWeights:
-    """One pre-norm Transformer block: maximal dimensions in a supernet, exact in a subnet."""
-
-    ln1_g: Tensor
-    ln1_b: Tensor
-    wq: Tensor  # [E, A]
-    bq: Tensor  # [A]
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor  # [A, E]
-    bo: Tensor  # [E]
-    ln2_g: Tensor
-    ln2_b: Tensor
-    w1: Tensor  # [E, F]
-    b1: Tensor  # [F]
-    w2: Tensor  # [F, E]
-    b2: Tensor  # [E]
-
-
-_BLOCK_FIELDS = tuple(f.name for f in dataclasses.fields(BlockWeights))
-
-# Checkpoint name -> SupernetModel attribute, in named_parameters order:
-# the tensors before the blocks, then the ones after them.
-_STEM = (("input_proj.w", "input_w"), ("input_proj.b", "input_b"), ("pos_conv.w", "pos_w"),
-         ("pos_conv.b", "pos_b"), ("mask_emb", "mask_emb"))
-_TOP = (("final_norm.g", "final_g"), ("final_norm.b", "final_b"), ("head.w", "head_w"), ("head.b", "head_b"))
-
-
-@dataclass
 class SupernetModel:
+    """A search space, its frozen frontend and the trainable weights, keyed by
+    checkpoint name in file order: touched_boxes of the max subnet for a
+    supernet, of the one config for an extracted subnet or teacher."""
+
     space: SearchSpace
     frontend: Frontend
-    input_w: Tensor  # [frontend_dim, E]
-    input_b: Tensor  # [E]
-    pos_w: Tensor  # [E, E // G, kernel]
-    pos_b: Tensor  # [E]
-    mask_emb: Tensor  # [E]
-    blocks: list[BlockWeights]
-    final_g: Tensor
-    final_b: Tensor
-    head_w: Tensor  # [E, teacher_dim]
-    head_b: Tensor  # [teacher_dim]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors in a fixed order (frontend excluded: frozen)."""
-        params = {name: getattr(self, attr) for name, attr in _STEM}
-        for i, blk in enumerate(self.blocks):
-            params.update({f"blocks.{i}.{name}": getattr(blk, name) for name in _BLOCK_FIELDS})
-        params.update({name: getattr(self, attr) for name, attr in _TOP})
-        return params
+    params: dict[str, Tensor]
 
 
 def model_from_arrays(space: SearchSpace, frontend: Frontend, arrays: dict) -> SupernetModel:
-    """A model over `space` holding `arrays`, keyed as in named_parameters, as trainable tensors."""
-
-    def t(name):
-        return Tensor(arrays[name], requires_grad=True)
-
-    blocks = [BlockWeights(**{f: t(f"blocks.{l}.{f}") for f in _BLOCK_FIELDS})
-              for l in range(space.max_depth)]
-    return SupernetModel(space, frontend, blocks=blocks, **{attr: t(name) for name, attr in _STEM + _TOP})
+    """A model over `space` holding `arrays`, in the order given, as trainable tensors."""
+    return SupernetModel(space, frontend, {name: Tensor(a, requires_grad=True) for name, a in arrays.items()})
 
 
 def build_supernet(space: SearchSpace, rng: Rng) -> SupernetModel:
@@ -134,7 +84,7 @@ def build_supernet(space: SearchSpace, rng: Rng) -> SupernetModel:
 def clone_supernet(model: SupernetModel) -> SupernetModel:
     """Independent deep copy (weights and frontend); training one never
     touches the other."""
-    arrays = {name: t.data.copy() for name, t in model.named_parameters().items()}
+    arrays = {name: t.data.copy() for name, t in model.params.items()}
     return model_from_arrays(model.space, model.frontend.copy(), arrays)
 
 
@@ -163,14 +113,15 @@ def project_input(model: SupernetModel, config: SubnetConfig, x) -> Tensor:
         raise DimensionError(
             f"expected input [t, {model.space.frontend_dim}], got {x.shape}"
         )
-    return ad.linear_prefix(x, model.input_w, model.input_b, x.shape[1], config.embed_dim)
+    p = model.params
+    return ad.linear_prefix(x, p["input_proj.w"], p["input_proj.b"], x.shape[1], config.embed_dim)
 
 
 def positional_stage(model: SupernetModel, e: int, h: Tensor) -> Tensor:
     """Sliced grouped positional conv on an [t, e] embedding, added through a GELU."""
-    G = model.space.conv_groups
-    pw = ad.slice_prefix(ad.slice_prefix(model.pos_w, 0, e), 1, e // G)
-    pc = ad.grouped_conv1d(h, pw, ad.slice_prefix(model.pos_b, 0, e), G)
+    G, p = model.space.conv_groups, model.params
+    pw = ad.slice_prefix(ad.slice_prefix(p["pos_conv.w"], 0, e), 1, e // G)
+    pc = ad.grouped_conv1d(h, pw, ad.slice_prefix(p["pos_conv.b"], 0, e), G)
     return h + ad.gelu(pc)
 
 
@@ -184,26 +135,30 @@ def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, r
     and it attends within each sequence, so every sequence's rows equal its
     own block_forward bit for bit.
     """
-    blk = model.blocks[l]
+    p, b = model.params, f"blocks.{l}."
     a = heads * model.space.head_dim
     f = ffn_hidden(ratio, e)
 
-    hn = ad.layer_norm(h, ad.slice_prefix(blk.ln1_g, 0, e), ad.slice_prefix(blk.ln1_b, 0, e), ATTN_EPS)
-    q = ad.linear_prefix(hn, blk.wq, blk.bq, e, a)
-    k = ad.linear_prefix(hn, blk.wk, blk.bk, e, a)
-    v = ad.linear_prefix(hn, blk.wv, blk.bv, e, a)
-    att = ad.attention(q, k, v, heads, seqs)
-    h = h + ad.linear_prefix(att, blk.wo, blk.bo, a, e)
+    def linear(x, name, n_in, n_out):
+        return ad.linear_prefix(x, p[b + "w" + name], p[b + "b" + name], n_in, n_out)
 
-    hn2 = ad.layer_norm(h, ad.slice_prefix(blk.ln2_g, 0, e), ad.slice_prefix(blk.ln2_b, 0, e), ATTN_EPS)
-    ff = ad.gelu(ad.linear_prefix(hn2, blk.w1, blk.b1, e, f))
-    return h + ad.linear_prefix(ff, blk.w2, blk.b2, f, e)
+    def norm(x, name):
+        return ad.layer_norm(x, ad.slice_prefix(p[b + name + "_g"], 0, e),
+                             ad.slice_prefix(p[b + name + "_b"], 0, e), ATTN_EPS)
+
+    hn = norm(h, "ln1")
+    att = ad.attention(linear(hn, "q", e, a), linear(hn, "k", e, a), linear(hn, "v", e, a), heads, seqs)
+    h = h + linear(att, "o", a, e)
+    ff = ad.gelu(linear(norm(h, "ln2"), "1", e, f))
+    return h + linear(ff, "2", f, e)
 
 
 def head_forward(model: SupernetModel, e: int, h: Tensor):
     """Sliced final norm and prediction head. Returns (final [t, e], head_out [t, teacher_dim])."""
-    final = ad.layer_norm(h, ad.slice_prefix(model.final_g, 0, e), ad.slice_prefix(model.final_b, 0, e), ATTN_EPS)
-    head_out = ad.linear_prefix(final, model.head_w, model.head_b, e, model.head_w.shape[1])
+    p = model.params
+    final = ad.layer_norm(h, ad.slice_prefix(p["final_norm.g"], 0, e), ad.slice_prefix(p["final_norm.b"], 0, e),
+                          ATTN_EPS)
+    head_out = ad.linear_prefix(final, p["head.w"], p["head.b"], e, p["head.w"].shape[1])
     return final, head_out
 
 
@@ -256,10 +211,9 @@ def touched_boxes(space: SearchSpace, config: SubnetConfig) -> dict[str, tuple]:
         p = f"blocks.{l}."
         boxes[p + "ln1_g"] = (slice(0, e),)
         boxes[p + "ln1_b"] = (slice(0, e),)
-        for w in ("wq", "wk", "wv"):
-            boxes[p + w] = (slice(0, e), slice(0, a))
-        for b in ("bq", "bk", "bv"):
-            boxes[p + b] = (slice(0, a),)
+        for x in "qkv":
+            boxes[p + "w" + x] = (slice(0, e), slice(0, a))
+            boxes[p + "b" + x] = (slice(0, a),)
         boxes[p + "wo"] = (slice(0, a), slice(0, e))
         boxes[p + "bo"] = (slice(0, e),)
         boxes[p + "ln2_g"] = (slice(0, e),)
@@ -291,8 +245,7 @@ def config_dims(config: SubnetConfig) -> dict:
 def extract_subnet(model: SupernetModel, config: SubnetConfig) -> SupernetModel:
     """Copy the touched prefix boxes into an exact-size model over a space
     that holds only `config`; it runs the same sliced forward as the supernet."""
-    params = model.named_parameters()
-    arrays = {name: params[name].data[box].copy()
+    arrays = {name: model.params[name].data[box].copy()
               for name, box in touched_boxes(model.space, config).items()}
     space = dataclasses.replace(model.space, **config_dims(config))
     return model_from_arrays(space, model.frontend.copy(), arrays)
@@ -301,11 +254,12 @@ def extract_subnet(model: SupernetModel, config: SubnetConfig) -> SupernetModel:
 def full_config(model: SupernetModel) -> SubnetConfig:
     """The config that uses every weight whole, read off the tensor shapes:
     max_subnet for a supernet, the extracted config for a subnet or teacher."""
-    e, hd = model.input_w.shape[1], model.space.head_dim
-    ratios = tuple(next(r for r in model.space.ffn_ratios if ffn_hidden(r, e) == blk.w1.shape[1])
-                   for blk in model.blocks)
-    heads = tuple(blk.wq.shape[1] // hd for blk in model.blocks)
-    return SubnetConfig(e, len(model.blocks), heads, ratios)
+    p, space = model.params, model.space
+    e, layers = p["input_proj.w"].shape[1], range(space.max_depth)
+    ratios = tuple(next(r for r in space.ffn_ratios if ffn_hidden(r, e) == p[f"blocks.{l}.w1"].shape[1])
+                   for l in layers)
+    heads = tuple(p[f"blocks.{l}.wq"].shape[1] // space.head_dim for l in layers)
+    return SubnetConfig(e, space.max_depth, heads, ratios)
 
 
 def reference_forward(model: SupernetModel, config: SubnetConfig, x, collect_hidden: bool = False):
@@ -315,29 +269,31 @@ def reference_forward(model: SupernetModel, config: SubnetConfig, x, collect_hid
     tests and `ofat extract` compare forward(supernet, config) against it
     on extract_subnet(supernet, config). Returns what forward returns.
     """
-    e, hd = config.embed_dim, model.space.head_dim
-    if (model.input_w.shape[1] != e or len(model.blocks) != config.depth
-            or any(blk.wq.shape[1] != h * hd or blk.w1.shape[1] != ffn_hidden(r, e)
-                   for blk, h, r in zip(model.blocks, config.heads, config.ffn_ratio))):
+    p, e, hd = model.params, config.embed_dim, model.space.head_dim
+    blocks = [{n.split(".")[-1]: t for n, t in p.items() if n.startswith(f"blocks.{l}.")}
+              for l in range(sum(n.endswith(".wq") for n in p))]
+    if (p["input_proj.w"].shape[1] != e or len(blocks) != config.depth
+            or any(blk["wq"].shape[1] != h * hd or blk["w1"].shape[1] != ffn_hidden(r, e)
+                   for blk, h, r in zip(blocks, config.heads, config.ffn_ratio))):
         raise DimensionError(f"model weights are not the exact size of {config}")
     x = x if isinstance(x, Tensor) else Tensor(x)
-    h = ad.matmul(x, model.input_w) + model.input_b
-    h = h + ad.gelu(ad.grouped_conv1d(h, model.pos_w, model.pos_b, model.space.conv_groups))
+    h = ad.matmul(x, p["input_proj.w"]) + p["input_proj.b"]
+    h = h + ad.gelu(ad.grouped_conv1d(h, p["pos_conv.w"], p["pos_conv.b"], model.space.conv_groups))
     hidden = []
-    for blk, heads in zip(model.blocks, config.heads):
-        hn = ad.layer_norm(h, blk.ln1_g, blk.ln1_b, ATTN_EPS)
-        q = ad.matmul(hn, blk.wq) + blk.bq
-        k = ad.matmul(hn, blk.wk) + blk.bk
-        v = ad.matmul(hn, blk.wv) + blk.bv
+    for blk, heads in zip(blocks, config.heads):
+        hn = ad.layer_norm(h, blk["ln1_g"], blk["ln1_b"], ATTN_EPS)
+        q = ad.matmul(hn, blk["wq"]) + blk["bq"]
+        k = ad.matmul(hn, blk["wk"]) + blk["bk"]
+        v = ad.matmul(hn, blk["wv"]) + blk["bv"]
         att = _attention(q, k, v, heads, hd)
-        h = h + (ad.matmul(att, blk.wo) + blk.bo)
-        hn2 = ad.layer_norm(h, blk.ln2_g, blk.ln2_b, ATTN_EPS)
-        ff = ad.gelu(ad.matmul(hn2, blk.w1) + blk.b1)
-        h = h + (ad.matmul(ff, blk.w2) + blk.b2)
+        h = h + (ad.matmul(att, blk["wo"]) + blk["bo"])
+        hn2 = ad.layer_norm(h, blk["ln2_g"], blk["ln2_b"], ATTN_EPS)
+        ff = ad.gelu(ad.matmul(hn2, blk["w1"]) + blk["b1"])
+        h = h + (ad.matmul(ff, blk["w2"]) + blk["b2"])
         if collect_hidden:
             hidden.append(h)
-    final = ad.layer_norm(h, model.final_g, model.final_b, ATTN_EPS)
-    head_out = ad.matmul(final, model.head_w) + model.head_b
+    final = ad.layer_norm(h, p["final_norm.g"], p["final_norm.b"], ATTN_EPS)
+    head_out = ad.matmul(final, p["head.w"]) + p["head.b"]
     return final, hidden, head_out
 
 

@@ -192,8 +192,7 @@ def _run_training(
     pick_config,
     l1_reduction: str = "mean",
 ) -> TrainLog:
-    params = model.named_parameters()
-    adam = Adam(params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
+    adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
     batcher = CyclicBatcher(dataset)
     feats_cache: dict[int, np.ndarray] = {}
@@ -219,7 +218,7 @@ def _run_training(
         mean_loss = float(np.mean(losses))
         if not math.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
-        gn = grad_norm(params)
+        gn = grad_norm(model.params)
         if not math.isfinite(gn):
             raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
         adam.step(lr, touched_boxes(space, config))
@@ -362,8 +361,7 @@ def teacher_self_regression_loss(teacher: TeacherModel, sequences) -> float:
 
 
 def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size):
-    params = model.named_parameters()
-    adam = Adam(params)
+    adam = Adam(model.params)
     boxes = touched_boxes(space, config)
     batcher = CyclicBatcher(dataset)
     for _ in range(steps):

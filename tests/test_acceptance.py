@@ -91,7 +91,7 @@ def test_criterion_2_parameter_counting():
         cfg = sample_subnet(space, rng)
         enc = extract_subnet(model, cfg)
         pc = count_params(space, cfg, includes_frontend=False, includes_head=True)
-        exact_ok = exact_ok and (sum(t.size for t in enc.named_parameters().values()) == pc.total)
+        exact_ok = exact_ok and (sum(t.size for t in enc.params.values()) == pc.total)
     elapsed = time.perf_counter() - t0
     ok = reference_ok and exact_ok and elapsed < 1.0
     _report(2, "parameter counting", ok,
@@ -135,19 +135,19 @@ def _pipeline_gradcheck(dtype, h=None):
     masked = np.array([1, 3, 4])
 
     def loss_from_weight(w):
-        saved = model.blocks[0].wq
-        model.blocks[0].wq = w
+        saved = model.params["blocks.0.wq"]
+        model.params["blocks.0.wq"] = w
         try:
             _, _, head_out = forward(model, cfg, feats)
             return distill_loss(head_out, targets, masked)
         finally:
-            model.blocks[0].wq = saved
+            model.params["blocks.0.wq"] = saved
 
     def loss_from_input(x):
         _, _, head_out = forward(model, cfg, x)
         return distill_loss(head_out, targets, masked)
 
-    w_err = finite_diff_check(loss_from_weight, model.blocks[0].wq, h=h)
+    w_err = finite_diff_check(loss_from_weight, model.params["blocks.0.wq"], h=h)
     x_err = finite_diff_check(loss_from_input, Tensor(feats, requires_grad=True), h=h)
     return max(w_err, x_err)
 

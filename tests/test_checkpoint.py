@@ -100,7 +100,7 @@ def test_teacher_checkpoint_round_trip(tmp_path, tiny_space):
     hb = loaded.hidden_layers(feats_b)
     for a, b in zip(ha, hb):
         np.testing.assert_array_equal(a.data, b.data)
-    for p in loaded.encoder.named_parameters().values():
+    for p in loaded.encoder.params.values():
         assert p.requires_grad is False
 
 
@@ -151,9 +151,9 @@ def test_checkpoint_snapshot_detached_from_training(tiny_space, tiny_model):
     """Saving then mutating the model must not change the snapshot."""
     ckpt = supernet_to_checkpoint(tiny_model, {"seed": 4})
     before = ckpt.tensors["input_proj.w"].copy()
-    tiny_model.input_w.data[0, 0] += 1.0
+    tiny_model.params["input_proj.w"].data[0, 0] += 1.0
     np.testing.assert_array_equal(ckpt.tensors["input_proj.w"], before)
-    tiny_model.input_w.data[0, 0] -= 1.0  # restore the session fixture
+    tiny_model.params["input_proj.w"].data[0, 0] -= 1.0  # restore the session fixture
 
 
 # -- malformed files and metadata -------------------------------------------------

@@ -289,6 +289,37 @@ def _run_cli(*args):
                           env=env, timeout=120)
 
 
+@pytest.mark.parametrize("command, config, named", [
+    ("count", "distill:\n  p: abc\n", "distill.p"),
+    ("count", "distill:\n  span_length: x\n", "distill.span_length"),
+    ("count", "distill:\n  k: 2.5\n", "distill.k"),
+    ("count", "space:\n  embed_dims: 48\n", "space.embed_dims"),
+    ("count", "space:\n  embed_dims: [32.7, 48, 64]\n", "space.embed_dims"),
+    ("count", "space:\n  ffn_ratios: [3.0, x]\n", "space.ffn_ratios"),
+    ("count", "space:\n  head_dim: '8'\n", "space.head_dim"),
+    ("count", "seed: true\n", "seed"),
+    ("count", "search:\n  includes_head: 'no'\n", "search.includes_head"),
+    ("count", "space:\n  head_choices: [-2, 2, 4]\n", "head_choices"),
+    ("init-teacher", "distill:\n  teacher:\n    warmup_steps: x\n", "distill.teacher.warmup_steps"),
+    ("init-teacher", "distill:\n  teacher:\n    warmup_lr: x\n", "distill.teacher.warmup_lr"),
+    ("init-teacher", "distill:\n  teacher:\n    heads: 0\n", "head_choices"),
+    ("init-teacher", "distill:\n  teacher:\n    heads: -1\n", "head_choices"),
+    ("init-teacher", "distill:\n  teacher:\n    dim: 0\n", "embed_dims"),
+    ("init-teacher", "distill:\n  teacher:\n    ffn_ratio: 0.0\n", "ffn_ratios"),
+], ids=["p-text", "span-text", "k-float", "embed-scalar", "embed-float-item", "ratio-text-item", "head-dim-text",
+        "seed-bool", "includes-head-text", "negative-heads", "teacher-warmup-steps-text",
+        "teacher-warmup-lr-text", "teacher-zero-heads", "teacher-negative-heads", "teacher-zero-dim",
+        "teacher-zero-ratio"])
+def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, command, config, named):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(config)
+    args = ["--params", "--subnet-spec", "min"] if command == "count" else ["--out", str(tmp_path / "t.ofat")]
+    proc = _run_cli(command, "--config", str(cfg), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.ofat").exists()
+
+
 @pytest.mark.parametrize("cut", [6, 20, "half", "3 short"])
 def test_truncated_checkpoint_exits_2_without_traceback(workdir, tmp_path, cut):
     root, cfg, data_dir, _ = workdir

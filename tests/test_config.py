@@ -1,8 +1,10 @@
 """Run-config parsing: defaults, rejection, echo round trip, digests."""
 
+import re
+
 import pytest
 
-from ofat.config import RunConfig
+from ofat.config import DEFAULTS, RunConfig
 from ofat.errors import ConfigurationError
 
 
@@ -22,13 +24,22 @@ def test_overrides_apply_and_nested_defaults_survive():
 seed: 9
 train:
   steps: 50
+  learning_rate: 2e-3
+  weight_decay: 0
+space:
+  ffn_ratios: [3, 3.5, "4.0"]
 distill:
+  p: 5e-1
   teacher:
     depth: 9
 """)
     assert cfg.seed == 9
     assert cfg.data["train"]["steps"] == 50
     assert cfg.data["train"]["batch_size"] == 4  # untouched default
+    assert cfg.data["train"]["learning_rate"] == "2e-3"  # PyYAML reads it as a string, kept as given
+    assert cfg.train_config(stage=1).learning_rate == 2e-3
+    assert cfg.space().ffn_ratios == (3.0, 3.5, 4.0)
+    assert cfg.mask_spec().p == 0.5
     assert cfg.data["distill"]["teacher"]["depth"] == 9
     assert cfg.data["distill"]["teacher"]["heads"] == 8
 
@@ -47,6 +58,8 @@ def test_invalid_values_name_their_field():
         RunConfig.from_text("train:\n  steps: 0\n")
     with pytest.raises(ConfigurationError, match="distill.p"):
         RunConfig.from_text("distill:\n  p: 1.5\n")
+    with pytest.raises(ConfigurationError, match="distill.p"):
+        RunConfig.from_text("distill:\n  p: 2e0\n")
     with pytest.raises(ConfigurationError, match="distill.k"):
         RunConfig.from_text("distill:\n  k: 99\n")
     with pytest.raises(ConfigurationError, match="warmup"):
@@ -101,3 +114,37 @@ def test_yaml_error_is_config_error(tmp_path):
     path.write_text("train: [unclosed\n")
     with pytest.raises(ConfigurationError, match="YAML"):
         RunConfig.from_file(path)
+
+
+def _leaves(tree, path=""):
+    for key, value in tree.items():
+        where = f"{path}.{key}" if path else key
+        yield from _leaves(value, where) if isinstance(value, dict) else [(where, value)]
+
+
+# Values of another type than each kind of default.
+_WRONG = {
+    bool: ["no", 1, None],
+    int: [2.5, True, "8", None],
+    float: ["abc", True, [1.0], None],
+    str: [5, True, None],
+}
+
+
+def _wrong_values(default):
+    if isinstance(default, list):
+        return [default[0], {"a": 1}] + [[*default[:-1], bad] for bad in _WRONG[type(default[0])]]
+    return _WRONG[type(default)] + [{"a": 1}]
+
+
+def _nested(where, value):
+    for key in reversed(where.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize("where, default", list(_leaves(DEFAULTS)), ids=[w for w, _ in _leaves(DEFAULTS)])
+def test_every_field_refuses_a_value_of_another_type_by_name(where, default):
+    for bad in _wrong_values(default):
+        with pytest.raises(ConfigurationError, match=re.escape(where)):
+            RunConfig(_nested(where, bad))

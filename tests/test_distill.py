@@ -220,7 +220,7 @@ def test_teacher_targets_record_no_graph(tiny_teacher):
     out = teacher_targets(tiny_teacher, raw, TargetConfig(k=2))
     assert out.requires_grad is False
     assert out._parents == ()
-    for p in tiny_teacher.encoder.named_parameters().values():
+    for p in tiny_teacher.encoder.params.values():
         assert p.requires_grad is False
 
 

@@ -105,9 +105,9 @@ def test_shared_teacher_scores_a_second_val_set_like_a_fresh_teacher(setup):
 
 def test_evaluate_no_weight_updates(setup):
     space, model, teacher, val = setup
-    before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+    before = {n: p.data.copy() for n, p in model.params.items()}
     evaluate_subnet(model, min_subnet(space), val.sequences, teacher, MASK, TGT)
-    for n, p in model.named_parameters().items():
+    for n, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[n])
 
 

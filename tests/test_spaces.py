@@ -3,6 +3,7 @@
 import pytest
 
 from ofat.errors import ConfigurationError
+from ofat.frontend import desk_frontend
 from ofat.rng import Rng
 from ofat.spaces import (
     SearchSpace,
@@ -21,6 +22,7 @@ from ofat.spaces import (
     small_space,
     validate_config,
 )
+from ofat.train import TeacherArch
 
 
 def test_count_small_space_exact():
@@ -129,6 +131,13 @@ def test_space_validation_rejects_bad_sets():
         desk_space(embed_dims=())
     with pytest.raises(ConfigurationError):
         desk_space(embed_dims=(30, 48), conv_groups=4)  # divisibility
+    for bad in ({"head_choices": (-2, 2, 4)}, {"head_choices": (0,)}, {"embed_dims": (0, 32)},
+                {"ffn_ratios": (0.0, 4.0)}, {"ffn_ratios": (-1.0,)}, {"depths": (0, 2)}):
+        with pytest.raises(ConfigurationError, match="positive"):
+            desk_space(**bad)
+    for bad in ({"heads": 0}, {"heads": -1}, {"dim": 0}, {"ffn_ratio": 0.0}, {"depth": 0}):
+        with pytest.raises(ConfigurationError, match="positive"):
+            TeacherArch(**bad).singleton_space(desk_frontend())
 
 
 def test_validate_config_rejects_nonmembers():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ofat import autodiff as ad
+from ofat import supernet
 from ofat.autodiff import ComputeGraph
+from ofat.checkpoint import Checkpoint, load_model, supernet_to_checkpoint
 from ofat.distill import MaskSpec, distill_loss, student_forward_masked
 from ofat.errors import ConfigurationError, DimensionError
 from ofat.rng import Rng
@@ -39,7 +41,7 @@ def rand_input(seed, t, d):
 def test_build_deterministic_same_seed(tiny_space):
     a = build_supernet(tiny_space, Rng(4, 1))
     b = build_supernet(tiny_space, Rng(4, 1))
-    for (na, ta), (nb, tb) in zip(a.named_parameters().items(), b.named_parameters().items()):
+    for (na, ta), (nb, tb) in zip(a.params.items(), b.params.items()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
     for wa, wb in zip(a.frontend.arrays.values(), b.frontend.arrays.values()):
@@ -56,15 +58,15 @@ def test_build_small_desk_analog_succeeds():
     )
     model = build_supernet(space, Rng(1, 1))
     hi = max_subnet(space)
-    assert model.blocks[0].wq.shape == (64, 4 * 8)
-    assert model.blocks[0].w1.shape == (64, 256)
+    assert model.params["blocks.0.wq"].shape == (64, 4 * 8)
+    assert model.params["blocks.0.w1"].shape == (64, 256)
     validate_config(space, hi)
 
 
 def test_build_count_matches_formula_for_largest(tiny_space, tiny_model):
     hi = max_subnet(tiny_space)
     pc = count_params(tiny_space, hi, includes_frontend=False, includes_head=True)
-    total_tensor_sizes = sum(t.size for t in tiny_model.named_parameters().values())
+    total_tensor_sizes = sum(t.size for t in tiny_model.params.values())
     assert pc.total == total_tensor_sizes
 
 
@@ -98,6 +100,43 @@ def test_largest_forward_equals_static_reference(tiny_space, tiny_model):
     ref = extract_subnet(tiny_model, cfg)  # at max config this is a plain copy
     _, _, st = reference_forward(ref, cfg, x)
     assert float(np.abs(sup.data - st.data).max()) < 1e-6
+
+
+def _layout(model):
+    return [(name, t.shape) for name, t in model.params.items()]
+
+
+def _boxes_layout(space, config):
+    return [(name, tuple(s.stop for s in box)) for name, box in touched_boxes(space, config).items()]
+
+
+def test_params_are_the_touched_boxes_in_file_order(tiny_space, tiny_model, tmp_path):
+    path = tmp_path / "s.ofat"
+    supernet_to_checkpoint(tiny_model, {}).save(path)
+    loaded, _ = load_model(path, "supernet")
+    full = _boxes_layout(tiny_space, max_subnet(tiny_space))
+    for model in (build_supernet(tiny_space, Rng(3, 1)), clone_supernet(tiny_model), loaded):
+        assert _layout(model) == full
+    assert [n for n in Checkpoint.load(path).tensors if n not in tiny_model.frontend.arrays] == list(loaded.params)
+    cfg = SubnetConfig(12, 2, (2, 1), (3.0, 2.0))
+    assert _layout(extract_subnet(tiny_model, cfg)) == _boxes_layout(tiny_space, cfg)
+
+
+def test_reference_forward_calls_none_of_the_sliced_path(tiny_space, tiny_model, monkeypatch):
+    cfg = SubnetConfig(12, 2, (2, 1), (3.0, 2.0))
+    x = rand_input(8, 9, tiny_space.frontend_dim)
+    final, hidden, head_out = forward(tiny_model, cfg, x, collect_hidden=True)
+    sub = extract_subnet(tiny_model, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference_forward used a sliced-path helper")
+
+    for module, name in ((ad, "linear_prefix"), (ad, "attention"), (ad, "slice_prefix"),
+                         (supernet, "touched_boxes"), (supernet, "block_forward")):
+        monkeypatch.setattr(module, name, refuse)
+    ref_final, ref_hidden, ref_head_out = reference_forward(sub, cfg, x, collect_hidden=True)
+    for a, b in zip([final, head_out, *hidden], [ref_final, ref_head_out, *ref_hidden], strict=True):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_weight_sharing_soundness_100_random_configs(std_space, std_model):
@@ -137,7 +176,7 @@ def test_sliced_forward_and_backward_equal_the_reference_bitwise(std_space, std_
         assert np.array_equal(sup.data, ref.data), cfg
         ad.tsum(sup * c).backward()
         ad.tsum(ref * c).backward()
-        params, sub_params = model.named_parameters(), sub.named_parameters()
+        params, sub_params = model.params, sub.params
         for name, box in touched_boxes(std_space, cfg).items():
             if name == "mask_emb":  # used only by the masked forward
                 continue
@@ -165,7 +204,7 @@ def test_extract_param_total_matches_closed_form(std_space, std_model):
         cfg = sample_subnet(std_space, rng)
         enc = extract_subnet(std_model, cfg)
         pc = count_params(std_space, cfg, includes_frontend=False, includes_head=True)
-        assert sum(t.size for t in enc.named_parameters().values()) == pc.total
+        assert sum(t.size for t in enc.params.values()) == pc.total
         with_frontend = count_params(std_space, cfg, includes_frontend=True, includes_head=True)
         assert with_frontend.total == pc.total + std_space.frontend.param_count()
 
@@ -201,7 +240,7 @@ def test_monotone_nesting_of_touched_indices(tiny_space, tiny_model):
     large = SubnetConfig(16, 2, (2, 2), (3.0, 3.0))
     boxes_small = touched_boxes(tiny_space, small)
     boxes_large = touched_boxes(tiny_space, large)
-    params = tiny_model.named_parameters()
+    params = tiny_model.params
     for name, tensor in params.items():
         idx_small = _box_index_set(name, boxes_small, tensor.shape)
         idx_large = _box_index_set(name, boxes_large, tensor.shape)
@@ -211,7 +250,7 @@ def test_monotone_nesting_of_touched_indices(tiny_space, tiny_model):
 def test_gradients_confined_to_touched_slices(tiny_space, tiny_model):
     cfg = SubnetConfig(12, 1, (2,), (2.0,))
     x = rand_input(5, 6, tiny_space.frontend_dim)
-    params = tiny_model.named_parameters()
+    params = tiny_model.params
     for p in params.values():
         p.grad = None
     _, _, head_out = forward(tiny_model, cfg, x)

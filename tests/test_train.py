@@ -148,11 +148,11 @@ def test_stage1_loss_decreases_on_validation():
 
 def test_stage1_teacher_and_frontend_bitwise_frozen():
     space, teacher, data, _ = small_setup()
-    t_before = {n: p.data.copy() for n, p in teacher.encoder.named_parameters().items()}
+    t_before = {n: p.data.copy() for n, p in teacher.encoder.params.items()}
     fe_before = [w.copy() for w in teacher.frontend.arrays.values()]
     cfg = TrainConfig(stage=1, steps=8, batch_size=2, learning_rate=3e-3, seed=2)
     _, model, _ = stage1_train(cfg, space, teacher, data, MASK, TGT)
-    for n, p in teacher.encoder.named_parameters().items():
+    for n, p in teacher.encoder.params.items():
         np.testing.assert_array_equal(p.data, t_before[n])
     for w_now, w_then in zip(teacher.frontend.arrays.values(), fe_before):
         np.testing.assert_array_equal(w_now, w_then)
@@ -267,7 +267,7 @@ def test_stage2_gradients_confined_to_sampled_subnet():
 
     model = build_supernet(space, Rng(8, STREAM_WEIGHTS))
     _adopt_teacher_frontend(model, teacher)
-    params = model.named_parameters()
+    params = model.params
     arch_rng = Rng(8, STREAM_ARCH)
     mask_rng = Rng(8, STREAM_MASK)
     for step in range(10):
@@ -367,10 +367,10 @@ def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
     space, teacher, data, _ = small_setup()
     model = build_supernet(space, Rng(10, 1))
     _adopt_teacher_frontend(model, teacher)
-    before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+    before = {n: p.data.copy() for n, p in model.params.items()}
     monkeypatch.setattr(train, "grad_norm", lambda params: float("inf"))
     cfg = TrainConfig(stage=1, steps=3, batch_size=2, seed=10)
     with pytest.raises(DivergenceError, match="grad norm inf at step 0"):
         train._run_training(model, space, teacher, data, cfg, MASK, TGT, lambda step: max_subnet(space))
-    for n, p in model.named_parameters().items():
+    for n, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[n])
