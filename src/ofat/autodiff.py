@@ -6,14 +6,24 @@ parent pointers, and exactly the operations the encoder needs:
 
 - elementwise add, sub, mul, neg, tabs; reductions tsum, tmean;
 - matmul, transpose, concat, slice_along, slice_prefix;
-- gelu, softmax_lastdim, layer_norm, grouped_conv1d;
+- gelu, softmax_lastdim, layer_norm, grouped_conv1d, mask_rows;
 - two fused ops for the sliced supernet forward: linear_prefix (a layer on
   a prefix box of a larger weight, reading views, no weight copy) and
   attention (every head of every sequence in a row stack, one tape node).
 
+The ops that take parameters (linear_prefix, layer_norm, grouped_conv1d,
+mask_rows) read a prefix box of a larger parameter and add into that box
+of its gradient. Their `seqs` reads the rows as that many equal-length
+stacked sequences: products whose rounding depends on the row count run
+per sequence, and each parameter gradient is added per sequence, in order,
+so results equal one call per sequence bit for bit.
+
 Broadcasting in binary elementwise ops is limited to the patterns the
 models use: equal shapes, python scalars, a trailing [d] vector against
 [..., d], and a column [t, 1] against [t, d].
+
+backward() drops each intermediate node's gradient, closure and parents
+once its vector-Jacobian product has run; leaves keep their gradients.
 
 Gradient correctness is enforced by :func:`finite_diff_check`, a central
 finite-difference oracle that every differentiable op is tested against.
@@ -172,13 +182,17 @@ class ComputeGraph:
         return cls(order)
 
     def backward(self) -> None:
-        """Visit every node exactly once in reverse topological order."""
-        root = self.nodes[-1]
-        root.grad = np.ones_like(root.data)
-        for node in reversed(self.nodes):
-            if node._vjp is None or node.grad is None:
+        """Visit every node exactly once in reverse topological order, freeing
+        each intermediate node (grad, vjp, parents) once its vjp has run."""
+        nodes = self.nodes
+        nodes[-1].grad = np.ones_like(nodes[-1].data)
+        while nodes:
+            node = nodes.pop()
+            if node._vjp is None:
                 continue
-            node._vjp(node.grad)
+            if node.grad is not None:
+                node._vjp(node.grad)
+            node.grad, node._vjp, node._parents = None, None, ()
 
 
 def _result(data: np.ndarray, parents, vjp) -> Tensor:
@@ -207,12 +221,27 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _accum_box(t: Tensor, box: tuple, g: np.ndarray) -> None:
-    """Add g into the `box` region of t.grad (frozen and no-grad tensors skip)."""
+    """Add g into the `box` region of t.grad (frozen and no-grad tensors skip). A leaf
+    adds into one zeroed buffer; an intermediate node adopts its first whole-extent g,
+    C-ordered so sums over it run as over a zeroed buffer, and adds the rest out of
+    place, since an adopted g may be shared."""
     if not (t.requires_grad or t._vjp is not None):
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[box] += g
+    if t._vjp is None:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad[box] += g
+    elif box == () and g.shape == t.shape and g.dtype == t.dtype:
+        t.grad = np.asarray(g, order="C") if t.grad is None else np.add(t.grad, g, order="C")
+    else:
+        grad = np.zeros(t.shape, t.dtype) if t.grad is None else t.grad.copy()
+        grad[box] += g
+        t.grad = grad
+
+
+def _per_seq(a: np.ndarray, seqs: int) -> np.ndarray:
+    """[seqs*t, d] rows (or any leading dims over d) as [seqs, t, d]."""
+    return a.reshape(seqs, -1, a.shape[-1])
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -351,7 +380,7 @@ def matmul(a, b) -> Tensor:
     return _result(data, (a, b), vjp)
 
 
-def linear_prefix(x, w, b, n_in: int, n_out: int) -> Tensor:
+def linear_prefix(x, w, b, n_in: int, n_out: int, seqs: int = 1) -> Tensor:
     """x @ w[:n_in, :n_out] + b[:n_out], the layer nested in a larger one.
 
     The product reads views of the weight prefix box, and backward adds into
@@ -362,16 +391,19 @@ def linear_prefix(x, w, b, n_in: int, n_out: int) -> Tensor:
     if w.ndim != 2 or b.ndim != 1 or not (n_in <= w.shape[0] and 0 <= n_out <= min(w.shape[1], b.shape[0])):
         raise DimensionError(
             f"linear_prefix box [{n_in}, {n_out}] out of range for weight {w.shape} and bias {b.shape}")
-    if x.ndim != 2 or x.shape[1] != n_in:
-        raise DimensionError(f"linear_prefix input {x.shape} does not match prefix width {n_in}")
+    if x.ndim != 2 or x.shape[1] != n_in or x.shape[0] % seqs:
+        raise DimensionError(f"linear_prefix input {x.shape} does not match prefix width {n_in} "
+                             f"and {seqs} sequences")
     box = (slice(0, n_in), slice(0, n_out))
     wv = w.data[box]
     data = x.data @ wv + b.data[:n_out]
 
     def vjp(g):
         _accum(x, g @ wv.T)
-        _accum_box(w, box, x.data.T @ g)
-        _accum_box(b, box[1:], g.sum(axis=0))
+        g3 = _per_seq(g, seqs)
+        for dw, db in zip(np.matmul(_per_seq(x.data, seqs).transpose(0, 2, 1), g3), g3.sum(axis=1)):
+            _accum_box(w, box, dw)
+            _accum_box(b, box[1:], db)
 
     return _result(data, (x, w, b), vjp)
 
@@ -517,85 +549,109 @@ def attention(q, k, v, heads: int, seqs: int = 1) -> Tensor:
     return _result(merge(np.matmul(P, V)), (q, k, v), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance over the last dimension, then affine."""
+def layer_norm(x, gain, bias, eps: float = 1e-5, seqs: int = 1) -> Tensor:
+    """Zero-mean unit-variance over the last dimension d, then affine by the
+    first d entries of gain and bias (a prefix box of longer ones)."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    if gain.ndim != 1 or gain.shape != bias.shape or gain.shape[0] < d or x.shape[0] % seqs:
         raise DimensionError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
-        )
+            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d} "
+            f"or {x.shape} does not hold {seqs} sequences")
+    box = (slice(0, d),)
+    gv, bv = gain.data[box], bias.data[box]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
-    y = xhat * gain.data + bias.data
+    y = xhat * gv + bv
 
     def vjp(g):
-        dxhat = g * gain.data
+        dxhat = g * gv
         # Standard layer-norm backward, folded:
         # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv_std * (dxhat - m1 - xhat * m2))
-        lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+        for dg, db in zip(_per_seq(g * xhat, seqs).sum(axis=1), _per_seq(g, seqs).sum(axis=1)):
+            _accum_box(gain, box, dg)
+            _accum_box(bias, box, db)
 
     return _result(y, (x, gain, bias), vjp)
 
 
-def grouped_conv1d(x, weight, bias, groups: int) -> Tensor:
+def grouped_conv1d(x, weight, bias, groups: int, seqs: int = 1) -> Tensor:
     """Grouped 1-D convolution over time with same-length output.
 
     x is [t, c]; weight is [c, c // groups, k] with odd k; bias is [c].
     Group g maps input channels [g*c/G, (g+1)*c/G) to the same output range.
+    Of a larger weight and bias the op reads these prefix boxes (the weight
+    box copied: BLAS rounds a strided one differently). Each of `seqs`
+    stacked sequences is padded and convolved on its own.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.ndim != 2:
-        raise DimensionError(f"grouped_conv1d input must be [t, c], got {x.shape}")
-    t, c = x.shape
+    if x.ndim != 2 or x.shape[0] % seqs:
+        raise DimensionError(f"grouped_conv1d input must be [t, c] rows of {seqs} sequences, got {x.shape}")
+    c = x.shape[1]
     if c % groups != 0:
         raise ConfigurationError(f"channel count {c} not divisible by {groups} groups")
     cg = c // groups
-    if weight.shape != (c, cg, weight.shape[2]):
-        raise DimensionError(
-            f"grouped_conv1d weight shape {weight.shape} does not match channels {c} with {groups} groups"
-        )
+    if weight.ndim != 3 or weight.shape[0] < c or weight.shape[1] < cg or bias.ndim != 1 or bias.shape[0] < c:
+        raise DimensionError(f"grouped_conv1d weight {weight.shape} and bias {bias.shape} "
+                             f"do not fit channels {c} with {groups} groups")
     k = weight.shape[2]
     if k % 2 != 1:
         raise DimensionError(f"grouped_conv1d kernel must be odd, got {k}")
-    if bias.shape != (c,):
-        raise DimensionError(f"grouped_conv1d bias shape {bias.shape} does not match channels {c}")
 
-    pad = k // 2
-    xp = np.zeros((t + 2 * pad, c), dtype=x.dtype)
-    xp[pad : pad + t] = x.data
-    out = np.empty((t, c), dtype=np.result_type(x.dtype, weight.dtype, bias.dtype))
-    windows_by_group = []
-    for g_idx in range(groups):
-        cols = slice(g_idx * cg, (g_idx + 1) * cg)
-        win = np.lib.stride_tricks.sliding_window_view(xp[:, cols], k, axis=0)  # [t, cg, k]
-        windows_by_group.append(win)
-        out[:, cols] = np.tensordot(win, weight.data[cols], axes=([1, 2], [1, 2]))
-    out += bias.data
+    box = (slice(0, c), slice(0, cg), slice(0, k))
+    wv = np.ascontiguousarray(weight.data[box])
+    t, pad = x.shape[0] // seqs, k // 2
+    xp = np.zeros((seqs, t + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad : pad + t] = _per_seq(x.data, seqs)
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # [seqs, t, c, k]
+    out = np.empty(x.shape, dtype=np.result_type(x.dtype, weight.dtype, bias.dtype))
+    all_cols = [slice(g_idx * cg, (g_idx + 1) * cg) for g_idx in range(groups)]
+    for s in range(seqs):
+        for cols in all_cols:
+            out[s * t : (s + 1) * t, cols] = np.tensordot(win[s, :, cols], wv[cols], axes=([1, 2], [1, 2]))
+    out += bias.data[:c]
 
     def vjp(g):
+        g3 = _per_seq(g, seqs)
         dxp = np.zeros_like(xp)
-        dw = np.zeros_like(weight.data)
-        for g_idx in range(groups):
-            cols = slice(g_idx * cg, (g_idx + 1) * cg)
-            g_g = g[:, cols]  # [t, cg]
-            dw[cols] = np.tensordot(g_g, windows_by_group[g_idx], axes=([0], [0]))
-            w_g = weight.data[cols]  # [cg, cg, k]
+        for cols in all_cols:
             for kk in range(k):
-                dxp[kk : kk + t, cols] += g_g @ w_g[:, :, kk]
-        _accum(x, dxp[pad : pad + t])
-        _accum(weight, dw)
-        _accum(bias, g.sum(axis=0))
+                dxp[:, kk : kk + t, cols] += np.matmul(g3[:, :, cols], wv[cols, :, kk])
+        _accum(x, dxp[:, pad : pad + t].reshape(x.shape))
+        for s in range(seqs):
+            dw = np.zeros_like(wv)
+            for cols in all_cols:
+                dw[cols] = np.tensordot(g3[s, :, cols], win[s, :, cols], axes=([0], [0]))
+            _accum_box(weight, box, dw)
+            _accum_box(bias, box[:1], g3[s].sum(axis=0))
 
     return _result(out, (x, weight, bias), vjp)
+
+
+def mask_rows(x, emb, rows, seqs: int = 1) -> Tensor:
+    """x [seqs*t, d] with the given rows replaced by emb's first d entries:
+    x * (1 - c) + emb * c for the 0/1 row column c, as elementwise ops would."""
+    x, emb = _as_tensor(x), _as_tensor(emb)
+    if x.ndim != 2 or emb.ndim != 1 or emb.shape[0] < x.shape[1] or x.shape[0] % seqs:
+        raise DimensionError(f"mask_rows needs [n, d] rows of {seqs} sequences and a [>= d] embedding, "
+                             f"got {x.shape} and {emb.shape}")
+    box = (slice(0, x.shape[1]),)
+    col = np.zeros((x.shape[0], 1), dtype=x.dtype)
+    col[rows] = 1.0
+    keep = 1.0 - col
+
+    def vjp(g):
+        _accum(x, g * keep)
+        for de in _per_seq(g * col, seqs).sum(axis=1):
+            _accum_box(emb, box, de)
+
+    return _result(x.data * keep + emb.data[box] * col, (x, emb), vjp)
 
 
 # -- gradient oracle -------------------------------------------------------

@@ -162,8 +162,15 @@ class RunConfig:
         _expect(di["mask_convention"] in ("fraction", "span_start"),
                 "distill.mask_convention", "'fraction' or 'span_start'")
         _expect(di["l1_reduction"] in ("mean", "sum"), "distill.l1_reduction", "'mean' or 'sum'")
+        te = di["teacher"]
+        for key, field in (("dim", "embed_dims"), ("depth", "depths"), ("heads", "head_choices"),
+                           ("head_dim", "head_dim"), ("ffn_ratio", "ffn_ratios")):
+            _expect(float(te[key]) > 0, f"distill.teacher.{key}", f"> 0 (the teacher's {field})")
+        _expect(te["warmup_steps"] >= 0, "distill.teacher.warmup_steps", ">= 0")
+        _expect(sp["conv_groups"] < 1 or te["dim"] % sp["conv_groups"] == 0, "distill.teacher.dim",
+                f"divisible by space.conv_groups ({sp['conv_groups']})")  # < 1: space() names it
         _expect(di["k"] >= 1, "distill.k", ">= 1")
-        _expect(di["k"] <= di["teacher"]["depth"], "distill.k", "<= distill.teacher.depth")
+        _expect(di["k"] <= te["depth"], "distill.k", "<= distill.teacher.depth")
         se = d["search"]
         _expect(se["n_candidates"] >= 1, "search.n_candidates", ">= 1")
         _expect(se["eval_batches"] >= 1, "search.eval_batches", ">= 1")

@@ -61,8 +61,8 @@ class MaskResult:
     mask_indices: np.ndarray  # sorted int64 time indices
 
 
-def apply_mask(x, spec: MaskSpec, mask_embedding: Tensor, rng: Rng) -> MaskResult:
-    """Replace span-covered frames of x [t, d] by the mask embedding.
+def span_mask(t: int, spec: MaskSpec, rng: Rng) -> np.ndarray:
+    """Sorted int64 indices of the frames a span mask over t frames covers.
 
     Under the default "fraction" convention, span starts are drawn without
     replacement until the union of length-span windows (clipped at t)
@@ -71,10 +71,8 @@ def apply_mask(x, spec: MaskSpec, mask_embedding: Tensor, rng: Rng) -> MaskResul
     starts a span with probability p (with one forced span when p > 0 and
     none were drawn).
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    t = x.shape[0]
     if t < 1:
-        raise ContractError("apply_mask needs at least one frame")
+        raise ContractError("a span mask needs at least one frame")
     covered = np.zeros(t, dtype=bool)
     if spec.p > 0.0:
         if spec.convention == "fraction":
@@ -89,12 +87,24 @@ def apply_mask(x, spec: MaskSpec, mask_embedding: Tensor, rng: Rng) -> MaskResul
                 starts = np.array([rng.index(t)])
             for s in starts:
                 covered[s : s + spec.span_length] = True
-    indices = np.nonzero(covered)[0].astype(np.int64)
-    if indices.size == 0:
-        return MaskResult(masked_input=x, mask_indices=indices)
-    col = Tensor(covered[:, None].astype(x.dtype))
-    masked = x * (1.0 - col) + mask_embedding * col
-    return MaskResult(masked_input=masked, mask_indices=indices)
+    return np.nonzero(covered)[0].astype(np.int64)
+
+
+def apply_mask(x, spec: MaskSpec, mask_embedding: Tensor, rng: Rng) -> MaskResult:
+    """Replace the span_mask-covered frames of x [t, d] by the mask embedding."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    indices = span_mask(x.shape[0], spec, rng)
+    return MaskResult(ad.mask_rows(x, mask_embedding, indices) if indices.size else x, indices)
+
+
+def masked_input(model: SupernetModel, config: SubnetConfig, features: list, masks: list) -> Tensor:
+    """The student stem: equal-length feature sequences projected, their masks[i]
+    frames (span_mask) set to the mask embedding, as one [seqs*t, e] row stack."""
+    seqs, t = len(features), features[0].shape[0]
+    x = features[0] if seqs == 1 else np.concatenate(features)
+    h = project_input(model, config, x, seqs)
+    rows = np.concatenate([m + i * t for i, m in enumerate(masks)])
+    return ad.mask_rows(h, model.params["mask_emb"], rows, seqs)
 
 
 def compute_targets(teacher_hidden: list, cfg: TargetConfig) -> Tensor:
@@ -170,34 +180,38 @@ class TeacherModel:
     def dim(self) -> int:
         return self.encoder.params["input_proj.w"].shape[1]
 
-    def forward(self, features, collect_hidden: bool = False):
+    def forward(self, features, collect_hidden: bool = False, seqs: int = 1):
         """(final, hidden, head_out) of the teacher's one config."""
-        return forward(self.encoder, full_config(self.encoder), features, collect_hidden)
+        return forward(self.encoder, full_config(self.encoder), features, collect_hidden, seqs)
 
-    def hidden_layers(self, features) -> list:
+    def hidden_layers(self, features, seqs: int = 1) -> list:
         """All block outputs on unmasked features, no tape recorded."""
         with ad.no_grad():
-            _, hidden, _ = self.forward(features, collect_hidden=True)
-        return hidden
+            return self.forward(features, collect_hidden=True, seqs=seqs)[1]
 
     def targets_from_features(self, features, cfg: TargetConfig, cache_key=None) -> Tensor:
-        """Distillation targets for one feature sequence, optionally cached.
+        """Distillation targets for one feature sequence, optionally cached (batch_targets)."""
+        return self.batch_targets([features], cfg, [cache_key])[0]
 
-        Caching is exact, not approximate: the teacher is frozen and
-        deterministic, so targets depend only on the features. The key adds
-        a digest of their bytes, shape and dtype to `cache_key`, so a key
-        reused for another sequence misses instead of returning its targets.
-        """
-        key = None
-        if cache_key is not None:
-            arr = np.ascontiguousarray(features.data if isinstance(features, Tensor) else features)
-            digest = hashlib.blake2b(arr.tobytes(), digest_size=16).hexdigest()
-            key = (cache_key, cfg.k, arr.shape, arr.dtype.str, digest)
-        if key is not None and key in self._target_cache:
-            return self._target_cache[key]
-        out = compute_targets(self.hidden_layers(features), cfg)
-        if key is not None:
-            self._target_cache[key] = out
+    def batch_targets(self, features: list, cfg: TargetConfig, cache_keys: list) -> list:
+        """Distillation targets per feature sequence, cached under its key unless None.
+
+        Caching is exact (the teacher is frozen). The key adds a digest of the
+        features, so a key reused for another sequence misses. The misses of
+        each length run through the teacher as one row stack."""
+        arrays = [np.ascontiguousarray(f.data if isinstance(f, Tensor) else f) for f in features]
+        keys = [None if k is None else (k, cfg.k, a.shape, a.dtype.str,
+                                        hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
+                for k, a in zip(cache_keys, arrays)]
+        out = [self._target_cache.get(key) for key in keys]
+        misses = [i for i, hit in enumerate(out) if hit is None]
+        for t in dict.fromkeys(arrays[i].shape[0] for i in misses):
+            group = [i for i in misses if arrays[i].shape[0] == t]
+            hidden = self.hidden_layers(np.concatenate([arrays[i] for i in group]), len(group))
+            for j, i in enumerate(group):
+                out[i] = compute_targets([h.data[j * t:(j + 1) * t] for h in hidden], cfg)
+                if keys[i] is not None:
+                    self._target_cache[keys[i]] = out[i]
         return out
 
 
@@ -219,9 +233,8 @@ def student_forward_masked(
 
     Returns (final, hidden, head_out, MaskResult).
     """
-    h = project_input(model, config, features)
-    mask_emb = ad.slice_prefix(model.params["mask_emb"], 0, config.embed_dim)
-    result = apply_mask(h, mask_spec, mask_emb, rng)
-    final, hidden, head_out = encode(model, config, result.masked_input, collect_hidden)
-    return final, hidden, head_out, result
+    indices = span_mask(features.shape[0], mask_spec, rng)
+    h = masked_input(model, config, [features], [indices])
+    final, hidden, head_out = encode(model, config, h, collect_hidden)
+    return final, hidden, head_out, MaskResult(masked_input=h, mask_indices=indices)
 

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .distill import MaskSpec, TargetConfig, TeacherModel, apply_mask, distill_loss
+from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_input, span_mask
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from .spaces import SearchSpace, SubnetConfig, max_subnet, min_subnet, sample_subnet, validate_config
-from .supernet import (
-    SupernetModel, block_forward, count_params, head_forward, positional_stage, project_input,
-)
+from .supernet import SupernetModel, block_forward, count_params, head_forward, positional_stage
 
 ATTEMPT_FACTOR = 100  # rejection-sampling cap: 100 x n_candidates attempts
 
@@ -117,10 +115,10 @@ def evaluate_subnets(
 
     The sliced forward up to block l depends only on (embed_dim, heads[:l],
     ffn_ratio[:l]), and every candidate sees the same masks. So the
-    frontend and teacher targets run once per batch; the projection, mask
-    and positional stage once per embed dim and batch; and the blocks once
-    per node of a trie keyed by (heads[l], ffn_ratio[l]), walked depth
-    first over the batches of one sequence length stacked as rows. Where a
+    frontend and teacher targets run once per batch; the masked_input stem
+    and positional stage once per embed dim on the batches of one sequence
+    length stacked as rows; and the blocks once per node of a trie keyed by
+    (heads[l], ffn_ratio[l]), walked depth first over that stack. Where a
     config's depth ends, the head runs once on the stack and the loss once
     per batch on its rows. Only the root-to-node path is held: at most
     max_depth stacked arrays.
@@ -142,7 +140,7 @@ def evaluate_subnets(
     def walk(node, e, depth, h, scored):
         """h stacks the rows of the batches in `scored`, a list of (batch, targets, mask)."""
         if node.ends:
-            head_out = head_forward(model, e, h)[1].data
+            head_out = head_forward(model, e, h, len(scored))[1].data
             t = head_out.shape[0] // len(scored)
             for j, (b, targets, mask) in enumerate(scored):
                 rows = ad.Tensor(head_out[j * t:(j + 1) * t])
@@ -154,14 +152,10 @@ def evaluate_subnets(
         for e, (first, root) in tries.items():
             # Each candidate alone draws its masks from a fresh stream, in batch order.
             mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
-            mask_emb = ad.slice_prefix(model.params["mask_emb"], 0, e)
-            hs, masks = [], []
-            for feats, _ in batches:
-                masked = apply_mask(project_input(model, first, feats), mask_spec, mask_emb, mask_rng)
-                hs.append(positional_stage(model, e, masked.masked_input))
-                masks.append(masked.mask_indices)
+            masks = [span_mask(feats.shape[0], mask_spec, mask_rng) for feats, _ in batches]
             for group in stacks.values():
-                walk(root, e, 0, ad.concat([hs[b] for b in group]),
+                h = masked_input(model, first, [batches[b][0] for b in group], [masks[b] for b in group])
+                walk(root, e, 0, positional_stage(model, e, h, len(group)),
                      [(b, batches[b][1], masks[b]) for b in group])
     return [float(np.mean(row)) for row in per_batch]
 
@@ -170,12 +164,9 @@ def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches)
     """(features, teacher targets) per eval batch, cycling through the sequences."""
     if len(val_sequences) == 0:
         raise ConfigurationError("validation data is empty")
-    batches = []
-    for b in range(eval_batches):
-        idx = b % len(val_sequences)
-        feats = frontend.forward(val_sequences[idx])
-        batches.append((feats, teacher.targets_from_features(feats, target_cfg, cache_key=("val", idx))))
-    return batches
+    idxs = [b % len(val_sequences) for b in range(eval_batches)]
+    feats = [frontend.forward(val_sequences[idx]) for idx in idxs]
+    return list(zip(feats, teacher.batch_targets(feats, target_cfg, [("val", idx) for idx in idxs])))
 
 
 def sample_candidates(space: SearchSpace, budget: SearchBudget):

@@ -5,11 +5,10 @@ forward touches only prefix slices of those stores: the first embed_dim
 rows/columns of every projection, the first heads*head_dim attention
 columns, the first ffn_hidden FFN units, and the first `depth` blocks. No
 subnet owns private weights, so smaller architectures are literally nested
-in larger ones. The projections read those prefixes as views through
-autodiff.linear_prefix, and autodiff.attention runs all heads as one op.
-block_forward also takes `seqs` equal-length sequences stacked as rows,
-each attending only within itself; search runs every eval batch through
-a block at once this way.
+in larger ones. The ops read those prefix boxes of the whole parameters,
+and autodiff.attention runs all heads as one op. Every stage also takes
+`seqs` equal-length sequences stacked as rows, each attending and convolved
+only within itself, so a batch runs at once.
 
 extract_subnet copies the touched slices into an exact-size SupernetModel
 over a space that holds only that config, and the frozen teacher is a
@@ -105,7 +104,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, heads: int, head_dim: int) -> Te
     return outs[0] if heads == 1 else ad.concat(outs, axis=1)
 
 
-def project_input(model: SupernetModel, config: SubnetConfig, x) -> Tensor:
+def project_input(model: SupernetModel, config: SubnetConfig, x, seqs: int = 1) -> Tensor:
     """Frontend features [t, frontend_dim] -> embedding [t, embed_dim]."""
     validate_config(model.space, config)
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -114,14 +113,13 @@ def project_input(model: SupernetModel, config: SubnetConfig, x) -> Tensor:
             f"expected input [t, {model.space.frontend_dim}], got {x.shape}"
         )
     p = model.params
-    return ad.linear_prefix(x, p["input_proj.w"], p["input_proj.b"], x.shape[1], config.embed_dim)
+    return ad.linear_prefix(x, p["input_proj.w"], p["input_proj.b"], x.shape[1], config.embed_dim, seqs)
 
 
-def positional_stage(model: SupernetModel, e: int, h: Tensor) -> Tensor:
+def positional_stage(model: SupernetModel, e: int, h: Tensor, seqs: int = 1) -> Tensor:
     """Sliced grouped positional conv on an [t, e] embedding, added through a GELU."""
-    G, p = model.space.conv_groups, model.params
-    pw = ad.slice_prefix(ad.slice_prefix(p["pos_conv.w"], 0, e), 1, e // G)
-    pc = ad.grouped_conv1d(h, pw, ad.slice_prefix(p["pos_conv.b"], 0, e), G)
+    p = model.params
+    pc = ad.grouped_conv1d(h, p["pos_conv.w"], p["pos_conv.b"], model.space.conv_groups, seqs)
     return h + ad.gelu(pc)
 
 
@@ -133,18 +131,17 @@ def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, r
     layer prefix share every block output up to it. `h` may stack `seqs`
     equal-length sequences as [seqs*t, e] rows: only attention mixes rows,
     and it attends within each sequence, so every sequence's rows equal its
-    own block_forward bit for bit.
+    own block_forward bit for bit, and so does every parameter gradient.
     """
     p, b = model.params, f"blocks.{l}."
     a = heads * model.space.head_dim
     f = ffn_hidden(ratio, e)
 
     def linear(x, name, n_in, n_out):
-        return ad.linear_prefix(x, p[b + "w" + name], p[b + "b" + name], n_in, n_out)
+        return ad.linear_prefix(x, p[b + "w" + name], p[b + "b" + name], n_in, n_out, seqs)
 
     def norm(x, name):
-        return ad.layer_norm(x, ad.slice_prefix(p[b + name + "_g"], 0, e),
-                             ad.slice_prefix(p[b + name + "_b"], 0, e), ATTN_EPS)
+        return ad.layer_norm(x, p[b + name + "_g"], p[b + name + "_b"], ATTN_EPS, seqs)
 
     hn = norm(h, "ln1")
     att = ad.attention(linear(hn, "q", e, a), linear(hn, "k", e, a), linear(hn, "v", e, a), heads, seqs)
@@ -153,34 +150,34 @@ def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, r
     return h + linear(ff, "2", f, e)
 
 
-def head_forward(model: SupernetModel, e: int, h: Tensor):
+def head_forward(model: SupernetModel, e: int, h: Tensor, seqs: int = 1):
     """Sliced final norm and prediction head. Returns (final [t, e], head_out [t, teacher_dim])."""
     p = model.params
-    final = ad.layer_norm(h, ad.slice_prefix(p["final_norm.g"], 0, e), ad.slice_prefix(p["final_norm.b"], 0, e),
-                          ATTN_EPS)
-    head_out = ad.linear_prefix(final, p["head.w"], p["head.b"], e, p["head.w"].shape[1])
+    final = ad.layer_norm(h, p["final_norm.g"], p["final_norm.b"], ATTN_EPS, seqs)
+    head_out = ad.linear_prefix(final, p["head.w"], p["head.b"], e, p["head.w"].shape[1], seqs)
     return final, head_out
 
 
-def encode(model: SupernetModel, config: SubnetConfig, h: Tensor, collect_hidden: bool = False):
+def encode(model: SupernetModel, config: SubnetConfig, h: Tensor, collect_hidden: bool = False,
+           seqs: int = 1):
     """Positional conv, `depth` sliced blocks, final norm, prediction head.
 
     Returns (final [t, e], hidden per-block outputs, head_out [t, teacher_dim]).
     """
     e = config.embed_dim
-    h = positional_stage(model, e, h)
+    h = positional_stage(model, e, h, seqs)
     hidden = []
     for l in range(config.depth):
-        h = block_forward(model, l, h, e, config.heads[l], config.ffn_ratio[l])
+        h = block_forward(model, l, h, e, config.heads[l], config.ffn_ratio[l], seqs)
         if collect_hidden:
             hidden.append(h)
-    final, head_out = head_forward(model, e, h)
+    final, head_out = head_forward(model, e, h, seqs)
     return final, hidden, head_out
 
 
-def forward(model: SupernetModel, config: SubnetConfig, x, collect_hidden: bool = False):
+def forward(model: SupernetModel, config: SubnetConfig, x, collect_hidden: bool = False, seqs: int = 1):
     """Full subnet forward from frontend features (no masking)."""
-    return encode(model, config, project_input(model, config, x), collect_hidden)
+    return encode(model, config, project_input(model, config, x, seqs), collect_hidden, seqs)
 
 
 # -- touched-slice bookkeeping ------------------------------------------------

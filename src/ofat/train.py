@@ -13,6 +13,7 @@ boxes of the step's subnet, so untouched slices keep their stale values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +24,12 @@ from .autodiff import Tensor
 from .binio import atomic_open
 from .checkpoint import Checkpoint, load_model, supernet_to_checkpoint
 from .data import CyclicBatcher, SyntheticDataset
-from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, student_forward_masked
+from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_input, span_mask
 from .errors import ConfigurationError, DivergenceError
 from .frontend import desk_frontend
 from .rng import Rng, STREAM_ARCH, STREAM_MASK, STREAM_TEACHER, STREAM_WEIGHTS
 from .spaces import SearchSpace, SubnetConfig, max_subnet, sample_subnet
-from .supernet import SupernetModel, build_supernet, clone_supernet, forward, touched_boxes
+from .supernet import SupernetModel, build_supernet, clone_supernet, encode, forward, touched_boxes
 
 # Stage-2 init sources: the weights of init_model / init_checkpoint, or a fresh build.
 OFA_INITS = ("stage1_weights", "random")
@@ -129,20 +130,23 @@ class Adam:
             p.grad = None
 
     def step(self, lr: float, boxes: dict[str, tuple]) -> None:
+        """Update m, v and the weights in each box in place, rounding as the textbook expressions do."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, box in boxes.items():
             p = self.params[name]
             g = p.grad[box] if p.grad is not None else 0.0
-            m = self.m[name]
-            v = self.v[name]
-            m[box] = self.beta1 * m[box] + (1.0 - self.beta1) * g
-            v[box] = self.beta2 * v[box] + (1.0 - self.beta2) * (g * g)
-            update = lr * (m[box] / bc1) / (np.sqrt(v[box] / bc2) + self.eps)
+            m, v = self.m[name][box], self.v[name][box]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = lr * (m / bc1)
+            update /= np.sqrt(v / bc2) + self.eps
             if self.weight_decay:
-                update = update + lr * self.weight_decay * p.data[box]
-            p.data[box] = p.data[box] - update
+                update += lr * self.weight_decay * p.data[box]
+            p.data[box] -= update
 
 
 def grad_norm(params: dict[str, Tensor]) -> float:
@@ -192,6 +196,8 @@ def _run_training(
     pick_config,
     l1_reduction: str = "mean",
 ) -> TrainLog:
+    """The step loop of both stages: each run of consecutive equal-length sequences in a
+    batch is one row-stacked graph and one backward, bitwise one graph per sequence."""
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
     batcher = CyclicBatcher(dataset)
@@ -202,19 +208,25 @@ def _run_training(
         config = pick_config(step)
         lr = lr_at(step, cfg)
         adam.zero_grad()
+        batch = batcher.next_batch(cfg.batch_size)
+        for idx, seq in batch:
+            if idx not in feats_cache:
+                feats_cache[idx] = model.frontend.forward(seq)
+        feats = [feats_cache[idx] for idx, _ in batch]
+        targets = teacher.batch_targets(feats, target_cfg, [("train", idx) for idx, _ in batch])
+        masks = [span_mask(f.shape[0], mask_spec, mask_rng) for f in feats]
         losses = []
-        for idx, seq in batcher.next_batch(cfg.batch_size):
-            feats = feats_cache.get(idx)
-            if feats is None:
-                feats = model.frontend.forward(seq)
-                feats_cache[idx] = feats
-            targets = teacher.targets_from_features(feats, target_cfg, cache_key=("train", idx))
-            _, _, head_out, mask = student_forward_masked(
-                model, config, feats, mask_spec, mask_rng
-            )
-            loss = distill_loss(head_out, targets, mask.mask_indices, reduction=l1_reduction)
-            (loss * (1.0 / cfg.batch_size)).backward()
-            losses.append(loss.item())
+        for t, run in itertools.groupby(range(len(feats)), key=lambda i: feats[i].shape[0]):
+            run = list(run)
+            h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
+            head_out = encode(model, config, h, seqs=len(run))[2]
+            root = 0.0
+            for j, i in enumerate(run):
+                loss = distill_loss(ad.slice_along(head_out, 0, j * t, (j + 1) * t), targets[i], masks[i],
+                                    reduction=l1_reduction)
+                losses.append(loss.item())
+                root = root + loss * (1.0 / cfg.batch_size)
+            root.backward()
         mean_loss = float(np.mean(losses))
         if not math.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
@@ -223,6 +235,7 @@ def _run_training(
             raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
         adam.step(lr, touched_boxes(space, config))
         log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
+    adam.zero_grad()  # the model outlives the run; its gradient buffers need not
     return log
 
 

@@ -241,6 +241,7 @@ def _rand_shape(rng, lo=1, hi=6, ndim=2):
 @pytest.mark.parametrize("op_name", [
     "matmul", "layer_norm", "gelu", "softmax", "grouped_conv1d", "slice_prefix",
     "add", "mul", "abs", "mean", "linear_prefix", "attention", "attention_seqs",
+    "linear_prefix_seqs", "layer_norm_seqs", "grouped_conv1d_seqs", "mask_rows", "mask_rows_seqs",
 ])
 def test_gradcheck_randomized_trials_f32(op_name):
     _sweep(op_name, np.float32, F32_TOL)
@@ -249,6 +250,7 @@ def test_gradcheck_randomized_trials_f32(op_name):
 @pytest.mark.parametrize("op_name", [
     "matmul", "layer_norm", "gelu", "softmax", "grouped_conv1d", "slice_prefix",
     "add", "mul", "abs", "mean", "linear_prefix", "attention", "attention_seqs",
+    "linear_prefix_seqs", "layer_norm_seqs", "grouped_conv1d_seqs", "mask_rows", "mask_rows_seqs",
 ])
 def test_gradcheck_randomized_trials_f64(op_name):
     with ad.precision(np.float64):
@@ -368,6 +370,60 @@ def _one_gradcheck(op_name, rng, dtype):
             finite_diff_check(lambda t: ad.tsum(ad.attention(t, k, v, heads, seqs) * c), q),
             finite_diff_check(lambda t: ad.tsum(ad.attention(q, t, v, heads, seqs) * c), k),
             finite_diff_check(lambda t: ad.tsum(ad.attention(q, k, t, heads, seqs) * c), v),
+        )
+    if op_name == "linear_prefix_seqs":
+        # Two or three sequences stacked as rows, a prefix box of a larger weight.
+        seqs, t_len = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        rows, cols = _rand_shape(rng, 2, 5)
+        n_in, n_out = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
+        x = T(rng.normal((seqs * t_len, n_in)), rg=True)
+        w = T(rng.normal((rows, cols)), rg=True)
+        b = T(rng.normal(cols), rg=True)
+        c = T(rng.normal((x.shape[0], n_out)))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.linear_prefix(t, w, b, n_in, n_out, seqs) * c), x),
+            finite_diff_check(lambda t: ad.tsum(ad.linear_prefix(x, t, b, n_in, n_out, seqs) * c), w),
+            finite_diff_check(lambda t: ad.tsum(ad.linear_prefix(x, w, t, n_in, n_out, seqs) * c), b),
+        )
+    if op_name == "layer_norm_seqs":
+        seqs, t_len = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        d = int(rng.integers(3, 6))
+        raw = rng.normal((seqs * t_len, d))
+        raw = (raw - raw.mean(axis=-1, keepdims=True)) / raw.std(axis=-1, keepdims=True)
+        x = T(raw * (rng.uniform((seqs * t_len, 1)) * 0.7 + 0.7), rg=True)
+        extra = int(rng.integers(0, 3))  # gain and bias longer than d: a prefix box
+        g = T(rng.normal(d + extra) * 0.2 + 1.0, rg=True)
+        b = T(rng.normal(d + extra), rg=True)
+        c = T(rng.normal(x.shape))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.layer_norm(t, g, b, seqs=seqs) * c), x),
+            finite_diff_check(lambda t: ad.tsum(ad.layer_norm(x, t, b, seqs=seqs) * c), g),
+            finite_diff_check(lambda t: ad.tsum(ad.layer_norm(x, g, t, seqs=seqs) * c), b),
+        )
+    if op_name == "grouped_conv1d_seqs":
+        groups, cg = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        seqs, t_len = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        k = 2 * int(rng.integers(0, 2)) + 1
+        c_ch = groups * cg
+        x = T(rng.normal((seqs * t_len, c_ch)), rg=True)
+        w = T(rng.normal((c_ch + groups, cg + 1, k)) * 0.4, rg=True)  # a prefix box is used
+        b = T(rng.normal(c_ch + 1) * 0.1, rg=True)
+        cw = T(rng.normal(x.shape))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.grouped_conv1d(t, w, b, groups, seqs) * cw), x),
+            finite_diff_check(lambda t: ad.tsum(ad.grouped_conv1d(x, t, b, groups, seqs) * cw), w),
+            finite_diff_check(lambda t: ad.tsum(ad.grouped_conv1d(x, w, t, groups, seqs) * cw), b),
+        )
+    if op_name in ("mask_rows", "mask_rows_seqs"):
+        seqs = int(rng.integers(2, 4)) if op_name == "mask_rows_seqs" else 1
+        t_len, d = _rand_shape(rng, 2, 5)
+        x = T(rng.normal((seqs * t_len, d)), rg=True)
+        emb = T(rng.normal(d + int(rng.integers(0, 3))), rg=True)
+        rows = np.nonzero(rng.uniform(seqs * t_len) < 0.5)[0]
+        c = T(rng.normal(x.shape))
+        return max(
+            finite_diff_check(lambda t: ad.tsum(ad.mask_rows(t, emb, rows, seqs) * c), x),
+            finite_diff_check(lambda t: ad.tsum(ad.mask_rows(x, t, rows, seqs) * c), emb),
         )
     raise AssertionError(op_name)
 
@@ -662,3 +718,195 @@ def test_finite_values_preserved_through_pipeline():
     x = t32(rng.uniform((20, 10)) * 20.0 - 10.0)
     y = ad.softmax_lastdim(ad.gelu(x) * 50.0)
     assert np.all(np.isfinite(y.data))
+
+
+# -- stacked sequences against one call per sequence, bit for bit -------------------
+
+
+def _per_sequence_equal_stacked(op, seqs, t_len, x_arr, params, cotangent):
+    """op(x, *params, seqs) on the stack against op(x_s, *params, 1) per sequence.
+
+    Each side has its own leaves with the same values; the per-sequence side
+    runs one graph and one backward per sequence, accumulating the parameter
+    gradients as separate training passes do. Values, the input gradient and
+    every parameter gradient must agree bit for bit.
+    """
+    stacked_x = Tensor(x_arr.copy(), requires_grad=True)
+    stacked_p = [Tensor(p.copy(), requires_grad=True) for p in params]
+    y = op(stacked_x, *stacked_p, seqs)
+    ad.tsum(y * Tensor(cotangent)).backward()
+
+    alone_p = [Tensor(p.copy(), requires_grad=True) for p in params]
+    for s in range(seqs):
+        rows = slice(s * t_len, (s + 1) * t_len)
+        xs = Tensor(x_arr[rows].copy(), requires_grad=True)
+        ys = op(xs, *alone_p, 1)
+        assert y.data[rows].tobytes() == ys.data.tobytes(), s
+        ad.tsum(ys * Tensor(cotangent[rows])).backward()
+        assert stacked_x.grad[rows].tobytes() == xs.grad.tobytes(), s
+    for whole, alone in zip(stacked_p, alone_p):
+        assert whole.grad.tobytes() == alone.grad.tobytes()
+
+
+# The desk student's and teacher's layers: (rows of x, n_in, n_out) in a larger weight.
+_DESK_LINEARS = [(128, 16, 32), (128, 16, 64), (128, 32, 64), (128, 48, 96), (128, 64, 256),
+                 (128, 256, 64), (128, 96, 48), (128, 64, 64), (128, 32, 64), (16, 12, 8)]
+
+
+@pytest.mark.parametrize("seqs", [2, 3, 4])
+@pytest.mark.parametrize("t_len,n_in,n_out", _DESK_LINEARS)
+def test_linear_prefix_over_stacked_sequences_equals_per_sequence_calls_bitwise(seqs, t_len, n_in, n_out):
+    rng = Rng(57, n_in * n_out + seqs)
+    x = rng.normal((seqs * t_len, n_in)).astype(np.float32)
+    w = (rng.normal((n_in + 8, n_out + 16)) * 0.2).astype(np.float32)
+    b = rng.normal(n_out + 16).astype(np.float32)
+    c = rng.normal((seqs * t_len, n_out)).astype(np.float32)
+    _per_sequence_equal_stacked(lambda x_, w_, b_, s: ad.linear_prefix(x_, w_, b_, n_in, n_out, s),
+                                seqs, t_len, x, [w, b], c)
+
+
+@pytest.mark.parametrize("seqs,t_len,d,extra", [(2, 128, 64, 0), (4, 128, 32, 32), (3, 128, 48, 16), (3, 5, 7, 2)])
+def test_layer_norm_over_stacked_sequences_equals_per_sequence_calls_bitwise(seqs, t_len, d, extra):
+    rng = Rng(58, d + seqs)
+    x = rng.normal((seqs * t_len, d)).astype(np.float32)
+    g = (rng.normal(d + extra) * 0.2 + 1.0).astype(np.float32)
+    b = rng.normal(d + extra).astype(np.float32)
+    c = rng.normal((seqs * t_len, d)).astype(np.float32)
+    _per_sequence_equal_stacked(lambda x_, g_, b_, s: ad.layer_norm(x_, g_, b_, 1e-5, s), seqs, t_len, x, [g, b], c)
+
+
+@pytest.mark.parametrize("seqs,t_len,c_ch,max_ch", [
+    (4, 128, 32, 64),  # the desk conv at e = 32 (8 channels per group) in the 64-wide weight
+    (4, 128, 48, 64),
+    (2, 128, 64, 64),
+    (3, 9, 8, 12),
+])
+def test_grouped_conv1d_over_stacked_sequences_equals_per_sequence_calls_bitwise(seqs, t_len, c_ch, max_ch):
+    rng = Rng(59, c_ch + seqs)
+    x = rng.normal((seqs * t_len, c_ch)).astype(np.float32)
+    w = (rng.normal((max_ch, max_ch // 4, 7)) * 0.2).astype(np.float32)
+    b = rng.normal(max_ch).astype(np.float32)
+    c = rng.normal((seqs * t_len, c_ch)).astype(np.float32)
+    _per_sequence_equal_stacked(lambda x_, w_, b_, s: ad.grouped_conv1d(x_, w_, b_, 4, s), seqs, t_len, x, [w, b], c)
+
+
+@pytest.mark.parametrize("seqs,t_len,d,max_d", [(4, 128, 32, 64), (2, 128, 64, 64), (3, 7, 5, 6)])
+def test_mask_rows_over_stacked_sequences_equals_per_sequence_calls_bitwise(seqs, t_len, d, max_d):
+    rng = Rng(60, d + seqs)
+    x = rng.normal((seqs * t_len, d)).astype(np.float32)
+    emb = rng.normal(max_d).astype(np.float32)
+    c = rng.normal((seqs * t_len, d)).astype(np.float32)
+    masks = [np.nonzero(rng.uniform(t_len) < 0.6)[0] for _ in range(seqs)]
+    stacked_rows = np.concatenate([m + s * t_len for s, m in enumerate(masks)])
+    calls = iter([])
+
+    def op(x_, emb_, s):
+        nonlocal calls
+        if s > 1:
+            calls = iter(masks)
+            return ad.mask_rows(x_, emb_, stacked_rows, s)
+        return ad.mask_rows(x_, emb_, next(calls), 1)
+
+    _per_sequence_equal_stacked(op, seqs, t_len, x, [emb], c)
+
+
+@pytest.mark.parametrize("op", ["layer_norm", "grouped_conv1d", "mask_rows"])
+def test_prefix_box_ops_equal_slicing_the_parameter_first_bitwise(op):
+    # Reading a parameter's prefix box in the op equals slice_prefix and then the op.
+    rng = Rng(61, len(op))
+    x_arr = rng.normal((16, 8)).astype(np.float32)
+    if op == "layer_norm":
+        params = [(rng.normal(12) * 0.2 + 1.0).astype(np.float32), rng.normal(12).astype(np.float32)]
+        run = ad.layer_norm
+        prefix = [lambda p: ad.slice_prefix(p, 0, 8)] * 2
+    elif op == "grouped_conv1d":
+        params = [(rng.normal((12, 3, 3)) * 0.3).astype(np.float32), rng.normal(12).astype(np.float32)]
+        run = lambda x, w, b: ad.grouped_conv1d(x, w, b, 4)
+        prefix = [lambda p: ad.slice_prefix(ad.slice_prefix(p, 0, 8), 1, 2), lambda p: ad.slice_prefix(p, 0, 8)]
+    else:
+        params = [rng.normal(12).astype(np.float32)]
+        run = lambda x, e: ad.mask_rows(x, e, np.array([1, 2, 7, 11]))
+        prefix = [lambda p: ad.slice_prefix(p, 0, 8)]
+    c = Tensor(rng.normal((16, 8)).astype(np.float32))
+    x1, x2 = Tensor(x_arr.copy(), requires_grad=True), Tensor(x_arr.copy(), requires_grad=True)
+    p1 = [Tensor(p.copy(), requires_grad=True) for p in params]
+    p2 = [Tensor(p.copy(), requires_grad=True) for p in params]
+    y1 = run(x1, *p1)
+    y2 = run(x2, *[f(p) for f, p in zip(prefix, p2)])
+    assert y1.data.tobytes() == y2.data.tobytes()
+    ad.tsum(y1 * c).backward()
+    ad.tsum(y2 * c).backward()
+    _assert_same(_grads(x1, *p1), _grads(x2, *p2))
+
+
+def test_mask_rows_equals_the_elementwise_composition_bitwise():
+    rng = Rng(62, 1)
+    x_arr = rng.normal((12, 4)).astype(np.float32)
+    emb_arr = rng.normal(4).astype(np.float32)
+    rows = np.array([0, 3, 4, 5, 10])
+    c = Tensor(rng.normal((12, 4)).astype(np.float32))
+    x1, e1 = Tensor(x_arr.copy(), requires_grad=True), Tensor(emb_arr.copy(), requires_grad=True)
+    x2, e2 = Tensor(x_arr.copy(), requires_grad=True), Tensor(emb_arr.copy(), requires_grad=True)
+    covered = np.zeros((12, 1), dtype=np.float32)
+    covered[rows] = 1.0
+    col = Tensor(covered)
+    y1 = ad.mask_rows(x1, e1, rows)
+    y2 = x2 * (1.0 - col) + e2 * col
+    assert y1.data.tobytes() == y2.data.tobytes()
+    ad.tsum(y1 * c).backward()
+    ad.tsum(y2 * c).backward()
+    _assert_same(_grads(x1, e1), _grads(x2, e2))
+
+
+def test_stacked_ops_refuse_rows_that_do_not_split_into_sequences():
+    x = t32(np.zeros((5, 4)))
+    with pytest.raises(DimensionError, match="sequences"):
+        ad.linear_prefix(x, t32(np.zeros((4, 4))), t32(np.zeros(4)), 4, 4, 2)
+    with pytest.raises(DimensionError, match="sequences"):
+        ad.layer_norm(x, t32(np.ones(4)), t32(np.zeros(4)), seqs=3)
+    with pytest.raises(DimensionError, match="sequences"):
+        ad.grouped_conv1d(x, t32(np.zeros((4, 1, 3))), t32(np.zeros(4)), 4, 2)
+    with pytest.raises(DimensionError, match="sequences"):
+        ad.mask_rows(x, t32(np.zeros(4)), [0], 2)
+    with pytest.raises(DimensionError):
+        ad.mask_rows(x, t32(np.zeros(3)), [0])
+
+
+# -- the tape is freed as backward runs ---------------------------------------------
+
+
+def test_backward_frees_intermediates_and_leaves_keep_their_grads():
+    rng = Rng(63, 1)
+    x = t32(rng.normal((6, 4)), requires_grad=True)
+    w = t32(rng.normal((4, 3)), requires_grad=True)
+    b = t32(rng.normal(3), requires_grad=True)
+    const = t32(rng.normal((6, 3)))
+    h = ad.linear_prefix(x, w, b, 4, 3)
+    a = ad.gelu(h)
+    y = ad.tsum(a * const + h)
+    nodes = ComputeGraph.from_root(y).nodes
+    inner = [n for n in nodes if n._vjp is not None]
+    assert len(inner) == 5
+    y.backward()
+    for n in inner:
+        assert n.grad is None and n._vjp is None and n._parents == ()
+    assert all(t.grad is not None for t in (x, w, b))
+    assert const.grad is None
+
+
+def test_a_fortran_ordered_first_contribution_sums_like_zeros_then_add():
+    # h's only gradient arrives as c.T, a Fortran-ordered view. The bias
+    # gradient sums h's gradient over rows, and must do so in the order a
+    # zeroed C-ordered buffer gives, not in the transposed view's order.
+    rng = Rng(64, 1)
+    x = t32(rng.normal((64, 8)), requires_grad=True)
+    w = t32(rng.normal((8, 16)), requires_grad=True)
+    b = t32(rng.normal(16), requires_grad=True)
+    c = rng.normal((16, 64)).astype(np.float32)
+    h = ad.linear_prefix(x, w, b, 8, 16)
+    ad.tsum(ad.transpose(h) * Tensor(c)).backward()
+    zeros_then_add = np.zeros((64, 16), dtype=np.float32)
+    zeros_then_add += c.T
+    assert b.grad.tobytes() == zeros_then_add.sum(axis=0).tobytes()
+    assert w.grad.tobytes() == (x.data.T @ zeros_then_add).tobytes()
+    assert c.T.sum(axis=0).tobytes() != zeros_then_add.sum(axis=0).tobytes()  # the order shows

@@ -306,10 +306,12 @@ def _run_cli(*args):
     ("init-teacher", "distill:\n  teacher:\n    heads: -1\n", "head_choices"),
     ("init-teacher", "distill:\n  teacher:\n    dim: 0\n", "embed_dims"),
     ("init-teacher", "distill:\n  teacher:\n    ffn_ratio: 0.0\n", "ffn_ratios"),
+    ("init-teacher", "distill:\n  teacher:\n    warmup_steps: -1\n", "distill.teacher.warmup_steps"),
+    ("init-teacher", "distill:\n  teacher:\n    dim: 30\n", "distill.teacher.dim"),
 ], ids=["p-text", "span-text", "k-float", "embed-scalar", "embed-float-item", "ratio-text-item", "head-dim-text",
         "seed-bool", "includes-head-text", "negative-heads", "teacher-warmup-steps-text",
         "teacher-warmup-lr-text", "teacher-zero-heads", "teacher-negative-heads", "teacher-zero-dim",
-        "teacher-zero-ratio"])
+        "teacher-zero-ratio", "teacher-negative-warmup-steps", "teacher-dim-not-divisible"])
 def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, command, config, named):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(config)

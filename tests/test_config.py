@@ -66,6 +66,10 @@ def test_invalid_values_name_their_field():
         RunConfig.from_text("train:\n  steps: 5\n  warmup_steps: 6\n")
     with pytest.raises(ConfigurationError, match="train.ofa_init"):
         RunConfig.from_text("train:\n  ofa_init: pretrained_external\n")
+    for key, value in (("dim", 0), ("depth", 0), ("heads", 0), ("heads", -1), ("head_dim", 0),
+                       ("ffn_ratio", 0.0), ("ffn_ratio", -2.0), ("warmup_steps", -1), ("dim", 30)):
+        with pytest.raises(ConfigurationError, match=f"distill.teacher.{key}"):
+            RunConfig.from_text(f"distill:\n  teacher:\n    {key}: {value}\n")
 
 
 def test_echo_round_trip_lossless():

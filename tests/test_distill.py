@@ -251,3 +251,18 @@ def test_student_forward_masked_only_changes_masked_frames(tiny_space, tiny_mode
     h = project_input(tiny_model, cfg, feats)
     unmasked = np.setdiff1d(np.arange(24), res.mask_indices)
     np.testing.assert_array_equal(res.masked_input.data[unmasked], h.data[unmasked])
+
+
+def test_batch_targets_stack_each_length_and_equal_per_sequence_targets_bitwise(tiny_teacher):
+    raws = [(Rng(30 + i, 2).uniform(n) * 2 - 1).astype(np.float32) for i, n in enumerate((96, 64, 96, 96, 64))]
+    feats = [tiny_teacher.frontend.forward(r) for r in raws]
+    cfg = TargetConfig(k=2)
+    teacher = type(tiny_teacher)(encoder=tiny_teacher.encoder)  # a cold cache
+    alone = [teacher.targets_from_features(f, cfg) for f in feats]
+    keys = [("b", i) for i in range(len(feats))]
+    batch = teacher.batch_targets(feats, cfg, keys)
+    for a, b in zip(alone, batch):
+        assert a.data.tobytes() == b.data.tobytes()
+    again = teacher.batch_targets(feats[::-1], cfg, keys[::-1])
+    assert all(x is y for x, y in zip(again, batch[::-1]))  # every one a cache hit
+    assert teacher.targets_from_features(feats[1], cfg, cache_key=("b", 1)) is batch[1]

@@ -195,6 +195,30 @@ def test_masked_distillation_graph_size(std_space, std_model):
     assert len(ComputeGraph.from_root(loss).nodes) <= 150
 
 
+def test_masked_distillation_step_graph_size(std_space, monkeypatch):
+    # A training step runs its batch of 4 as one row stack: a desk stage-1
+    # step is one graph of 169 nodes, against 4 graphs of 141 (564) when
+    # each sequence had its own graph.
+    from ofat.data import make_synthetic_dataset
+    from ofat.distill import TargetConfig
+    from ofat.train import TrainConfig, make_teacher, stage1_train
+
+    sizes = []
+    from_root = ComputeGraph.from_root.__func__
+
+    def counted(cls, root):
+        graph = from_root(cls, root)
+        sizes.append(len(graph.nodes))
+        return graph
+
+    monkeypatch.setattr(ComputeGraph, "from_root", classmethod(counted))
+    teacher = make_teacher(seed=3, frontend_spec=std_space.frontend)
+    data = make_synthetic_dataset(seed=4, n_sequences=4, length=512)
+    stage1_train(TrainConfig(stage=1, steps=2, batch_size=4), std_space, teacher, data,
+                 MaskSpec(), TargetConfig())
+    assert len(sizes) == 2 and max(sizes) <= 188, sizes
+
+
 # -- extraction ------------------------------------------------------------------
 
 

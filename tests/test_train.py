@@ -374,3 +374,123 @@ def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
         train._run_training(model, space, teacher, data, cfg, MASK, TGT, lambda step: max_subnet(space))
     for n, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[n])
+
+
+# -- the stacked step against one graph per sequence --------------------------------
+
+
+def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, target_cfg, pick_config,
+                           l1_reduction="mean"):
+    """The step loop with one graph and one backward per sequence: the reference
+    the stacked step must reproduce bit for bit."""
+    import math
+
+    from ofat.data import CyclicBatcher
+    from ofat.distill import distill_loss, student_forward_masked
+    from ofat.rng import STREAM_MASK
+    from ofat.train import TrainLog, TrainRecord, grad_norm
+
+    adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
+    mask_rng = Rng(cfg.seed, STREAM_MASK)
+    batcher = CyclicBatcher(dataset)
+    log = TrainLog()
+    for step in range(cfg.steps):
+        config = pick_config(step)
+        lr = lr_at(step, cfg)
+        adam.zero_grad()
+        losses = []
+        for idx, seq in batcher.next_batch(cfg.batch_size):
+            feats = model.frontend.forward(seq)
+            targets = teacher.targets_from_features(feats, target_cfg)
+            _, _, head_out, mask = student_forward_masked(model, config, feats, mask_spec, mask_rng)
+            loss = distill_loss(head_out, targets, mask.mask_indices, reduction=l1_reduction)
+            (loss * (1.0 / cfg.batch_size)).backward()
+            losses.append(loss.item())
+        gn = grad_norm(model.params)
+        assert math.isfinite(gn)
+        adam.step(lr, touched_boxes(space, config))
+        log.records.append(TrainRecord(step, float(np.mean(losses)), gn, lr, config))
+    return log
+
+
+def _assert_same_run(a, b):
+    (ck_a, _, log_a), (ck_b, _, log_b) = a, b
+    assert [(r.loss, r.grad_norm, r.lr, r.config) for r in log_a.records] == \
+           [(r.loss, r.grad_norm, r.lr, r.config) for r in log_b.records]
+    assert list(ck_a.tensors) == list(ck_b.tensors)
+    for name in ck_a.tensors:
+        assert ck_a.tensors[name].tobytes() == ck_b.tensors[name].tobytes(), name
+
+
+def _both_ways(monkeypatch, run):
+    from ofat import train
+
+    stacked = run()
+    with monkeypatch.context() as m:
+        m.setattr(train, "_run_training", _per_sequence_training)
+        reference = run()
+    _assert_same_run(stacked, reference)
+    return stacked
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4])
+def test_stacked_steps_equal_per_sequence_graphs_bitwise(monkeypatch, batch_size):
+    space, teacher, data, _ = small_setup()
+    c1 = TrainConfig(stage=1, steps=4, batch_size=batch_size, learning_rate=3e-3, warmup_steps=1,
+                     seed=31, weight_decay=0.01)
+    _, model, _ = _both_ways(monkeypatch, lambda: stage1_train(c1, space, teacher, data, MASK, TGT))
+    c2 = TrainConfig(stage=2, steps=6, batch_size=batch_size, learning_rate=3e-3, seed=31,
+                     init_checkpoint="-")
+    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, data, MASK, TGT, init_model=model))
+
+
+def test_stacked_steps_equal_per_sequence_graphs_for_sum_loss_and_span_start_masks(monkeypatch):
+    space, teacher, data, _ = small_setup()
+    span_mask = MaskSpec(p=0.12, span_length=3, convention="span_start")
+    c2 = TrainConfig(stage=2, steps=6, batch_size=4, learning_rate=3e-3, seed=32, ofa_init="random")
+    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, data, span_mask, TGT, l1_reduction="sum"))
+
+
+def test_stacked_steps_equal_per_sequence_graphs_over_two_sequence_lengths(monkeypatch):
+    # Batches of 4 over these lengths hold runs of one, two and three equal lengths.
+    from ofat.data import SyntheticDataset
+
+    space, teacher, data, _ = small_setup()
+    short = make_synthetic_dataset(seed=16, n_sequences=3, length=48)
+    mixed = SyntheticDataset([data.sequences[0], short.sequences[0], short.sequences[1], data.sequences[1],
+                              data.sequences[2], data.sequences[3], short.sequences[2]])
+    c1 = TrainConfig(stage=1, steps=5, batch_size=4, learning_rate=3e-3, seed=33)
+    _both_ways(monkeypatch, lambda: stage1_train(c1, space, teacher, mixed, MASK, TGT))
+    c2 = TrainConfig(stage=2, steps=5, batch_size=3, learning_rate=3e-3, seed=33, ofa_init="random")
+    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, mixed, MASK, TGT))
+
+
+def test_training_leaves_no_gradient_buffers():
+    space, teacher, data, _ = small_setup()
+    cfg = TrainConfig(stage=1, steps=2, batch_size=2, seed=34)
+    _, model, _ = stage1_train(cfg, space, teacher, data, MASK, TGT)
+    assert all(p.grad is None for p in model.params.values())
+
+
+@pytest.mark.parametrize("weight_decay,with_grad", [(0.0, True), (0.01, True), (0.01, False)])
+def test_adam_in_place_step_equals_the_out_of_place_expressions_bitwise(weight_decay, with_grad):
+    rng = Rng(35, 1)
+    p = Tensor(rng.normal((6, 5)).astype(np.float32), requires_grad=True)
+    ref = {"p": p.data.copy(), "m": np.zeros((6, 5), np.float32), "v": np.zeros((6, 5), np.float32)}
+    opt = Adam({"p": p}, betas=(0.9, 0.98), eps=1e-6, weight_decay=weight_decay)
+    box = (slice(0, 4), slice(0, 3))
+    for t in range(1, 4):
+        p.grad = rng.normal((6, 5)).astype(np.float32) if with_grad else None
+        g = p.grad[box] if with_grad else 0.0
+        lr = 1e-2 / t
+        opt.step(lr, {"p": box})
+        bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.98**t
+        m, v, w = ref["m"], ref["v"], ref["p"]
+        m[box] = 0.9 * m[box] + (1.0 - 0.9) * g
+        v[box] = 0.98 * v[box] + (1.0 - 0.98) * (g * g)
+        update = lr * (m[box] / bc1) / (np.sqrt(v[box] / bc2) + 1e-6)
+        if weight_decay:
+            update = update + lr * weight_decay * w[box]
+        w[box] = w[box] - update
+        for name, arr in (("p", p.data), ("m", opt.m["p"]), ("v", opt.v["p"])):
+            assert arr.tobytes() == ref[name].tobytes(), (t, name)
