@@ -9,7 +9,7 @@ import numpy as np
 
 from ofat.autodiff import Tensor
 from ofat.data import make_synthetic_dataset
-from ofat.distill import MaskSpec, TargetConfig, apply_mask, distill_loss, teacher_targets
+from ofat.distill import MaskSpec, TargetConfig, distill_loss, span_mask
 from ofat.rng import Rng
 from ofat.spaces import desk_space
 from ofat.train import TeacherArch, make_teacher
@@ -19,21 +19,17 @@ teacher = make_teacher(seed=7777, arch=TeacherArch(), frontend_spec=space.fronte
 data = make_synthetic_dataset(seed=5, n_sequences=2, length=512)
 
 print("== contextualized targets ==")
-raw = data.sequences[0]
-targets = teacher_targets(teacher, raw, TargetConfig(k=8))
+feats = teacher.frontend.forward(data.sequences[0])
+targets = teacher.targets_from_features(feats, TargetConfig(k=8))
 print(f"teacher depth {teacher.depth}, averaging top-8 normalized layers")
 print(f"targets shape {targets.shape}, per-step mean ~0: {targets.data.mean():.4f}, "
       f"|targets| < 10: {float(np.abs(targets.data).max()):.2f}")
 
 print("\n== span masking, p = 0.65 ==")
-feats = teacher.frontend.forward(raw)
 spec = MaskSpec(p=0.65, span_length=10)
-fractions = []
-for seed in range(100):
-    res = apply_mask(Tensor(feats), spec, Tensor(np.zeros(feats.shape[1], np.float32)),
-                     Rng(seed, 3))
-    fractions.append(res.mask_indices.size / feats.shape[0])
-print(f"mean masked fraction over 100 draws at t={feats.shape[0]}: {np.mean(fractions):.3f}")
+t = feats.shape[0]
+fractions = [span_mask(t, spec, Rng(seed, 3)).size / t for seed in range(100)]
+print(f"mean masked fraction over 100 draws at t={t}: {np.mean(fractions):.3f}")
 
 print("\n== the loss sums over masked steps only ==")
 t, d = targets.shape

@@ -20,14 +20,11 @@ from .autodiff import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import SyntheticDataset, load_dataset, make_synthetic_dataset, save_dataset
 from .distill import (
-    MaskResult,
     MaskSpec,
     TargetConfig,
     TeacherModel,
-    apply_mask,
     compute_targets,
     distill_loss,
-    teacher_targets,
 )
 from .errors import (
     BudgetInfeasibleError,

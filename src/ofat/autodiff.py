@@ -4,7 +4,7 @@ The engine is deliberately small: float32 row-major arrays (float64 behind
 a per-thread switch used by the gradient-check tests), a tape built from
 parent pointers, and exactly the operations the encoder needs:
 
-- elementwise add, sub, mul, neg, tabs; reductions tsum, tmean;
+- elementwise add, sub, mul, neg, tabs; the reduction tsum;
 - matmul, transpose, concat, slice_along, slice_prefix;
 - gelu, softmax_lastdim, layer_norm, grouped_conv1d, mask_rows;
 - two fused ops for the sliced supernet forward: linear_prefix (a layer on
@@ -347,17 +347,6 @@ def tsum(a) -> Tensor:
 
     def vjp(g):
         _accum(a, np.broadcast_to(g, a.shape).copy())
-
-    return _result(data, (a,), vjp)
-
-
-def tmean(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.size
-    data = np.asarray(a.data.sum() / n)
-
-    def vjp(g):
-        _accum(a, np.broadcast_to(g / n, a.shape).astype(a.dtype, copy=True))
 
     return _result(data, (a,), vjp)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -81,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="trained supernet checkpoint")
     p.add_argument("--max-params", type=int, help="override search.max_params")
     p.add_argument("--out", required=True, help="output prefix: <out>.csv and <out>.summary.yaml")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; evaluation is serial and the result "
-                        "is the same for any value (default: $OFAT_WORKERS or 1)")
+                        "is the same for any value")
 
     p = sub.add_parser("extract", help="copy one subnet out of a supernet checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -249,12 +248,9 @@ def cmd_search(args) -> int:
     if max_params == 0:
         max_params = subnet_params(space, max_subnet(space), cfg.search_budget(max_params=1))
     budget = cfg.search_budget(max_params=max_params)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("OFAT_WORKERS", "1"))
     result = random_search(
         model, space, budget, val.sequences, teacher,
-        cfg.mask_spec(), cfg.target_config(), workers=workers,
+        cfg.mask_spec(), cfg.target_config(), workers=args.workers,
         l1_reduction=cfg.l1_reduction(),
     )
     csv_path = f"{args.out}.csv"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 import yaml
 
@@ -102,20 +103,20 @@ def _merge_defaults(defaults, given, path=""):
     return merged
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list"}
 
 
 def _check_type(default, value, where: str) -> None:
-    """Refuse a value whose type is not its default's, naming its field. An int,
-    or a string float() reads (PyYAML reads `2e-3` as one), stands for a float;
-    list items follow the default's first item. Nothing is converted."""
-    ok = type(value) is type(default) or (type(default) is float and type(value) is int)
-    if type(default) is float and isinstance(value, str):
+    """Refuse a value whose type is not its default's, naming its field. A float
+    takes a finite float, int, or string float() reads (PyYAML reads `2e-3` as
+    one), so `.inf`, `.nan`, `1e400` and "nan" are refused; list items follow
+    the default's first item. Nothing is converted."""
+    ok = type(value) is type(default)
+    if type(default) is float:
         try:
-            float(value)
-            ok = True
-        except ValueError:
-            pass
+            ok = type(value) in (float, int, str) and math.isfinite(float(value))
+        except (ValueError, OverflowError):
+            ok = False
     _expect(ok, where, f"{_KINDS[type(default)]}, got {value!r}")
     if type(default) is list:
         for i, item in enumerate(value):
@@ -131,8 +132,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read(), f"{path}: ")
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+        return cls.from_text(text, f"{path}: ")
 
     @classmethod
     def from_text(cls, text: str, source: str = "") -> "RunConfig":

@@ -22,7 +22,7 @@ from .errors import ConfigurationError, ContractError
 from .frontend import Frontend
 from .rng import Rng
 from .spaces import SubnetConfig
-from .supernet import SupernetModel, encode, forward, full_config, project_input
+from .supernet import SupernetModel, forward, full_config, project_input
 
 _NORM_EPS = 1e-5
 
@@ -55,12 +55,6 @@ class MaskSpec:
             raise ConfigurationError(f"unknown mask convention '{self.convention}'")
 
 
-@dataclass
-class MaskResult:
-    masked_input: Tensor  # [t, d]; equals the original outside the mask
-    mask_indices: np.ndarray  # sorted int64 time indices
-
-
 def span_mask(t: int, spec: MaskSpec, rng: Rng) -> np.ndarray:
     """Sorted int64 indices of the frames a span mask over t frames covers.
 
@@ -88,13 +82,6 @@ def span_mask(t: int, spec: MaskSpec, rng: Rng) -> np.ndarray:
             for s in starts:
                 covered[s : s + spec.span_length] = True
     return np.nonzero(covered)[0].astype(np.int64)
-
-
-def apply_mask(x, spec: MaskSpec, mask_embedding: Tensor, rng: Rng) -> MaskResult:
-    """Replace the span_mask-covered frames of x [t, d] by the mask embedding."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    indices = span_mask(x.shape[0], spec, rng)
-    return MaskResult(ad.mask_rows(x, mask_embedding, indices) if indices.size else x, indices)
 
 
 def masked_input(model: SupernetModel, config: SubnetConfig, features: list, masks: list) -> Tensor:
@@ -213,28 +200,3 @@ class TeacherModel:
                 if keys[i] is not None:
                     self._target_cache[keys[i]] = out[i]
         return out
-
-
-def teacher_targets(teacher: TeacherModel, raw_signal, cfg: TargetConfig) -> Tensor:
-    """Frontend + all teacher layers on the unmasked signal, then targets."""
-    features = teacher.frontend.forward(np.asarray(raw_signal))
-    return teacher.targets_from_features(features, cfg)
-
-
-def student_forward_masked(
-    model: SupernetModel,
-    config: SubnetConfig,
-    features,
-    mask_spec: MaskSpec,
-    rng: Rng,
-    collect_hidden: bool = False,
-):
-    """Project, mask in embedding space with the sliced mask embedding, encode.
-
-    Returns (final, hidden, head_out, MaskResult).
-    """
-    indices = span_mask(features.shape[0], mask_spec, rng)
-    h = masked_input(model, config, [features], [indices])
-    final, hidden, head_out = encode(model, config, h, collect_hidden)
-    return final, hidden, head_out, MaskResult(masked_input=h, mask_indices=indices)
-

@@ -55,9 +55,6 @@ class FrontendSpec:
             s *= layer.stride
         return s
 
-    def output_length(self, n: int) -> int:
-        return math.ceil(n / self.total_stride)
-
     def param_count(self) -> int:
         total = 0
         in_ch = 1

@@ -314,19 +314,26 @@ def parse_subnet_spec(space: SearchSpace, text: str) -> SubnetConfig:
     if unknown:
         raise ConfigurationError(f"unknown subnet spec keys {sorted(unknown)}")
     try:
-        embed = int(fields["embed"])
-        depth = int(fields["depth"])
+        embed = _spec_number("embed", fields["embed"], int)
+        depth = _spec_number("depth", fields["depth"], int)
     except KeyError as exc:
         raise ConfigurationError(f"subnet spec needs '{exc.args[0]}'") from exc
-    heads = _parse_layer_list(fields.get("heads", str(space.head_choices[-1])), depth, int)
-    ratios = _parse_layer_list(fields.get("ratios", str(space.ffn_ratios[-1])), depth, float)
+    heads = _parse_layer_list("heads", fields.get("heads", str(space.head_choices[-1])), depth, int)
+    ratios = _parse_layer_list("ratios", fields.get("ratios", str(space.ffn_ratios[-1])), depth, float)
     cfg = SubnetConfig(embed_dim=embed, depth=depth, heads=heads, ffn_ratio=ratios)
     validate_config(space, cfg)
     return cfg
 
 
-def _parse_layer_list(text: str, depth: int, cast):
-    values = tuple(cast(v) for v in text.split("-"))
+def _spec_number(key: str, text: str, cast):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigurationError(f"subnet spec '{key}' takes {cast.__name__} values, got '{text}'") from None
+
+
+def _parse_layer_list(key: str, text: str, depth: int, cast):
+    values = tuple(_spec_number(key, v, cast) for v in text.split("-"))
     if len(values) == 1:
         values = values * depth
     if len(values) != depth:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ofat.data import make_synthetic_dataset
+from ofat.distill import masked_input, span_mask
 from ofat.rng import Rng
 from ofat.spaces import desk_space
-from ofat.supernet import build_supernet
+from ofat.supernet import build_supernet, encode
 from ofat.train import TeacherArch, make_teacher
 
 
@@ -62,3 +63,15 @@ def rng():
 
 def rand32(rng, shape, scale=1.0):
     return (rng.normal(shape) * scale).astype(np.float32)
+
+
+def student_forward_masked(model, config, features, mask_spec, rng):
+    """One sequence alone through the student: span_mask, masked_input, encode.
+    The per-candidate reference that stacked training and search must equal.
+
+    Returns (final, hidden, head_out, (masked_input, mask_indices)).
+    """
+    indices = span_mask(features.shape[0], mask_spec, rng)
+    h = masked_input(model, config, [features], [indices])
+    final, hidden, head_out = encode(model, config, h)
+    return final, hidden, head_out, (h, indices)

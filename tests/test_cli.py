@@ -193,20 +193,6 @@ def test_search_cli_outputs(workdir, tmp_path, capsys):
     assert "max_params" in summary and "bounds" in summary
 
 
-def test_search_workers_env_var_matches_serial(workdir, tmp_path, monkeypatch, capsys):
-    root, cfg, data_dir, _ = workdir
-    s1 = tmp_path / "s1w.ofat"
-    assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
-    assert main(["search", "--config", str(cfg), "--checkpoint", str(s1),
-                 "--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("OFAT_WORKERS", "3")
-    assert main(["search", "--config", str(cfg), "--checkpoint", str(s1),
-                 "--out", str(tmp_path / "threaded")]) == 0
-    serial = (tmp_path / "serial.csv").read_text()
-    threaded = (tmp_path / "threaded.csv").read_text()
-    assert serial == threaded
-
-
 def test_search_infeasible_budget_exit_code(workdir, tmp_path):
     root, cfg, data_dir, _ = workdir
     s1 = tmp_path / "s1b.ofat"
@@ -308,10 +294,16 @@ def _run_cli(*args):
     ("init-teacher", "distill:\n  teacher:\n    ffn_ratio: 0.0\n", "ffn_ratios"),
     ("init-teacher", "distill:\n  teacher:\n    warmup_steps: -1\n", "distill.teacher.warmup_steps"),
     ("init-teacher", "distill:\n  teacher:\n    dim: 30\n", "distill.teacher.dim"),
+    ("count", "space:\n  ffn_ratios: [3.0, 1e400]\n", "space.ffn_ratios"),
+    ("count", "space:\n  ffn_ratios: [3.0, 'nan']\n", "space.ffn_ratios"),
+    ("count", "space:\n  ffn_ratios: [3.0, .nan]\n", "space.ffn_ratios"),
+    ("init-teacher", "distill:\n  teacher:\n    ffn_ratio: 1e400\n", "distill.teacher.ffn_ratio"),
+    ("init-teacher", "distill:\n  teacher:\n    warmup_lr: .nan\n", "distill.teacher.warmup_lr"),
 ], ids=["p-text", "span-text", "k-float", "embed-scalar", "embed-float-item", "ratio-text-item", "head-dim-text",
         "seed-bool", "includes-head-text", "negative-heads", "teacher-warmup-steps-text",
         "teacher-warmup-lr-text", "teacher-zero-heads", "teacher-negative-heads", "teacher-zero-dim",
-        "teacher-zero-ratio", "teacher-negative-warmup-steps", "teacher-dim-not-divisible"])
+        "teacher-zero-ratio", "teacher-negative-warmup-steps", "teacher-dim-not-divisible",
+        "ratio-inf-item", "ratio-nan-item", "ratio-yaml-nan-item", "teacher-ratio-inf", "teacher-warmup-lr-nan"])
 def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, command, config, named):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(config)
@@ -320,6 +312,22 @@ def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, co
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "t.ofat").exists()
+
+
+def test_a_non_numeric_subnet_spec_exits_2_naming_its_key(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("")
+    proc = _run_cli("count", "--config", str(cfg), "--params", "--subnet-spec", "embed=abc,depth=2")
+    assert proc.returncode == 2, proc.stderr
+    assert "'embed'" in proc.stderr and "'abc'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_bytes(b"seed: 1\n\xff\xfe: 2\n")
+    proc = _run_cli("count", "--config", str(cfg), "--subnets")
+    assert proc.returncode == 2, proc.stderr
+    assert str(cfg) in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("cut", [6, 20, "half", "3 short"])
@@ -427,7 +435,8 @@ def test_eval_refuses_subnet_flags_for_a_subnet_file(workdir, trained, capsys, f
     ("  batch_size: 0", "batch_size"),
     ("  batch_size: 2\n  adam_beta1: 1.0", "adam_beta1"),
     ("  batch_size: 2\n  adam_beta2: 1.0", "adam_beta2"),
-], ids=["batch_size", "beta1", "beta2"])
+    ("  batch_size: 2\n  learning_rate: .nan", "train.learning_rate"),
+], ids=["batch_size", "beta1", "beta2", "learning-rate-nan"])
 def test_training_values_that_can_only_give_nan_exit_2(workdir, tmp_path, capsys, line, named):
     root, cfg, _, _ = workdir
     bad = tmp_path / "bad.yaml"

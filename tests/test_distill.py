@@ -5,18 +5,12 @@ import pytest
 
 from ofat import autodiff as ad
 from ofat.autodiff import Tensor, finite_diff_check
-from ofat.distill import (
-    MaskSpec,
-    TargetConfig,
-    apply_mask,
-    compute_targets,
-    distill_loss,
-    student_forward_masked,
-    teacher_targets,
-)
+from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
 from ofat.errors import ConfigurationError, ContractError
 from ofat.rng import Rng
 from ofat.spaces import mid_subnet
+
+from conftest import student_forward_masked
 
 
 def t32(arr, rg=False):
@@ -62,62 +56,55 @@ def test_targets_bounded_on_random_inputs():
     assert float(np.abs(out.data).max()) < 10.0
 
 
-# -- apply_mask -------------------------------------------------------------------
+# -- span_mask and mask_rows ------------------------------------------------------
 
 
 def test_mask_p0_is_noop():
     x = t32(Rng(4, 3).normal((12, 4)))
-    res = apply_mask(x, MaskSpec(p=0.0), t32(np.ones(4)), Rng(1, 3))
-    assert res.mask_indices.size == 0
-    np.testing.assert_array_equal(res.masked_input.data, x.data)
+    indices = span_mask(x.shape[0], MaskSpec(p=0.0), Rng(1, 3))
+    assert indices.size == 0
+    np.testing.assert_array_equal(ad.mask_rows(x, t32(np.ones(4)), indices).data, x.data)
 
 
 def test_mask_p1_covers_everything():
     x = t32(Rng(5, 3).normal((9, 4)))
     emb = t32(np.full(4, 7.0))
-    res = apply_mask(x, MaskSpec(p=1.0, span_length=2), emb, Rng(2, 3))
-    np.testing.assert_array_equal(res.mask_indices, np.arange(9))
-    np.testing.assert_allclose(res.masked_input.data, np.full((9, 4), 7.0))
+    indices = span_mask(x.shape[0], MaskSpec(p=1.0, span_length=2), Rng(2, 3))
+    np.testing.assert_array_equal(indices, np.arange(9))
+    np.testing.assert_allclose(ad.mask_rows(x, emb, indices).data, np.full((9, 4), 7.0))
 
 
 def test_mask_preserves_unmasked_frames_and_replaces_masked():
     x = t32(Rng(6, 3).normal((40, 4)))
     emb = t32(np.arange(4, dtype=np.float32))
-    res = apply_mask(x, MaskSpec(p=0.3, span_length=5), emb, Rng(3, 3))
+    indices = span_mask(x.shape[0], MaskSpec(p=0.3, span_length=5), Rng(3, 3))
+    masked = ad.mask_rows(x, emb, indices)
     covered = np.zeros(40, dtype=bool)
-    covered[res.mask_indices] = True
-    np.testing.assert_array_equal(res.masked_input.data[~covered], x.data[~covered])
-    np.testing.assert_allclose(res.masked_input.data[covered],
+    covered[indices] = True
+    np.testing.assert_array_equal(masked.data[~covered], x.data[~covered])
+    np.testing.assert_allclose(masked.data[covered],
                                np.tile(emb.data, (int(covered.sum()), 1)))
 
 
 def test_mask_at_least_one_frame_when_p_positive():
-    x = t32(np.zeros((50, 2)))
     for seed in range(20):
-        res = apply_mask(x, MaskSpec(p=0.01, span_length=3), t32(np.ones(2)), Rng(seed, 3))
-        assert res.mask_indices.size >= 1
+        assert span_mask(50, MaskSpec(p=0.01, span_length=3), Rng(seed, 3)).size >= 1
 
 
 def test_mask_fraction_statistic_t1000():
     spec = MaskSpec(p=0.65, span_length=10)
-    x = t32(np.zeros((1000, 2)))
-    emb = t32(np.zeros(2))
     fractions = []
     for seed in range(100):
-        res = apply_mask(x, spec, emb, Rng(seed, 3))
-        fractions.append(res.mask_indices.size / 1000.0)
+        fractions.append(span_mask(1000, spec, Rng(seed, 3)).size / 1000.0)
     mean = float(np.mean(fractions))
     assert abs(mean - 0.65) < 0.03, mean
 
 
 def test_mask_span_start_convention():
-    x = t32(np.zeros((400, 2)))
-    emb = t32(np.zeros(2))
     spec = MaskSpec(p=0.065, span_length=10, convention="span_start")
     fractions = []
     for seed in range(50):
-        res = apply_mask(x, spec, emb, Rng(seed, 3))
-        fractions.append(res.mask_indices.size / 400.0)
+        fractions.append(span_mask(400, spec, Rng(seed, 3)).size / 400.0)
     # ~1 - (1 - p)^span expected coverage under independent starts
     expected = 1.0 - (1.0 - 0.065) ** 10
     assert abs(float(np.mean(fractions)) - expected) < 0.05
@@ -126,18 +113,18 @@ def test_mask_span_start_convention():
 def test_mask_deterministic_by_seed():
     x = t32(Rng(7, 3).normal((64, 4)))
     emb = t32(np.zeros(4))
-    a = apply_mask(x, MaskSpec(), emb, Rng(11, 3))
-    b = apply_mask(x, MaskSpec(), emb, Rng(11, 3))
-    np.testing.assert_array_equal(a.mask_indices, b.mask_indices)
-    np.testing.assert_array_equal(a.masked_input.data, b.masked_input.data)
+    a = span_mask(x.shape[0], MaskSpec(), Rng(11, 3))
+    b = span_mask(x.shape[0], MaskSpec(), Rng(11, 3))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(ad.mask_rows(x, emb, a).data, ad.mask_rows(x, emb, b).data)
 
 
 def test_mask_gradient_flows_to_embedding():
     x = t32(Rng(8, 3).normal((20, 4)))
     emb = t32(np.zeros(4), rg=True)
-    res = apply_mask(x, MaskSpec(p=0.5, span_length=4), emb, Rng(4, 3))
-    ad.tsum(res.masked_input).backward()
-    np.testing.assert_allclose(emb.grad, np.full(4, float(res.mask_indices.size)))
+    indices = span_mask(x.shape[0], MaskSpec(p=0.5, span_length=4), Rng(4, 3))
+    ad.tsum(ad.mask_rows(x, emb, indices)).backward()
+    np.testing.assert_allclose(emb.grad, np.full(4, float(indices.size)))
 
 
 # -- distill_loss -----------------------------------------------------------------
@@ -210,14 +197,14 @@ def test_loss_gradcheck():
 
 def test_teacher_targets_deterministic(tiny_teacher):
     raw = (Rng(13, 2).uniform(96) * 2 - 1).astype(np.float32)
-    a = teacher_targets(tiny_teacher, raw, TargetConfig(k=2))
-    b = teacher_targets(tiny_teacher, raw, TargetConfig(k=2))
+    a = tiny_teacher.targets_from_features(tiny_teacher.frontend.forward(raw), TargetConfig(k=2))
+    b = tiny_teacher.targets_from_features(tiny_teacher.frontend.forward(raw), TargetConfig(k=2))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_teacher_targets_record_no_graph(tiny_teacher):
     raw = (Rng(14, 2).uniform(96) * 2 - 1).astype(np.float32)
-    out = teacher_targets(tiny_teacher, raw, TargetConfig(k=2))
+    out = tiny_teacher.targets_from_features(tiny_teacher.frontend.forward(raw), TargetConfig(k=2))
     assert out.requires_grad is False
     assert out._parents == ()
     for p in tiny_teacher.encoder.params.values():
@@ -226,8 +213,9 @@ def test_teacher_targets_record_no_graph(tiny_teacher):
 
 def test_teacher_targets_k_equals_depth(tiny_teacher):
     raw = (Rng(15, 2).uniform(96) * 2 - 1).astype(np.float32)
-    out = teacher_targets(tiny_teacher, raw, TargetConfig(k=tiny_teacher.depth))
-    assert out.shape == (tiny_teacher.frontend.spec.output_length(96), tiny_teacher.dim)
+    out = tiny_teacher.targets_from_features(tiny_teacher.frontend.forward(raw),
+                                             TargetConfig(k=tiny_teacher.depth))
+    assert out.shape == (-(-96 // tiny_teacher.frontend.spec.total_stride), tiny_teacher.dim)
 
 
 def test_teacher_target_cache_hits_are_identical(tiny_teacher):
@@ -243,14 +231,14 @@ def test_teacher_target_cache_hits_are_identical(tiny_teacher):
 def test_student_forward_masked_only_changes_masked_frames(tiny_space, tiny_model):
     cfg = mid_subnet(tiny_space)
     feats = (Rng(17, 2).uniform((24, tiny_space.frontend_dim)) * 2 - 1).astype(np.float32)
-    _, _, _, res = student_forward_masked(
+    _, _, _, (masked, mask_indices) = student_forward_masked(
         tiny_model, cfg, feats, MaskSpec(p=0.4, span_length=3), Rng(18, 3)
     )
     from ofat.supernet import project_input
 
     h = project_input(tiny_model, cfg, feats)
-    unmasked = np.setdiff1d(np.arange(24), res.mask_indices)
-    np.testing.assert_array_equal(res.masked_input.data[unmasked], h.data[unmasked])
+    unmasked = np.setdiff1d(np.arange(24), mask_indices)
+    np.testing.assert_array_equal(masked.data[unmasked], h.data[unmasked])
 
 
 def test_batch_targets_stack_each_length_and_equal_per_sequence_targets_bitwise(tiny_teacher):

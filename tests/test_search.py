@@ -8,7 +8,7 @@ import pytest
 from ofat import autodiff as ad
 from ofat import search
 from ofat.data import SyntheticDataset, make_synthetic_dataset
-from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, student_forward_masked
+from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
 from ofat.errors import BudgetInfeasibleError, ConfigurationError
 from ofat.rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from ofat.search import (
@@ -25,6 +25,8 @@ from ofat.search import (
 from ofat.spaces import desk_space, max_subnet, mid_subnet, min_subnet, sample_subnet
 from ofat.supernet import build_supernet, extract_subnet
 from ofat.train import TeacherArch, make_teacher
+
+from conftest import student_forward_masked
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
@@ -117,18 +119,15 @@ def test_teacher_as_student_beats_random_subnets(setup):
     normalization/averaging gap of the target construction."""
     space, model, teacher, val = setup
     mask_rng = Rng(9, STREAM_EVAL_MASK)
-    from ofat.distill import apply_mask
-    from ofat.autodiff import Tensor
 
     oracle_losses, random_losses = [], []
     for seq in val.sequences[:3]:
         feats = teacher.frontend.forward(seq)
         hidden = teacher.hidden_layers(feats)
         targets = compute_targets(hidden, TGT)
-        mask = apply_mask(Tensor(feats @ np.zeros((feats.shape[1], 1), dtype=np.float32)),
-                          MASK, Tensor(np.zeros(1, np.float32)), mask_rng)
+        mask_indices = span_mask(feats.shape[0], MASK, mask_rng)
         oracle_out = hidden[-1]
-        oracle_losses.append(distill_loss(oracle_out, targets, mask.mask_indices).item())
+        oracle_losses.append(distill_loss(oracle_out, targets, mask_indices).item())
     rng = Rng(10, 4)
     for _ in range(5):
         cfg = sample_subnet(space, rng)
@@ -205,8 +204,8 @@ def _reference_loss(model, config, val, teacher, mask_spec, eval_seed, eval_batc
         for b in range(eval_batches):
             feats = model.frontend.forward(val.sequences[b % len(val.sequences)])
             targets = teacher.targets_from_features(feats, TGT)
-            _, _, head_out, mask = student_forward_masked(model, config, feats, mask_spec, mask_rng)
-            losses.append(distill_loss(head_out, targets, mask.mask_indices, reduction=reduction).item())
+            _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, mask_spec, mask_rng)
+            losses.append(distill_loss(head_out, targets, mask_indices, reduction=reduction).item())
     return float(np.mean(losses))
 
 

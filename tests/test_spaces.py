@@ -179,6 +179,11 @@ def test_parse_subnet_spec_inline():
         parse_subnet_spec(space, "embed=48,depth=3,heads=2-3")  # wrong length
     with pytest.raises(ConfigurationError):
         parse_subnet_spec(space, "embed=48,depth=3,color=red")
+    for spec, named in (("embed=abc,depth=2", "'embed'.*'abc'"), ("embed=32,depth=x", "'depth'.*'x'"),
+                        ("embed=32,depth=2,heads=2-y", "'heads'.*'y'"),
+                        ("embed=32,depth=2,ratios=q", "'ratios'.*'q'")):
+        with pytest.raises(ConfigurationError, match=named):
+            parse_subnet_spec(space, spec)
 
 
 def test_space_dict_round_trip():

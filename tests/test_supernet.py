@@ -7,7 +7,7 @@ from ofat import autodiff as ad
 from ofat import supernet
 from ofat.autodiff import ComputeGraph
 from ofat.checkpoint import Checkpoint, load_model, supernet_to_checkpoint
-from ofat.distill import MaskSpec, distill_loss, student_forward_masked
+from ofat.distill import MaskSpec, distill_loss
 from ofat.errors import ConfigurationError, DimensionError
 from ofat.rng import Rng
 from ofat.spaces import (
@@ -29,6 +29,8 @@ from ofat.supernet import (
     reference_forward,
     touched_boxes,
 )
+
+from conftest import student_forward_masked
 
 
 def rand_input(seed, t, d):
@@ -189,9 +191,9 @@ def test_masked_distillation_graph_size(std_space, std_model):
     # weight prefixes and per-head attention.
     cfg = max_subnet(std_space)
     feats = rand_input(9, 128, std_space.frontend_dim)
-    _, _, head_out, mask = student_forward_masked(std_model, cfg, feats, MaskSpec(), Rng(3, 5))
+    _, _, head_out, (_, mask_indices) = student_forward_masked(std_model, cfg, feats, MaskSpec(), Rng(3, 5))
     targets = ad.Tensor(rand_input(10, 128, std_space.teacher_dim))
-    loss = distill_loss(head_out, targets, mask.mask_indices)
+    loss = distill_loss(head_out, targets, mask_indices)
     assert len(ComputeGraph.from_root(loss).nodes) <= 150
 
 

@@ -26,6 +26,8 @@ from ofat.train import (
     teacher_self_regression_loss,
 )
 
+from conftest import student_forward_masked
+
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
 
@@ -263,7 +265,7 @@ def test_stage2_gradients_confined_to_sampled_subnet():
     from ofat.rng import STREAM_MASK, STREAM_WEIGHTS
     from ofat.supernet import build_supernet
     from ofat.train import _adopt_teacher_frontend
-    from ofat.distill import distill_loss, student_forward_masked
+    from ofat.distill import distill_loss
 
     model = build_supernet(space, Rng(8, STREAM_WEIGHTS))
     _adopt_teacher_frontend(model, teacher)
@@ -277,8 +279,8 @@ def test_stage2_gradients_confined_to_sampled_subnet():
         seq = data.sequences[step % len(data.sequences)]
         feats = model.frontend.forward(seq)
         targets = teacher.targets_from_features(feats, TGT)
-        _, _, head_out, mask = student_forward_masked(model, config, feats, MASK, mask_rng)
-        distill_loss(head_out, targets, mask.mask_indices).backward()
+        _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, MASK, mask_rng)
+        distill_loss(head_out, targets, mask_indices).backward()
         boxes = touched_boxes(space, config)
         for name, p in params.items():
             if p.grad is None:
@@ -386,7 +388,7 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
     import math
 
     from ofat.data import CyclicBatcher
-    from ofat.distill import distill_loss, student_forward_masked
+    from ofat.distill import distill_loss
     from ofat.rng import STREAM_MASK
     from ofat.train import TrainLog, TrainRecord, grad_norm
 
@@ -402,8 +404,8 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
         for idx, seq in batcher.next_batch(cfg.batch_size):
             feats = model.frontend.forward(seq)
             targets = teacher.targets_from_features(feats, target_cfg)
-            _, _, head_out, mask = student_forward_masked(model, config, feats, mask_spec, mask_rng)
-            loss = distill_loss(head_out, targets, mask.mask_indices, reduction=l1_reduction)
+            _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, mask_spec, mask_rng)
+            loss = distill_loss(head_out, targets, mask_indices, reduction=l1_reduction)
             (loss * (1.0 / cfg.batch_size)).backward()
             losses.append(loss.item())
         gn = grad_norm(model.params)
