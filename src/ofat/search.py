@@ -19,7 +19,8 @@ from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from .spaces import SearchSpace, SubnetConfig, max_subnet, min_subnet, sample_subnet, validate_config
-from .supernet import SupernetModel, block_forward, count_params, head_forward, positional_stage
+from .supernet import (SupernetModel, attention_half, block_norm, count_params, ffn_half, head_forward,
+                       positional_stage)
 
 ATTEMPT_FACTOR = 100  # rejection-sampling cap: 100 x n_candidates attempts
 
@@ -96,7 +97,8 @@ class _PrefixNode:
     __slots__ = ("children", "ends")
 
     def __init__(self):
-        self.children: dict[tuple[int, float], _PrefixNode] = {}
+        # next layer's heads -> its ffn_ratio -> child, so siblings share an attention half
+        self.children: dict[int, dict[float, _PrefixNode]] = {}
         self.ends: list[int] = []  # indices of the configs whose depth ends here
 
 
@@ -117,18 +119,22 @@ def evaluate_subnets(
     ffn_ratio[:l]), and every candidate sees the same masks. So the
     frontend and teacher targets run once per batch; the masked_input stem
     and positional stage once per embed dim on the batches of one sequence
-    length stacked as rows; and the blocks once per node of a trie keyed by
-    (heads[l], ffn_ratio[l]), walked depth first over that stack. Where a
-    config's depth ends, the head runs once on the stack and the loss once
-    per batch on its rows. Only the root-to-node path is held: at most
-    max_depth stacked arrays.
+    length stacked as rows; and the blocks over a trie keyed in two levels
+    per layer, heads[l] then ffn_ratio[l], walked depth first over that
+    stack. A block's attention half depends only on its input and heads, so
+    at a node with children ln1 runs once, each heads child runs one
+    attention_half and one ln2, and each ratio grandchild one ffn_half.
+    Where a config's depth ends, the head runs once on the stack and the
+    loss once per batch on its rows. Only the root-to-node path is held:
+    per layer the block input, its ln1, one attention half and its ln2, so
+    at most about 4 * max_depth stacked arrays.
     """
     tries: dict[int, tuple[SubnetConfig, _PrefixNode]] = {}
     for i, config in enumerate(configs):
         validate_config(model.space, config)
         node = tries.setdefault(config.embed_dim, (config, _PrefixNode()))[1]
-        for key in zip(config.heads, config.ffn_ratio):
-            node = node.children.setdefault(key, _PrefixNode())
+        for heads, ratio in zip(config.heads, config.ffn_ratio):
+            node = node.children.setdefault(heads, {}).setdefault(ratio, _PrefixNode())
         node.ends.append(i)
 
     batches = _heldout_batches(model.frontend, val_sequences, teacher, target_cfg, eval_batches)
@@ -139,14 +145,20 @@ def evaluate_subnets(
 
     def walk(node, e, depth, h, scored):
         """h stacks the rows of the batches in `scored`, a list of (batch, targets, mask)."""
+        seqs = len(scored)
         if node.ends:
-            head_out = head_forward(model, e, h, len(scored))[1].data
-            t = head_out.shape[0] // len(scored)
+            head_out = head_forward(model, e, h, seqs)[1].data
+            t = head_out.shape[0] // seqs
             for j, (b, targets, mask) in enumerate(scored):
                 rows = ad.Tensor(head_out[j * t:(j + 1) * t])
                 per_batch[node.ends, b] = distill_loss(rows, targets, mask, reduction=l1_reduction).item()
-        for (heads, ratio), child in node.children.items():
-            walk(child, e, depth + 1, block_forward(model, depth, h, e, heads, ratio, len(scored)), scored)
+        if node.children:
+            hn = block_norm(model, depth, "ln1", h, seqs)
+        for heads, by_ratio in node.children.items():
+            a = attention_half(model, depth, h, hn, e, heads, seqs)
+            an = block_norm(model, depth, "ln2", a, seqs)
+            for ratio, child in by_ratio.items():
+                walk(child, e, depth + 1, ffn_half(model, depth, a, an, e, ratio, seqs), scored)
 
     with ad.no_grad():
         for e, (first, root) in tries.items():

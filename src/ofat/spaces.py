@@ -318,6 +318,8 @@ def parse_subnet_spec(space: SearchSpace, text: str) -> SubnetConfig:
         depth = _spec_number("depth", fields["depth"], int)
     except KeyError as exc:
         raise ConfigurationError(f"subnet spec needs '{exc.args[0]}'") from exc
+    if depth not in space.depths:  # before heads/ratios broadcast to `depth` items
+        raise ConfigurationError(f"depth {depth} not in {space.depths}")
     heads = _parse_layer_list("heads", fields.get("heads", str(space.head_choices[-1])), depth, int)
     ratios = _parse_layer_list("ratios", fields.get("ratios", str(space.ffn_ratios[-1])), depth, float)
     cfg = SubnetConfig(embed_dim=embed, depth=depth, heads=heads, ffn_ratio=ratios)

@@ -123,31 +123,49 @@ def positional_stage(model: SupernetModel, e: int, h: Tensor, seqs: int = 1) -> 
     return h + ad.gelu(pc)
 
 
+def block_norm(model: SupernetModel, l: int, name: str, h: Tensor, seqs: int = 1) -> Tensor:
+    """Sliced layer norm `name` ("ln1" or "ln2") of block `l` on an [t, e] input."""
+    p, b = model.params, f"blocks.{l}.{name}"
+    return ad.layer_norm(h, p[b + "_g"], p[b + "_b"], ATTN_EPS, seqs)
+
+
+def _block_linear(model: SupernetModel, l: int, x: Tensor, name: str, n_in: int, n_out: int,
+                  seqs: int) -> Tensor:
+    p, b = model.params, f"blocks.{l}."
+    return ad.linear_prefix(x, p[b + "w" + name], p[b + "b" + name], n_in, n_out, seqs)
+
+
+def attention_half(model: SupernetModel, l: int, h: Tensor, hn: Tensor, e: int, heads: int,
+                   seqs: int = 1) -> Tensor:
+    """First residual half of block `l`: h + o(attention(q, k, v)) with `heads`
+    heads, the projections read from hn = block_norm(model, l, "ln1", h)."""
+    a = heads * model.space.head_dim
+    q, k, v = (_block_linear(model, l, hn, x, e, a, seqs) for x in "qkv")
+    return h + _block_linear(model, l, ad.attention(q, k, v, heads, seqs), "o", a, e, seqs)
+
+
+def ffn_half(model: SupernetModel, l: int, h: Tensor, hn: Tensor, e: int, ratio: float,
+             seqs: int = 1) -> Tensor:
+    """Second residual half of block `l`: h + w2(gelu(w1 hn)) at FFN `ratio`,
+    with hn = block_norm(model, l, "ln2", h)."""
+    f = ffn_hidden(ratio, e)
+    ff = ad.gelu(_block_linear(model, l, hn, "1", e, f, seqs))
+    return h + _block_linear(model, l, ff, "2", f, e, seqs)
+
+
 def block_forward(model: SupernetModel, l: int, h: Tensor, e: int, heads: int, ratio: float,
                   seqs: int = 1) -> Tensor:
     """Sliced pre-norm block `l` at embed `e` with `heads` heads and FFN `ratio`.
 
     The output depends only on `h` and these dims, so subnets that share a
-    layer prefix share every block output up to it. `h` may stack `seqs`
-    equal-length sequences as [seqs*t, e] rows: only attention mixes rows,
-    and it attends within each sequence, so every sequence's rows equal its
-    own block_forward bit for bit, and so does every parameter gradient.
+    layer prefix share every block output up to it; the attention half
+    depends only on `h` and `heads`. `h` may stack `seqs` equal-length
+    sequences as [seqs*t, e] rows: only attention mixes rows, and it
+    attends within each sequence, so every sequence's rows equal its own
+    block_forward bit for bit, and so does every parameter gradient.
     """
-    p, b = model.params, f"blocks.{l}."
-    a = heads * model.space.head_dim
-    f = ffn_hidden(ratio, e)
-
-    def linear(x, name, n_in, n_out):
-        return ad.linear_prefix(x, p[b + "w" + name], p[b + "b" + name], n_in, n_out, seqs)
-
-    def norm(x, name):
-        return ad.layer_norm(x, p[b + name + "_g"], p[b + name + "_b"], ATTN_EPS, seqs)
-
-    hn = norm(h, "ln1")
-    att = ad.attention(linear(hn, "q", e, a), linear(hn, "k", e, a), linear(hn, "v", e, a), heads, seqs)
-    h = h + linear(att, "o", a, e)
-    ff = ad.gelu(linear(norm(h, "ln2"), "1", e, f))
-    return h + linear(ff, "2", f, e)
+    h = attention_half(model, l, h, block_norm(model, l, "ln1", h, seqs), e, heads, seqs)
+    return ffn_half(model, l, h, block_norm(model, l, "ln2", h, seqs), e, ratio, seqs)
 
 
 def head_forward(model: SupernetModel, e: int, h: Tensor, seqs: int = 1):

@@ -270,7 +270,7 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
     if two_lengths:
         val = _two_length_val()
     calls = Counter()
-    for name in ("block_forward", "head_forward"):
+    for name in ("block_norm", "attention_half", "ffn_half", "head_forward"):
         def counted(*args, _real=getattr(search, name), _name=name):
             calls[_name] += 1
             return _real(*args)
@@ -281,9 +281,14 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
 
     paths = [(c.embed_dim, tuple(zip(c.heads, c.ffn_ratio))) for c in configs]
     nodes = {(e, path[:l + 1]) for e, path in paths for l in range(len(path))}
+    parents = {(e, path[:l]) for e, path in paths for l in range(len(path))}
+    attention_keys = {(e, path[:l], path[l][0]) for e, path in paths for l in range(len(path))}
     lengths = {len(val.sequences[b % len(val.sequences)]) for b in range(eval_batches)}
     assert len(lengths) == (2 if two_lengths and eval_batches > 1 else 1)
-    assert calls["block_forward"] == len(nodes) * len(lengths)
+    assert len(attention_keys) < len(nodes)
+    assert calls["attention_half"] == len(attention_keys) * len(lengths)
+    assert calls["ffn_half"] == len(nodes) * len(lengths)
+    assert calls["block_norm"] == (len(parents) + len(attention_keys)) * len(lengths)  # ln1 + ln2
     assert calls["head_forward"] == len(set(paths)) * len(lengths)
 
 

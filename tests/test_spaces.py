@@ -1,5 +1,8 @@
 """Counting, sampling, presets, and subnet-spec parsing."""
 
+import re
+import tracemalloc
+
 import pytest
 
 from ofat.errors import ConfigurationError
@@ -184,6 +187,19 @@ def test_parse_subnet_spec_inline():
                         ("embed=32,depth=2,ratios=q", "'ratios'.*'q'")):
         with pytest.raises(ConfigurationError, match=named):
             parse_subnet_spec(space, spec)
+
+
+@pytest.mark.parametrize("depth", [10_000_000, -3])
+def test_parse_subnet_spec_refuses_depth_outside_the_space_before_expanding(depth):
+    space = desk_space()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=re.escape(f"depth {depth} not in {space.depths}")):
+            parse_subnet_spec(space, f"embed=32,depth={depth}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_space_dict_round_trip():

@@ -134,7 +134,8 @@ def test_reference_forward_calls_none_of_the_sliced_path(tiny_space, tiny_model,
         raise AssertionError("reference_forward used a sliced-path helper")
 
     for module, name in ((ad, "linear_prefix"), (ad, "attention"), (ad, "slice_prefix"),
-                         (supernet, "touched_boxes"), (supernet, "block_forward")):
+                         (supernet, "touched_boxes"), (supernet, "block_forward"),
+                         (supernet, "block_norm"), (supernet, "attention_half"), (supernet, "ffn_half")):
         monkeypatch.setattr(module, name, refuse)
     ref_final, ref_hidden, ref_head_out = reference_forward(sub, cfg, x, collect_hidden=True)
     for a, b in zip([final, head_out, *hidden], [ref_final, ref_head_out, *ref_hidden], strict=True):
