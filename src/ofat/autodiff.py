@@ -24,6 +24,10 @@ models use: equal shapes, python scalars, a trailing [d] vector against
 
 backward() drops each intermediate node's gradient, closure and parents
 once its vector-Jacobian product has run; leaves keep their gradients.
+Until then the tape holds what each closure keeps. attention and
+layer_norm keep per-row statistics, not their [seqs*heads, t, t]
+probabilities or [rows, d] normalized input, which backward rebuilds bit
+for bit, so a training graph grows with its rows, not with t^2.
 
 Gradient correctness is enforced by :func:`finite_diff_check`, a central
 finite-difference oracle that every differentiable op is tested against.
@@ -497,6 +501,11 @@ def attention(q, k, v, heads: int, seqs: int = 1) -> Tensor:
     out and composing matmul, transpose, softmax_lastdim and concat, in
     their order, so values and gradients equal that composition, and one
     call per sequence, bit for bit.
+
+    The tape keeps q, k, v and the softmax's [seqs*heads, t, 1] row max and
+    row sum. Backward splits q, k and v again and rebuilds the probabilities
+    from them by the forward's expressions, so no [t, t] array outlives the
+    forward: one more score product and exp per call buys that memory.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (heads < 1 or seqs < 1 or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape
@@ -514,17 +523,27 @@ def attention(q, k, v, heads: int, seqs: int = 1) -> Tensor:
     def merge(x):  # [seqs*heads, t, hd] -> [seqs*t, heads*hd]
         return x.reshape(seqs, heads, t, hd).transpose(0, 2, 1, 3).reshape(rows, width)
 
-    Q, V = split(q.data), split(v.data)
-    KT = np.ascontiguousarray(k.data.reshape(seqs, t, heads, hd).transpose(0, 2, 3, 1)).reshape(n, hd, t)
+    def split_t(x):  # [seqs*t, heads*hd] -> contiguous [seqs*heads, hd, t]
+        return np.ascontiguousarray(x.reshape(seqs, t, heads, hd).transpose(0, 2, 3, 1)).reshape(n, hd, t)
+
     # The [seqs*heads, t, t] scores are updated in place: one large temporary,
     # not one per step, and the same values as the out-of-place expressions.
-    P = np.matmul(Q, KT)
+    P = np.matmul(split(q.data), split_t(k.data))
     P *= scale
-    P -= P.max(axis=-1, keepdims=True)
+    mx = P.max(axis=-1, keepdims=True)
+    P -= mx
     np.exp(P, out=P)
-    P /= P.sum(axis=-1, keepdims=True)
+    sm = P.sum(axis=-1, keepdims=True)
+    P /= sm
 
     def vjp(g):
+        # P again, from the parents and the forward's row max and sum, by its expressions.
+        Q, V, KT = split(q.data), split(v.data), split_t(k.data)
+        P = np.matmul(Q, KT)
+        P *= scale
+        P -= mx
+        np.exp(P, out=P)
+        P /= sm
         G = split(g)
         dV = np.matmul(P.transpose(0, 2, 1), G)
         dS = np.matmul(G, V.transpose(0, 2, 1))  # dP, turned into dS in place:
@@ -535,12 +554,15 @@ def attention(q, k, v, heads: int, seqs: int = 1) -> Tensor:
         _accum(k, merge(np.matmul(Q.transpose(0, 2, 1), dS).transpose(0, 2, 1)))
         _accum(v, merge(dV))
 
-    return _result(merge(np.matmul(P, V)), (q, k, v), vjp)
+    return _result(merge(np.matmul(P, split(v.data))), (q, k, v), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5, seqs: int = 1) -> Tensor:
     """Zero-mean unit-variance over the last dimension d, then affine by the
-    first d entries of gain and bias (a prefix box of longer ones)."""
+    first d entries of gain and bias (a prefix box of longer ones).
+
+    The tape keeps x and the [rows, 1] mean and 1/std; backward rebuilds
+    the normalized input from them, as the forward computed it."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if gain.ndim != 1 or gain.shape != bias.shape or gain.shape[0] < d or x.shape[0] % seqs:
@@ -553,10 +575,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, seqs: int = 1) -> Tensor:
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    y = xhat * gv + bv
+    y = xc * inv_std * gv + bv
 
     def vjp(g):
+        xhat = (x.data - mu) * inv_std  # the forward's xhat, from the parent
         dxhat = g * gv
         # Standard layer-norm backward, folded:
         # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))

@@ -184,9 +184,9 @@ def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches)
 def sample_candidates(space: SearchSpace, budget: SearchBudget):
     """Rejection-sample n_candidates budget-satisfying configs.
 
-    Returns (configs, acceptance_rate). The raw sampler is untouched so
-    accepted candidates keep the training-time per-dimension uniform
-    distribution, just truncated by the budget.
+    Returns (configs, their subnet_params, acceptance_rate). The raw sampler
+    is untouched so accepted candidates keep the training-time
+    per-dimension uniform distribution, just truncated by the budget.
     """
     floor = subnet_params(space, min_subnet(space), budget)
     if budget.max_params < floor:
@@ -194,7 +194,7 @@ def sample_candidates(space: SearchSpace, budget: SearchBudget):
             f"budget {budget.max_params} is below the minimal subnet size {floor}"
         )
     rng = Rng(budget.seed, STREAM_SEARCH)
-    configs = []
+    configs, params = [], []
     attempts = 0
     cap = ATTEMPT_FACTOR * budget.n_candidates
     while len(configs) < budget.n_candidates:
@@ -207,9 +207,11 @@ def sample_candidates(space: SearchSpace, budget: SearchBudget):
             )
         config = sample_subnet(space, rng)
         attempts += 1
-        if subnet_params(space, config, budget) <= budget.max_params:
+        n = subnet_params(space, config, budget)
+        if n <= budget.max_params:
             configs.append(config)
-    return configs, len(configs) / attempts
+            params.append(n)
+    return configs, params, len(configs) / attempts
 
 
 def random_search(
@@ -229,7 +231,7 @@ def random_search(
     pass. Evaluation is serial: `workers` is accepted for compatibility
     and does not change the result.
     """
-    configs, acceptance = sample_candidates(space, budget)
+    configs, params, acceptance = sample_candidates(space, budget)
     lo, hi = min_subnet(space), max_subnet(space)
     *losses, lo_loss, hi_loss = evaluate_subnets(
         model, configs + [lo, hi], val_sequences, teacher, mask_spec, target_cfg,
@@ -237,8 +239,8 @@ def random_search(
     )
 
     entries = [
-        SearchEntry(config=c, params=subnet_params(space, c, budget), loss=loss, index=i)
-        for i, (c, loss) in enumerate(zip(configs, losses))
+        SearchEntry(config=c, params=n, loss=loss, index=i)
+        for i, (c, n, loss) in enumerate(zip(configs, params, losses))
     ]
     entries.sort(key=lambda e: (e.loss, e.index))
     assert all(e.params <= budget.max_params for e in entries)

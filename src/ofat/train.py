@@ -374,18 +374,25 @@ def teacher_self_regression_loss(teacher: TeacherModel, sequences) -> float:
 
 
 def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size):
+    """Adam steps on the mean squared error of the head against the frontend features.
+    As in _run_training, each run of consecutive equal-length sequences in a batch is one
+    row-stacked graph and one backward, bitwise one graph per sequence."""
     adam = Adam(model.params)
     boxes = touched_boxes(space, config)
     batcher = CyclicBatcher(dataset)
     for _ in range(steps):
         adam.zero_grad()
-        for _, seq in batcher.next_batch(batch_size):
-            feats = model.frontend.forward(seq)
-            _, _, head_out = forward(model, config, feats)
-            err = head_out - Tensor(feats)
-            loss = ad.tsum(err * err) * (1.0 / (head_out.size * batch_size))
-            loss.backward()
+        feats = [model.frontend.forward(seq) for _, seq in batcher.next_batch(batch_size)]
+        for t, run in itertools.groupby(feats, key=lambda f: f.shape[0]):
+            run = list(run)
+            head_out = forward(model, config, np.concatenate(run), seqs=len(run))[2]
+            root = 0.0
+            for j, f in enumerate(run):
+                err = ad.slice_along(head_out, 0, j * t, (j + 1) * t) - Tensor(f)
+                root = root + ad.tsum(err * err) * (1.0 / (err.size * batch_size))
+            root.backward()
         adam.step(lr, boxes)
+    adam.zero_grad()  # the teacher is frozen from here on; its gradient buffers need not live
 
 
 def teacher_to_checkpoint(teacher: TeacherModel, metadata: dict) -> Checkpoint:

@@ -143,12 +143,26 @@ def test_teacher_as_student_beats_random_subnets(setup):
 def test_vacuous_budget_acceptance_rate_one(setup):
     space, model, teacher, val = setup
     budget = SearchBudget(max_params=max_params_of(space), n_candidates=50, seed=3)
-    configs, rate = sample_candidates(space, budget)
+    configs, params, rate = sample_candidates(space, budget)
     assert rate == 1.0
     assert len(configs) == 50
     # reproducible multiset under the same seed
-    configs2, _ = sample_candidates(space, budget)
+    configs2, params2, _ = sample_candidates(space, budget)
     assert configs == configs2
+    assert params == params2
+
+
+@pytest.mark.parametrize("includes", [(True, True), (False, False)], ids=["whole", "encoder-only"])
+def test_sample_candidates_returns_each_candidates_subnet_params(setup, includes):
+    space = setup[0]
+    flags = dict(includes_frontend=includes[0], includes_head=includes[1])
+    lo, hi = (subnet_params(space, f(space), SearchBudget(max_params=1, n_candidates=1, **flags))
+              for f in (min_subnet, max_subnet))
+    budget = SearchBudget(max_params=(lo + hi) // 2, n_candidates=40, seed=5, **flags)
+    configs, params, rate = sample_candidates(space, budget)
+    assert rate < 1.0 and len(params) == len(configs) == 40
+    assert params == [subnet_params(space, c, budget) for c in configs]
+    assert max(params) <= budget.max_params
 
 
 def test_budget_below_min_subnet_rejected(setup):

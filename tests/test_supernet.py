@@ -222,6 +222,61 @@ def test_masked_distillation_step_graph_size(std_space, monkeypatch):
     assert len(sizes) == 2 and max(sizes) <= 188, sizes
 
 
+def _closure_arrays(fn):
+    """Every array a closure captures, through the closures it captures."""
+    arrays, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                todo.append(value)
+    return arrays
+
+
+def test_stacked_tape_keeps_rows_not_attention_probabilities():
+    # Attention keeps its row max and sum and layer norm its mean and 1/std:
+    # backward rebuilds the [seqs*heads, t, t] probabilities and the [rows, d]
+    # normalized input from the parents, so the tape grows with rows, not t^2.
+    import tracemalloc
+
+    space = desk_space(embed_dims=(16,), head_choices=(4,), ffn_ratios=(2.0,), depths=(2, 3, 4),
+                       head_dim=4, conv_groups=4, conv_kernel=3, frontend_dim=8, teacher_dim=16)
+    model = build_supernet(space, Rng(5, 1))
+    seqs, t, heads = 4, 256, 4
+    x = ad.Tensor(rand_input(6, seqs * t, 8), requires_grad=True)
+
+    def loss(depth):
+        config = SubnetConfig(16, depth, (heads,) * depth, (2.0,) * depth)
+        return ad.tsum(forward(model, config, x, seqs=seqs)[2])
+
+    kept = {"attention": [], "layer_norm": []}
+    for node in ComputeGraph.from_root(loss(2)).nodes:
+        op = node._vjp.__qualname__.split(".")[0] if node._vjp else None
+        if op in kept:
+            kept[op].append(_closure_arrays(node._vjp))
+    assert len(kept["attention"]) == 2 and len(kept["layer_norm"]) == 5
+    for arrays in kept["attention"]:
+        assert arrays and not any(a.shape[-2:] == (t, t) for a in arrays), [a.shape for a in arrays]
+    for arrays in kept["layer_norm"]:
+        assert arrays and not any(a.shape == (seqs * t, 16) for a in arrays), [a.shape for a in arrays]
+
+    def peak(depth):
+        for p in [x, *model.params.values()]:
+            p.grad = None
+        tracemalloc.start()
+        try:
+            loss(depth).backward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    probs_bytes = seqs * heads * t * t * 4
+    per_block = (peak(4) - peak(2)) / 2
+    assert 0 < per_block < probs_bytes, (per_block, probs_bytes)
+
+
 # -- extraction ------------------------------------------------------------------
 
 

@@ -467,6 +467,55 @@ def test_stacked_steps_equal_per_sequence_graphs_over_two_sequence_lengths(monke
     _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, mixed, MASK, TGT))
 
 
+def _per_sequence_warmup(model, space, config, dataset, steps, lr, batch_size):
+    """The teacher warmup with one graph and one backward per sequence: the
+    reference the stacked warmup must reproduce bit for bit."""
+    from ofat import autodiff as ad
+    from ofat.data import CyclicBatcher
+    from ofat.supernet import forward
+
+    adam = Adam(model.params)
+    boxes = touched_boxes(space, config)
+    batcher = CyclicBatcher(dataset)
+    for _ in range(steps):
+        adam.zero_grad()
+        for _, seq in batcher.next_batch(batch_size):
+            feats = model.frontend.forward(seq)
+            head_out = forward(model, config, feats)[2]
+            err = head_out - Tensor(feats)
+            (ad.tsum(err * err) * (1.0 / (head_out.size * batch_size))).backward()
+        adam.step(lr, boxes)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4])
+def test_stacked_teacher_warmup_equals_per_sequence_graphs_bitwise(monkeypatch, batch_size):
+    from ofat import train
+    from ofat.data import SyntheticDataset
+    from ofat.train import teacher_to_checkpoint
+
+    space = small_setup()[0]
+    data = make_synthetic_dataset(seed=13, n_sequences=4, length=64)
+    short = make_synthetic_dataset(seed=16, n_sequences=3, length=48)
+    mixed = SyntheticDataset([data.sequences[0], short.sequences[0], short.sequences[1], data.sequences[1],
+                              data.sequences[2], data.sequences[3], short.sequences[2]])
+
+    def warmed(warmup_steps):
+        return make_teacher(seed=24, arch=SMALL_TEACHER, frontend_spec=space.frontend,
+                            warmup_steps=warmup_steps, warmup_lr=3e-3, dataset=mixed, batch_size=batch_size)
+
+    teacher = warmed(4)
+    assert all(p.grad is None for p in teacher.encoder.params.values())
+    stacked = teacher_to_checkpoint(teacher, {}).tensors
+    with monkeypatch.context() as m:
+        m.setattr(train, "_warmup_self_regression", _per_sequence_warmup)
+        reference = teacher_to_checkpoint(warmed(4), {}).tensors
+    assert list(stacked) == list(reference)
+    for name in stacked:
+        assert stacked[name].tobytes() == reference[name].tobytes(), name
+    fresh = teacher_to_checkpoint(warmed(0), {}).tensors
+    assert any(stacked[name].tobytes() != fresh[name].tobytes() for name in fresh)
+
+
 def test_training_leaves_no_gradient_buffers():
     space, teacher, data, _ = small_setup()
     cfg = TrainConfig(stage=1, steps=2, batch_size=2, seed=34)
