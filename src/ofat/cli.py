@@ -81,8 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-params", type=int, help="override search.max_params")
     p.add_argument("--out", required=True, help="output prefix: <out>.csv and <out>.summary.yaml")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; evaluation is serial and the result "
-                        "is the same for any value")
+                   help="ignored, and kept only because the benchmark still passes it: "
+                        "evaluation runs on the usable CPUs over the BLAS thread count "
+                        "(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), and the result is "
+                        "the same for any value")
 
     p = sub.add_parser("extract", help="copy one subnet out of a supernet checkpoint")
     p.add_argument("--checkpoint", required=True)

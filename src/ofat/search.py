@@ -10,6 +10,9 @@ bounds, whatever the budget.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +120,24 @@ def evaluate_subnets(
 
     The sliced forward up to block l depends only on (embed_dim, heads[:l],
     ffn_ratio[:l]), and every candidate sees the same masks. So the
-    frontend and teacher targets run once per batch; the masked_input stem
-    and positional stage once per embed dim on the batches of one sequence
-    length stacked as rows; and the blocks over a trie keyed in two levels
-    per layer, heads[l] then ffn_ratio[l], walked depth first over that
-    stack. A block's attention half depends only on its input and heads, so
-    at a node with children ln1 runs once, each heads child runs one
-    attention_half and one ln2, and each ratio grandchild one ffn_half.
-    Where a config's depth ends, the head runs once on the stack and the
-    loss once per batch on its rows. Only the root-to-node path is held:
-    per layer the block input, its ln1, one attention half and its ln2, so
-    at most about 4 * max_depth stacked arrays.
+    frontend, teacher targets and masks run once per batch; the
+    masked_input stem and positional stage once per embed dim on the
+    batches of one sequence length stacked as rows; and the blocks over a
+    trie keyed in two levels per layer, heads[l] then ffn_ratio[l], walked
+    depth first over that stack. A block's attention half depends only on
+    its input and heads, so at a node with children ln1 runs once, each
+    heads child runs one attention_half and one ln2, and each ratio
+    grandchild one ffn_half. Where a config's depth ends, the head runs
+    once on the stack and the loss once per batch on its rows.
+
+    The subtrees below the layer-0 children of each (embed dim, sequence
+    length) root are independent, so walker_count() threads walk them, the
+    caller's among them; numpy and BLAS release the GIL inside each
+    kernel. Every node runs the same ops on the same inputs whichever
+    thread takes it, and each config's losses land in its own row, so the
+    result is the same for any walker count. Each walker holds only its
+    root-to-node path: per layer the block input, its ln1, one attention
+    half and its ln2, so at most about 4 * max_depth stacked arrays.
     """
     tries: dict[int, tuple[SubnetConfig, _PrefixNode]] = {}
     for i, config in enumerate(configs):
@@ -141,35 +151,106 @@ def evaluate_subnets(
     stacks: dict[int, list[int]] = {}  # frame count -> the batches of that length, in order
     for b, (feats, _) in enumerate(batches):
         stacks.setdefault(feats.shape[0], []).append(b)
+    # Each candidate alone draws its masks from a fresh stream, in batch order.
+    mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
+    masks = [span_mask(feats.shape[0], mask_spec, mask_rng) for feats, _ in batches]
     per_batch = np.zeros((len(configs), len(batches)))
+    failures: list[BaseException] = []  # once not empty, every walker stops
 
-    def walk(node, e, depth, h, scored):
-        """h stacks the rows of the batches in `scored`, a list of (batch, targets, mask)."""
+    def score(ends, e, h, scored):
+        """The configs `ends` on h, which stacks the rows of `scored`, a list of (batch, targets, mask)."""
+        seqs = len(scored)
+        head_out = head_forward(model, e, h, seqs)[1].data
+        t = head_out.shape[0] // seqs
+        for j, (b, targets, mask) in enumerate(scored):
+            rows = ad.Tensor(head_out[j * t:(j + 1) * t])
+            per_batch[ends, b] = distill_loss(rows, targets, mask, reduction=l1_reduction).item()
+
+    def steps(node, e, depth, h, scored):
+        """The work below `node`, one independent callable per child (and one for its ends);
+        siblings' shared ln1, attention halves and ln2s run here, as the callables are drawn."""
         seqs = len(scored)
         if node.ends:
-            head_out = head_forward(model, e, h, seqs)[1].data
-            t = head_out.shape[0] // seqs
-            for j, (b, targets, mask) in enumerate(scored):
-                rows = ad.Tensor(head_out[j * t:(j + 1) * t])
-                per_batch[node.ends, b] = distill_loss(rows, targets, mask, reduction=l1_reduction).item()
+            yield functools.partial(score, node.ends, e, h, scored)
         if node.children:
             hn = block_norm(model, depth, "ln1", h, seqs)
         for heads, by_ratio in node.children.items():
             a = attention_half(model, depth, h, hn, e, heads, seqs)
             an = block_norm(model, depth, "ln2", a, seqs)
             for ratio, child in by_ratio.items():
-                walk(child, e, depth + 1, ffn_half(model, depth, a, an, e, ratio, seqs), scored)
+                yield functools.partial(descend, child, e, depth, a, an, ratio, scored)
 
-    with ad.no_grad():
+    def descend(child, e, depth, a, an, ratio, scored):
+        if failures:
+            return
+        h = ffn_half(model, depth, a, an, e, ratio, len(scored))
+        for step in steps(child, e, depth + 1, h, scored):
+            step()
+
+    def subtrees():
         for e, (first, root) in tries.items():
-            # Each candidate alone draws its masks from a fresh stream, in batch order.
-            mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
-            masks = [span_mask(feats.shape[0], mask_spec, mask_rng) for feats, _ in batches]
             for group in stacks.values():
                 h = masked_input(model, first, [batches[b][0] for b in group], [masks[b] for b in group])
-                walk(root, e, 0, positional_stage(model, e, h, len(group)),
-                     [(b, batches[b][1], masks[b]) for b in group])
+                yield from steps(root, e, 0, positional_stage(model, e, h, len(group)),
+                                 [(b, batches[b][1], masks[b]) for b in group])
+
+    _run_walkers(subtrees(), walker_count(), failures)
     return [float(np.mean(row)) for row in per_batch]
+
+
+def walker_count() -> int:
+    """Threads evaluate_subnets walks on: the usable CPUs over the threads of each BLAS call.
+
+    The BLAS thread count is read from OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else taken as every usable CPU. Unpinned, BLAS already
+    spreads each product over every core, and further walkers would
+    oversubscribe them (measured slower than one), so that walk stays
+    serial.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    blas_threads = int(value) if value.isdigit() and int(value) > 0 else cpus
+    return max(1, cpus // blas_threads)
+
+
+def _run_walkers(tasks, n: int, failures: list) -> None:
+    """Run every callable the iterator `tasks` yields on n threads, the caller's among them.
+
+    Each thread takes its next task under one lock, so the iterator's own
+    work runs once, in order. The first exception stops the hand-out and is
+    re-raised here, with its own type, once every thread has ended. Tape
+    recording is off and the caller's dtype holds in every thread (both
+    are per-thread).
+    """
+    lock = threading.Lock()
+    dtype = ad.default_dtype()
+
+    def take():
+        with lock:
+            return None if failures else next(tasks, None)
+
+    def walker():
+        try:
+            with ad.no_grad(), ad.precision(dtype):
+                for task in iter(take, None):
+                    task()
+        except BaseException as exc:  # re-raised in the caller below
+            failures.append(exc)
+
+    threads = []
+    try:
+        for _ in range(n - 1):
+            thread = threading.Thread(target=walker)
+            thread.start()
+            threads.append(thread)
+        walker()
+    except BaseException as exc:  # a thread that could not start
+        failures.append(exc)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):
@@ -228,8 +309,8 @@ def random_search(
     """Score budget-satisfying random subnets; rank ascending by loss.
 
     Every candidate and both bounds are scored in one evaluate_subnets
-    pass. Evaluation is serial: `workers` is accepted for compatibility
-    and does not change the result.
+    pass, on walker_count() threads. `workers` is ignored and changes no
+    result; it stays only until the benchmark, which passes it, drops it.
     """
     configs, params, acceptance = sample_candidates(space, budget)
     lo, hi = min_subnet(space), max_subnet(space)

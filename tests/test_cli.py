@@ -530,7 +530,8 @@ def test_byte_flips_exit_with_a_documented_code(workdir, tmp_path, capsys):
 
 
 def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
-    """The stacked search products must not depend on how OpenBLAS splits them."""
+    """The stacked search products must not depend on how OpenBLAS splits them,
+    nor on how many walker threads the usable CPUs allow."""
     data_dir, teacher = tmp_path / "data", tmp_path / "teacher.ofat"
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
@@ -545,14 +546,16 @@ def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
     model = build_supernet(desk_space(), Rng(5, 1))
     model.frontend = load_model(teacher, "teacher")[0].frontend  # search scores only on the teacher's features
     supernet_to_checkpoint(model, {"seed": 5}).save(supernet)
+    one_cpu = {min(os.sched_getaffinity(0))}
     outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+    for threads, cpus in (("1", None), ("2", None), ("1", one_cpu)):
+        out = tmp_path / f"threads{threads}-cpus{len(cpus or ())}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(ofat.__file__).resolve().parents[1]))
+        pin = None if cpus is None else (lambda cpus=cpus: os.sched_setaffinity(0, cpus))
         proc = subprocess.run([sys.executable, "-m", "ofat.cli", "search", "--config", str(cfg),
                                "--checkpoint", str(supernet), "--out", str(out)],
-                              capture_output=True, text=True, env=env, timeout=300)
+                              capture_output=True, text=True, env=env, timeout=300, preexec_fn=pin)
         assert proc.returncode == 0, proc.stderr
         outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.summary.yaml").read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -1,6 +1,10 @@
 """Budgeted random search: determinism, budget enforcement, reporting."""
 
+import sys
+import threading
+import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from ofat import autodiff as ad
 from ofat import search
 from ofat.data import SyntheticDataset, make_synthetic_dataset
 from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
-from ofat.errors import BudgetInfeasibleError, ConfigurationError
+from ofat.errors import BudgetInfeasibleError, ConfigurationError, DimensionError
 from ofat.rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from ofat.search import (
     SearchBudget,
@@ -283,16 +287,8 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
     space, model, teacher, val = setup
     if two_lengths:
         val = _two_length_val()
-    calls = Counter()
-    for name in ("block_norm", "attention_half", "ffn_half", "head_forward"):
-        def counted(*args, _real=getattr(search, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(search, name, counted)
     rng = Rng(16, 4)
     configs = [sample_subnet(space, rng) for _ in range(40)]
-    evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
-
     paths = [(c.embed_dim, tuple(zip(c.heads, c.ffn_ratio))) for c in configs]
     nodes = {(e, path[:l + 1]) for e, path in paths for l in range(len(path))}
     parents = {(e, path[:l]) for e, path in paths for l in range(len(path))}
@@ -300,10 +296,97 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
     lengths = {len(val.sequences[b % len(val.sequences)]) for b in range(eval_batches)}
     assert len(lengths) == (2 if two_lengths and eval_batches > 1 else 1)
     assert len(attention_keys) < len(nodes)
-    assert calls["attention_half"] == len(attention_keys) * len(lengths)
-    assert calls["ffn_half"] == len(nodes) * len(lengths)
-    assert calls["block_norm"] == (len(parents) + len(attention_keys)) * len(lengths)  # ln1 + ln2
-    assert calls["head_forward"] == len(set(paths)) * len(lengths)
+
+    reals = {name: getattr(search, name) for name in ("block_norm", "attention_half", "ffn_half", "head_forward")}
+    for walkers in (1, 4):  # 4 > cores still runs concurrently
+        monkeypatch.setattr(search, "walker_count", lambda: walkers)
+        calls, lock = Counter(), threading.Lock()
+        for name, real in reals.items():
+            def counted(*args, _real=real, _name=name):
+                with lock:  # walkers race on the Counter
+                    calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(search, name, counted)
+        evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
+
+        assert calls["attention_half"] == len(attention_keys) * len(lengths)
+        assert calls["ffn_half"] == len(nodes) * len(lengths)
+        assert calls["block_norm"] == (len(parents) + len(attention_keys)) * len(lengths)  # ln1 + ln2
+        assert calls["head_forward"] == len(set(paths)) * len(lengths)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", ["desk", "two_lengths"])
+def test_search_losses_equal_for_any_walker_count(setup, desk_setup, monkeypatch, dims, dtype):
+    space, _, teacher, val = desk_setup if dims == "desk" else setup
+    if dims == "two_lengths":
+        val = _two_length_val()
+    with ad.precision(dtype):
+        model = build_supernet(space, Rng(43, 1))  # weights of that dtype, so the walk runs in it
+    rng = Rng(17, 4)
+    configs = [sample_subnet(space, rng) for _ in range(24)] + [min_subnet(space), max_subnet(space)]
+    losses, threads, real = {}, {1: set(), 4: set()}, search.ffn_half
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # switch walkers often, so a race would show
+        for walkers in (1, 4):  # 4 > cores still runs concurrently
+            def on_thread(*args, _seen=threads[walkers]):
+                _seen.add(threading.get_ident())
+                return real(*args)
+            monkeypatch.setattr(search, "walker_count", lambda: walkers)
+            monkeypatch.setattr(search, "ffn_half", on_thread)
+            with ad.precision(dtype):
+                losses[walkers] = evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT,
+                                                   eval_seed=3, eval_batches=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads[1]) == 1 and len(threads[4]) > 1
+    assert losses[4] == losses[1]
+
+
+def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeypatch):
+    space, model, teacher, val = setup
+    walkers = 4
+    monkeypatch.setattr(search, "walker_count", lambda: walkers)
+    calls, lock, real = [0], threading.Lock(), search.ffn_half
+
+    def failing(*args):
+        with lock:
+            calls[0] += 1
+            n = calls[0]
+        if n == 5:
+            raise DimensionError("injected")
+        time.sleep(0.01)  # a slow FFN half keeps the other walkers mid-subtree when the failure lands
+        return real(*args)
+
+    monkeypatch.setattr(search, "ffn_half", failing)
+    rng = Rng(18, 4)
+    deepest = replace(space, depths=(max(space.depths),))  # every subtree has nodes below layer 0
+    configs = [sample_subnet(deepest, rng) for _ in range(60)]
+    before = threading.active_count()
+    with pytest.raises(DimensionError, match="injected"):
+        evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=2)
+    assert 5 <= calls[0] <= 5 + (walkers - 1)  # at most one further ffn_half per other walker
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("env,expected", [
+    ({}, 1),  # BLAS unpinned: it spreads each product over every core itself
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+])
+def test_walker_count_is_usable_cpus_over_blas_threads(monkeypatch, env, expected):
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert search.walker_count() == expected
 
 
 def test_search_workers_match_serial(setup):
