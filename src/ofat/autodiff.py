@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -85,6 +86,23 @@ def no_grad():
         yield
     finally:
         _TLS.grad_enabled = saved
+
+
+def walker_count() -> int:
+    """Threads ofat's numpy work may run on: the usable CPUs over the threads of each BLAS call.
+
+    It sets how many threads walk the search trie (search.evaluate_subnets)
+    and, above one, switches on training's target helper thread
+    (train._run_training). The BLAS thread count is read from
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else taken as every usable
+    CPU. Unpinned, BLAS already spreads each product over every core, and
+    further threads would oversubscribe them (measured slower than one), so
+    that work stays serial.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    blas_threads = int(value) if value.isdigit() and int(value) > 0 else cpus
+    return max(1, cpus // blas_threads)
 
 
 class Tensor:

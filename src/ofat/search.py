@@ -11,13 +11,13 @@ bounds, whatever the budget.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import walker_count
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_input, span_mask
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
@@ -196,21 +196,6 @@ def evaluate_subnets(
 
     _run_walkers(subtrees(), walker_count(), failures)
     return [float(np.mean(row)) for row in per_batch]
-
-
-def walker_count() -> int:
-    """Threads evaluate_subnets walks on: the usable CPUs over the threads of each BLAS call.
-
-    The BLAS thread count is read from OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS, else taken as every usable CPU. Unpinned, BLAS already
-    spreads each product over every core, and further walkers would
-    oversubscribe them (measured slower than one), so that walk stays
-    serial.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
-    blas_threads = int(value) if value.isdigit() and int(value) > 0 else cpus
-    return max(1, cpus // blas_threads)
 
 
 def _run_walkers(tasks, n: int, failures: list) -> None:

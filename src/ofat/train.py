@@ -13,14 +13,17 @@ boxes of the step's subnet, so untouched slices keep their stale values.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, walker_count
 from .binio import atomic_open
 from .checkpoint import Checkpoint, load_model, supernet_to_checkpoint
 from .data import CyclicBatcher, SyntheticDataset
@@ -185,6 +188,42 @@ def _adopt_teacher_frontend(model: SupernetModel, teacher: TeacherModel) -> None
     model.frontend = teacher.frontend.copy()
 
 
+LOOKAHEAD = 4  # batches whose targets the helper thread may compute ahead of the step
+
+
+def _lookahead(work, items, ahead: int):
+    """Yield (item, future of work(item)) for each item, in order; items are drawn on the caller's thread.
+
+    With ahead > 0 one helper thread runs work, under the caller's dtype, on
+    the yielded item and up to `ahead` items past it; otherwise work runs
+    here before its item is yielded. An exception in work is raised by its
+    future's result() with its own type. Closing the generator cancels what
+    has not started and waits for what has, so no thread outlives it.
+    """
+    if not ahead:
+        for item in items:
+            done = Future()
+            done.set_result(work(item))
+            yield item, done
+        return
+    dtype = ad.default_dtype()
+
+    def run(item):
+        with ad.precision(dtype):
+            return work(item)
+
+    helper = ThreadPoolExecutor(1)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append((item, helper.submit(run, item)))
+            if len(pending) > ahead:
+                yield pending.popleft()
+        yield from pending
+    finally:
+        helper.shutdown(cancel_futures=True)
+
+
 def _run_training(
     model: SupernetModel,
     space: SearchSpace,
@@ -197,44 +236,63 @@ def _run_training(
     l1_reduction: str = "mean",
 ) -> TrainLog:
     """The step loop of both stages: each run of consecutive equal-length sequences in a
-    batch is one row-stacked graph and one backward, bitwise one graph per sequence."""
+    batch is one row-stacked graph and one backward, bitwise one graph per sequence.
+
+    A batch's teacher targets depend only on its frontend features, never
+    on the student. When walker_count() > 1 a helper thread computes them,
+    for the step's own batch and up to LOOKAHEAD batches past it, while the
+    student trains; the step waits for its targets only at its first loss.
+    Otherwise each step computes its own before its forward. Batches,
+    features, configs, learning rates and masks are made on the caller's
+    thread in step order either way, and the frozen teacher gives the same
+    targets on any thread, so logs and weights are bitwise the same.
+    """
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
     batcher = CyclicBatcher(dataset)
     feats_cache: dict[int, np.ndarray] = {}
     log = TrainLog()
 
-    for step in range(cfg.steps):
-        config = pick_config(step)
-        lr = lr_at(step, cfg)
-        adam.zero_grad()
-        batch = batcher.next_batch(cfg.batch_size)
+    def features(batch):
+        """The batch's frontend features and their target cache keys."""
         for idx, seq in batch:
             if idx not in feats_cache:
                 feats_cache[idx] = model.frontend.forward(seq)
-        feats = [feats_cache[idx] for idx, _ in batch]
-        targets = teacher.batch_targets(feats, target_cfg, [("train", idx) for idx, _ in batch])
-        masks = [span_mask(f.shape[0], mask_spec, mask_rng) for f in feats]
-        losses = []
-        for t, run in itertools.groupby(range(len(feats)), key=lambda i: feats[i].shape[0]):
-            run = list(run)
-            h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
-            head_out = encode(model, config, h, seqs=len(run))[2]
-            root = 0.0
-            for j, i in enumerate(run):
-                loss = distill_loss(ad.slice_along(head_out, 0, j * t, (j + 1) * t), targets[i], masks[i],
-                                    reduction=l1_reduction)
-                losses.append(loss.item())
-                root = root + loss * (1.0 / cfg.batch_size)
-            root.backward()
-        mean_loss = float(np.mean(losses))
-        if not math.isfinite(mean_loss):
-            raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
-        gn = grad_norm(model.params)
-        if not math.isfinite(gn):
-            raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
-        adam.step(lr, touched_boxes(space, config))
-        log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
+        return [feats_cache[idx] for idx, _ in batch], [("train", idx) for idx, _ in batch]
+
+    def targets_of(item):
+        feats, keys = item
+        return teacher.batch_targets(feats, target_cfg, keys)
+
+    batches = (features(batcher.next_batch(cfg.batch_size)) for _ in range(cfg.steps))
+    jobs = _lookahead(targets_of, batches, LOOKAHEAD if walker_count() > 1 else 0)
+    with contextlib.closing(jobs):
+        for step in range(cfg.steps):
+            config = pick_config(step)
+            lr = lr_at(step, cfg)
+            adam.zero_grad()
+            (feats, _), targets = next(jobs)
+            masks = [span_mask(f.shape[0], mask_spec, mask_rng) for f in feats]
+            losses = []
+            for t, run in itertools.groupby(range(len(feats)), key=lambda i: feats[i].shape[0]):
+                run = list(run)
+                h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
+                head_out = encode(model, config, h, seqs=len(run))[2]
+                root = 0.0
+                for j, i in enumerate(run):
+                    loss = distill_loss(ad.slice_along(head_out, 0, j * t, (j + 1) * t), targets.result()[i],
+                                        masks[i], reduction=l1_reduction)
+                    losses.append(loss.item())
+                    root = root + loss * (1.0 / cfg.batch_size)
+                root.backward()
+            mean_loss = float(np.mean(losses))
+            if not math.isfinite(mean_loss):
+                raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
+            gn = grad_norm(model.params)
+            if not math.isfinite(gn):
+                raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
+            adam.step(lr, touched_boxes(space, config))
+            log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
     adam.zero_grad()  # the model outlives the run; its gradient buffers need not
     return log
 

@@ -559,3 +559,32 @@ def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.summary.yaml").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_training_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
+    """Both stages' checkpoints and logs must not depend on how OpenBLAS splits
+    the products, nor on whether a helper thread prepares the teacher targets
+    (it does only when the usable CPUs allow more than one walker)."""
+    data_dir, teacher = tmp_path / "data", tmp_path / "teacher.ofat"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "seed: 6\n"
+        "train: {steps: 12, warmup_steps: 2, sequence_length: 256, n_train_sequences: 6, n_val_sequences: 1}\n"
+        f"paths: {{teacher: '{teacher}', train_data: '{data_dir / 'train.ofad'}', "
+        f"val_data: '{data_dir / 'val.ofad'}'}}\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data_dir)]) == 0
+    assert main(["init-teacher", "--config", str(cfg), "--out", str(teacher)]) == 0
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outputs = []
+    for threads, cpus in (("1", None), ("2", None), ("1", one_cpu)):
+        run = tmp_path / f"threads{threads}-cpus{len(cpus or ())}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(ofat.__file__).resolve().parents[1]))
+        pin = None if cpus is None else (lambda cpus=cpus: os.sched_setaffinity(0, cpus))
+        s1, s2 = Path(f"{run}-s1.ofat"), Path(f"{run}-s2.ofat")
+        for args in (["--stage", "1", "--out", str(s1)], ["--stage", "2", "--init", str(s1), "--out", str(s2)]):
+            proc = subprocess.run([sys.executable, "-m", "ofat.cli", "train", "--config", str(cfg), *args],
+                                  capture_output=True, text=True, env=env, timeout=300, preexec_fn=pin)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append([Path(f"{p}{ext}").read_bytes() for p in (s1, s2) for ext in ("", ".log.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -381,12 +381,15 @@ def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeyp
     ({"OPENBLAS_NUM_THREADS": "two"}, 1),
 ])
 def test_walker_count_is_usable_cpus_over_blas_threads(monkeypatch, env, expected):
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    from ofat import train
+
+    assert search.walker_count is train.walker_count is ad.walker_count  # one rule for the walk and the helper
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert search.walker_count() == expected
+    assert ad.walker_count() == expected
 
 
 def test_search_workers_match_serial(setup):

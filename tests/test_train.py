@@ -1,6 +1,9 @@
 """Optimizer semantics, schedules, and the two training stages."""
 
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -545,3 +548,109 @@ def test_adam_in_place_step_equals_the_out_of_place_expressions_bitwise(weight_d
         w[box] = w[box] - update
         for name, arr in (("p", p.data), ("m", opt.m["p"]), ("v", opt.v["p"])):
             assert arr.tobytes() == ref[name].tobytes(), (t, name)
+
+
+# -- the target helper thread ------------------------------------------------------
+
+
+def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, delay: float = 0.0):
+    """Wrap TeacherModel.batch_targets to record each call's (thread, dtype), then
+    sleep `delay` s, raising a ConfigurationError on call number fail_on_call."""
+    from ofat import autodiff as ad
+    from ofat.distill import TeacherModel
+
+    real = TeacherModel.batch_targets
+
+    def recorded(self, *args):
+        seen.append((threading.get_ident(), ad.default_dtype()))
+        time.sleep(delay)
+        if len(seen) == fail_on_call:
+            raise ConfigurationError("injected")
+        return real(self, *args)
+
+    monkeypatch.setattr(TeacherModel, "batch_targets", recorded)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths", ["one", "two"])
+def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatch, tmp_path, lengths, dtype):
+    from ofat import autodiff as ad
+    from ofat import train
+    from ofat.data import SyntheticDataset
+
+    space, _, data, _ = small_setup()
+    if lengths == "two":
+        short = make_synthetic_dataset(seed=16, n_sequences=3, length=48)
+        data = SyntheticDataset([data.sequences[0], short.sequences[0], short.sequences[1], data.sequences[1],
+                                 data.sequences[2], data.sequences[3], short.sequences[2]])
+    c1 = TrainConfig(stage=1, steps=9, batch_size=3, learning_rate=3e-3, warmup_steps=2, seed=36)
+    c2 = TrainConfig(stage=2, steps=9, batch_size=3, learning_rate=3e-3, seed=36, init_checkpoint="-")
+    files, seen = {}, {1: [], 2: []}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
+        for walkers in (1, 2):
+            with monkeypatch.context() as m, ad.precision(dtype):
+                m.setattr(train, "walker_count", lambda: walkers)
+                _recorded_batch_targets(m, seen[walkers])
+                # a fresh teacher per run, so every first epoch's targets are cold
+                teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
+                ck1, model, log1 = stage1_train(c1, space, teacher, data, MASK, TGT)
+                ck2, _, log2 = stage2_train(c2, space, teacher, data, MASK, TGT, init_model=model)
+            out = []
+            for stage, (ck, log) in enumerate(((ck1, log1), (ck2, log2)), start=1):
+                ck.save(tmp_path / f"w{walkers}s{stage}.ofat")
+                log.to_csv(tmp_path / f"w{walkers}s{stage}.log.csv")
+                out += [(tmp_path / f"w{walkers}s{stage}{ext}").read_bytes() for ext in (".ofat", ".log.csv")]
+            files[walkers] = out
+    finally:
+        sys.setswitchinterval(interval)
+    assert files[2] == files[1]
+    caller = threading.get_ident()
+    assert len(seen[1]) == len(seen[2]) == c1.steps + c2.steps
+    assert all(thread == caller for thread, _ in seen[1])
+    assert all(thread != caller for thread, _ in seen[2])
+    assert {d for _, d in seen[1] + seen[2]} == {np.dtype(dtype)}  # the helper runs in the caller's dtype
+
+
+def test_a_helper_failure_reaches_the_caller_with_its_type(monkeypatch):
+    from ofat import train
+
+    space, teacher, data, _ = small_setup()
+    monkeypatch.setattr(train, "walker_count", lambda: 2)
+    seen = []
+    _recorded_batch_targets(monkeypatch, seen, fail_on_call=3)
+    before = threading.active_count()
+    with pytest.raises(ConfigurationError, match="injected") as failure:
+        stage1_train(TrainConfig(stage=1, steps=10, batch_size=2, seed=37), space, teacher, data, MASK, TGT)
+    # checked while the held traceback keeps the step loop's frame alive
+    assert threading.active_count() == before, failure.value
+    assert all(thread != threading.get_ident() for thread, _ in seen)
+
+
+@pytest.mark.parametrize("slow", ["step", "teacher"])
+def test_divergence_cancels_the_pending_lookahead(monkeypatch, slow):
+    """A slow step lets the helper run as far ahead as it may, and no further. A
+    slow teacher leaves batches unstarted when step 0 diverges, and they never start."""
+    from ofat import train
+    from ofat.errors import DivergenceError
+
+    space, teacher, data, _ = small_setup()
+    monkeypatch.setattr(train, "walker_count", lambda: 2)
+
+    def nan_norm(params):
+        time.sleep(0.2 if slow == "step" else 0.0)
+        return float("nan")
+
+    monkeypatch.setattr(train, "grad_norm", nan_norm)
+    seen = []
+    _recorded_batch_targets(monkeypatch, seen, delay=0.2 if slow == "teacher" else 0.0)
+    before = threading.active_count()
+    with pytest.raises(DivergenceError, match="grad norm nan at step 0") as failure:
+        stage1_train(TrainConfig(stage=1, steps=50, batch_size=2, seed=38), space, teacher, data, MASK, TGT)
+    if slow == "step":
+        assert len(seen) == train.LOOKAHEAD + 1
+    else:  # batch 0, and batch 1 running when step 0 failed
+        assert 2 <= len(seen) < train.LOOKAHEAD + 1
+    # checked while the held traceback keeps the step loop's frame alive
+    assert threading.active_count() == before, failure.value
