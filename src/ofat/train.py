@@ -188,7 +188,11 @@ def _adopt_teacher_frontend(model: SupernetModel, teacher: TeacherModel) -> None
     model.frontend = teacher.frontend.copy()
 
 
-LOOKAHEAD = 4  # batches whose targets the helper thread may compute ahead of the step
+# Batches whose targets the helper thread may compute ahead of the step. A
+# stage-2 step on a small subnet can be shorter than the teacher forward, so
+# a few banked batches cover it; 1 measured no faster and slightly slower
+# (BENCH_target_prefetch.json, design_runs).
+LOOKAHEAD = 4
 
 
 def _lookahead(work, items, ahead: int):
@@ -242,10 +246,13 @@ def _run_training(
     on the student. When walker_count() > 1 a helper thread computes them,
     for the step's own batch and up to LOOKAHEAD batches past it, while the
     student trains; the step waits for its targets only at its first loss.
-    Otherwise each step computes its own before its forward. Batches,
-    features, configs, learning rates and masks are made on the caller's
-    thread in step order either way, and the frozen teacher gives the same
-    targets on any thread, so logs and weights are bitwise the same.
+    Otherwise (BLAS unpinned) each step computes its own before its
+    forward: there the helper measured slower, stage-1 p50 68 -> 98 ms in
+    cold `ofat train` processes on 2 cores, as BLAS's own threads already
+    fill them (BENCH_target_prefetch.json, unpinned_helper_against_inline).
+    Batches, features, configs, learning rates and masks are made on the
+    caller's thread in step order either way, and the frozen teacher gives
+    the same targets on any thread, so logs and weights are bitwise the same.
     """
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)

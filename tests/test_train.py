@@ -553,9 +553,11 @@ def test_adam_in_place_step_equals_the_out_of_place_expressions_bitwise(weight_d
 # -- the target helper thread ------------------------------------------------------
 
 
-def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, delay: float = 0.0):
-    """Wrap TeacherModel.batch_targets to record each call's (thread, dtype), then
-    sleep `delay` s, raising a ConfigurationError on call number fail_on_call."""
+def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, delay: float = 0.0,
+                            started=None, started_at: int = 0):
+    """Wrap TeacherModel.batch_targets to record each call's (thread, dtype), set the
+    event `started` once started_at calls have begun, then sleep `delay` s, raising a
+    ConfigurationError on call number fail_on_call."""
     from ofat import autodiff as ad
     from ofat.distill import TeacherModel
 
@@ -563,6 +565,8 @@ def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, dela
 
     def recorded(self, *args):
         seen.append((threading.get_ident(), ad.default_dtype()))
+        if started is not None and len(seen) >= started_at:
+            started.set()
         time.sleep(delay)
         if len(seen) == fail_on_call:
             raise ConfigurationError("injected")
@@ -630,21 +634,26 @@ def test_a_helper_failure_reaches_the_caller_with_its_type(monkeypatch):
 
 @pytest.mark.parametrize("slow", ["step", "teacher"])
 def test_divergence_cancels_the_pending_lookahead(monkeypatch, slow):
-    """A slow step lets the helper run as far ahead as it may, and no further. A
-    slow teacher leaves batches unstarted when step 0 diverges, and they never start."""
+    """A slow step waits until the helper has started as far ahead as it may, and
+    then a while longer, in which nothing further starts. A slow teacher leaves
+    batches unstarted when step 0 diverges, and they never start."""
     from ofat import train
     from ofat.errors import DivergenceError
 
     space, teacher, data, _ = small_setup()
     monkeypatch.setattr(train, "walker_count", lambda: 2)
+    window_started = threading.Event()
 
     def nan_norm(params):
-        time.sleep(0.2 if slow == "step" else 0.0)
+        if slow == "step":
+            window_started.wait(timeout=60)  # on timeout the count below fails
+            time.sleep(0.2)
         return float("nan")
 
     monkeypatch.setattr(train, "grad_norm", nan_norm)
     seen = []
-    _recorded_batch_targets(monkeypatch, seen, delay=0.2 if slow == "teacher" else 0.0)
+    _recorded_batch_targets(monkeypatch, seen, delay=0.2 if slow == "teacher" else 0.0,
+                            started=window_started, started_at=train.LOOKAHEAD + 1)
     before = threading.active_count()
     with pytest.raises(DivergenceError, match="grad norm nan at step 0") as failure:
         stage1_train(TrainConfig(stage=1, steps=50, batch_size=2, seed=38), space, teacher, data, MASK, TGT)
