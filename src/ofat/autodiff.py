@@ -9,7 +9,9 @@ parent pointers, and exactly the operations the encoder needs:
 - gelu, softmax_lastdim, layer_norm, grouped_conv1d, mask_rows;
 - two fused ops for the sliced supernet forward: linear_prefix (a layer on
   a prefix box of a larger weight, reading views, no weight copy) and
-  attention (every head of every sequence in a row stack, one tape node).
+  attention (every head of every sequence in a row stack, one tape node);
+- one fused loss, masked_l1: the masked L1 of every sequence in a row stack,
+  one tape node, over the rows a LossMask names.
 
 The ops that take parameters (linear_prefix, layer_norm, grouped_conv1d,
 mask_rows) read a prefix box of a larger parameter and add into that box
@@ -681,6 +683,78 @@ def mask_rows(x, emb, rows, seqs: int = 1) -> Tensor:
             _accum_box(emb, box, de)
 
     return _result(x.data * keep + emb.data[box] * col, (x, emb), vjp)
+
+
+class LossMask:
+    """The rows masked_l1 scores: masks[s] indexes the masked rows of the s-th of the
+    stacked sequences of t rows (one index array alone: one sequence, a scalar loss).
+
+    Built once, it serves any number of masked_l1 calls on such stacks: it
+    keeps the 0/1 row column and the per-sequence scales of each (width,
+    reduction, dtype) asked for.
+    """
+
+    __slots__ = ("seqs", "t", "_rows", "_counts", "_shape", "_weights")
+
+    def __init__(self, masks, t: int):
+        lone = isinstance(masks, np.ndarray)
+        masks = [masks] if lone else [np.asarray(m, dtype=np.int64) for m in masks]
+        if not masks or any(m.size == 0 for m in masks):
+            raise ContractError("masked_l1 needs at least one masked step in every sequence")
+        self.seqs, self.t = len(masks), t
+        self._rows = np.zeros((self.seqs * t, 1), dtype=bool)
+        for s, m in enumerate(masks):
+            self._rows[s * t:(s + 1) * t][m] = True
+        self._counts = [m.size for m in masks]
+        self._shape = () if lone else (self.seqs,)
+        self._weights = {}
+
+    def weights(self, d: int, reduction: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The [seqs*t, 1] 0/1 gate column and the per-sequence scales,
+        1 / (masked steps, times d under "mean"), both in dtype."""
+        key = (d, reduction, np.dtype(dtype))
+        if key not in self._weights:
+            if reduction not in ("mean", "sum"):
+                raise ContractError(f"unknown reduction '{reduction}'")
+            per = d if reduction == "mean" else 1
+            scales = np.array([1.0 / float(n * per) for n in self._counts], dtype=dtype)
+            self._weights[key] = (self._rows.astype(dtype), scales.reshape(self._shape))
+        return self._weights[key]
+
+
+def masked_l1(x, targets, mask: LossMask, reduction: str = "mean") -> Tensor:
+    """Masked L1 of each of mask.seqs stacked sequences, as one tape node.
+
+    x and targets are [seqs*t, d]. Sequence s's loss is the sum of
+    |x - targets| over its masked rows times its scale from mask.weights: the
+    mean per-step feature distance under "mean", the per-step sum under
+    "sum". The [seqs] losses (0-d for a lone mask) and the gradients equal
+    tsum(tabs(x_s - targets_s) * gate_s) * scale_s on each sequence's rows
+    alone, bit for bit: each sequence's sum is numpy's pairwise sum over its
+    contiguous [t, d] block, as tsum's over the block alone. Gradients at
+    unmasked rows are exactly zero. targets are constants, the teacher's, so
+    no gradient flows into them. The tape keeps no [rows, d] array of its
+    own: backward takes x - targets again.
+    """
+    x, targets = _as_tensor(x), _as_tensor(targets)
+    if x.shape != targets.shape:
+        raise ContractError(f"student/target shapes disagree: {x.shape} vs {targets.shape}")
+    seqs = mask.seqs
+    if x.ndim != 2 or x.shape[0] != seqs * mask.t:
+        raise ContractError(f"masked_l1 rows {x.shape} do not hold the mask's {seqs} sequences "
+                            f"of {mask.t} rows")
+    per_entry = x.data - targets.data
+    gate, scales = mask.weights(x.shape[1], reduction, per_entry.dtype)
+    np.abs(per_entry, out=per_entry)
+    per_entry *= gate
+
+    def vjp(g):
+        # (g * scale) * gate * sign(diff) per sequence, in the composition's order
+        g_seq = (np.reshape(g, seqs) * scales.reshape(seqs))[:, None, None]
+        sign = np.sign(_per_seq(x.data - targets.data, seqs))
+        _accum(x, ((g_seq * gate.reshape(seqs, -1, 1)) * sign).reshape(x.shape))
+
+    return _result(per_entry.reshape(seqs, -1).sum(axis=1).reshape(scales.shape) * scales, (x,), vjp)
 
 
 # -- gradient oracle -------------------------------------------------------

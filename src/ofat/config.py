@@ -162,7 +162,8 @@ class RunConfig:
         _expect(tr["warmup_steps"] <= tr["steps"], "train.warmup_steps", "<= train.steps")
         _expect(tr["ofa_init"] in OFA_INITS, "train.ofa_init", f"one of {OFA_INITS}")
         di = d["distill"]
-        _expect(0.0 <= float(di["p"]) <= 1.0, "distill.p", "in [0, 1]")
+        # p = 0 masks no step, and the loss needs at least one per sequence
+        _expect(0.0 < float(di["p"]) <= 1.0, "distill.p", "in (0, 1]")
         _expect(di["span_length"] >= 1, "distill.span_length", ">= 1")
         _expect(di["mask_convention"] in ("fraction", "span_start"),
                 "distill.mask_convention", "'fraction' or 'span_start'")

@@ -125,22 +125,15 @@ def distill_loss(student_head_out: Tensor, targets: Tensor, mask_indices, reduct
     feature dimension, making the loss comparable across target widths;
     "sum" keeps the raw per-step sum. Gradients at unmasked steps are
     exactly zero because the difference is gated by a 0/1 column.
+
+    mask_indices holds one sequence's masked steps, and the loss is a
+    scalar; or it is an autodiff.LossMask over a [seqs*t, d] row stack of
+    sequences, and the result holds one loss per sequence, each bitwise the
+    loss of that sequence's rows alone (autodiff.masked_l1).
     """
-    indices = np.asarray(mask_indices, dtype=np.int64)
-    if indices.size == 0:
-        raise ContractError("distill_loss needs at least one masked step")
-    if student_head_out.shape != targets.shape:
-        raise ContractError(
-            f"student/target shapes disagree: {student_head_out.shape} vs {targets.shape}"
-        )
-    if reduction not in ("mean", "sum"):
-        raise ContractError(f"unknown reduction '{reduction}'")
-    t, d = student_head_out.shape
-    gate = np.zeros((t, 1), dtype=student_head_out.dtype)
-    gate[indices] = 1.0
-    per_entry = ad.tabs(student_head_out - targets) * Tensor(gate)
-    denom = float(indices.size * (d if reduction == "mean" else 1))
-    return ad.tsum(per_entry) * (1.0 / denom)
+    if not isinstance(mask_indices, ad.LossMask):
+        mask_indices = ad.LossMask(np.asarray(mask_indices, dtype=np.int64), student_head_out.shape[0])
+    return ad.masked_l1(student_head_out, targets, mask_indices, reduction)
 
 
 @dataclass

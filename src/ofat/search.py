@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +95,14 @@ def evaluate_subnet(
                             eval_seed, eval_batches, l1_reduction)[0]
 
 
+class _ScoredStack(NamedTuple):
+    """The held-out batches of one sequence length, scored as one row stack."""
+
+    batches: list[int]  # in batch order
+    targets: ad.Tensor  # their teacher targets, stacked as rows
+    mask: ad.LossMask  # their masks
+
+
 class _PrefixNode:
     """One trie node: a layer prefix shared by the configs below it."""
 
@@ -128,7 +137,9 @@ def evaluate_subnets(
     its input and heads, so at a node with children ln1 runs once, each
     heads child runs one attention_half and one ln2, and each ratio
     grandchild one ffn_half. Where a config's depth ends, the head runs
-    once on the stack and the loss once per batch on its rows.
+    once on the stack and distill_loss once, scoring every batch of the
+    stack in one fused op against the stack's targets and LossMask, which
+    are built once per call.
 
     The subtrees below the layer-0 children of each (embed dim, sequence
     length) root are independent, so walker_count() threads walk them, the
@@ -148,51 +159,52 @@ def evaluate_subnets(
         node.ends.append(i)
 
     batches = _heldout_batches(model.frontend, val_sequences, teacher, target_cfg, eval_batches)
-    stacks: dict[int, list[int]] = {}  # frame count -> the batches of that length, in order
+    groups: dict[int, list[int]] = {}  # frame count -> the batches of that length, in order
     for b, (feats, _) in enumerate(batches):
-        stacks.setdefault(feats.shape[0], []).append(b)
+        groups.setdefault(feats.shape[0], []).append(b)
     # Each candidate alone draws its masks from a fresh stream, in batch order.
     mask_rng = Rng(eval_seed, STREAM_EVAL_MASK)
     masks = [span_mask(feats.shape[0], mask_spec, mask_rng) for feats, _ in batches]
+    stacks = [_ScoredStack(group, ad.Tensor(np.concatenate([batches[b][1].data for b in group])),
+                           ad.LossMask([masks[b] for b in group], t))
+              for t, group in groups.items()]
     per_batch = np.zeros((len(configs), len(batches)))
     failures: list[BaseException] = []  # once not empty, every walker stops
 
-    def score(ends, e, h, scored):
-        """The configs `ends` on h, which stacks the rows of `scored`, a list of (batch, targets, mask)."""
-        seqs = len(scored)
-        head_out = head_forward(model, e, h, seqs)[1].data
-        t = head_out.shape[0] // seqs
-        for j, (b, targets, mask) in enumerate(scored):
-            rows = ad.Tensor(head_out[j * t:(j + 1) * t])
-            per_batch[ends, b] = distill_loss(rows, targets, mask, reduction=l1_reduction).item()
+    def score(ends, e, h, stack):
+        """The configs `ends` on h, the rows of `stack`."""
+        head_out = head_forward(model, e, h, stack.mask.seqs)[1]
+        losses = distill_loss(head_out, stack.targets, stack.mask, reduction=l1_reduction)
+        for i in ends:
+            per_batch[i, stack.batches] = losses.data
 
-    def steps(node, e, depth, h, scored):
+    def steps(node, e, depth, h, stack):
         """The work below `node`, one independent callable per child (and one for its ends);
         siblings' shared ln1, attention halves and ln2s run here, as the callables are drawn."""
-        seqs = len(scored)
+        seqs = stack.mask.seqs
         if node.ends:
-            yield functools.partial(score, node.ends, e, h, scored)
+            yield functools.partial(score, node.ends, e, h, stack)
         if node.children:
             hn = block_norm(model, depth, "ln1", h, seqs)
         for heads, by_ratio in node.children.items():
             a = attention_half(model, depth, h, hn, e, heads, seqs)
             an = block_norm(model, depth, "ln2", a, seqs)
             for ratio, child in by_ratio.items():
-                yield functools.partial(descend, child, e, depth, a, an, ratio, scored)
+                yield functools.partial(descend, child, e, depth, a, an, ratio, stack)
 
-    def descend(child, e, depth, a, an, ratio, scored):
+    def descend(child, e, depth, a, an, ratio, stack):
         if failures:
             return
-        h = ffn_half(model, depth, a, an, e, ratio, len(scored))
-        for step in steps(child, e, depth + 1, h, scored):
+        h = ffn_half(model, depth, a, an, e, ratio, stack.mask.seqs)
+        for step in steps(child, e, depth + 1, h, stack):
             step()
 
     def subtrees():
         for e, (first, root) in tries.items():
-            for group in stacks.values():
-                h = masked_input(model, first, [batches[b][0] for b in group], [masks[b] for b in group])
-                yield from steps(root, e, 0, positional_stage(model, e, h, len(group)),
-                                 [(b, batches[b][1], masks[b]) for b in group])
+            for stack in stacks:
+                h = masked_input(model, first, [batches[b][0] for b in stack.batches],
+                                 [masks[b] for b in stack.batches])
+                yield from steps(root, e, 0, positional_stage(model, e, h, stack.mask.seqs), stack)
 
     _run_walkers(subtrees(), walker_count(), failures)
     return [float(np.mean(row)) for row in per_batch]

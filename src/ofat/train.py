@@ -285,12 +285,15 @@ def _run_training(
                 run = list(run)
                 h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
                 head_out = encode(model, config, h, seqs=len(run))[2]
+                run_targets = Tensor(np.concatenate([targets.result()[i].data for i in run]))
+                run_losses = distill_loss(head_out, run_targets, ad.LossMask([masks[i] for i in run], t),
+                                          reduction=l1_reduction)
+                losses.extend(run_losses.data.tolist())
+                # summed one sequence after another, as one loss per sequence was
+                weighted = run_losses * (1.0 / cfg.batch_size)
                 root = 0.0
-                for j, i in enumerate(run):
-                    loss = distill_loss(ad.slice_along(head_out, 0, j * t, (j + 1) * t), targets.result()[i],
-                                        masks[i], reduction=l1_reduction)
-                    losses.append(loss.item())
-                    root = root + loss * (1.0 / cfg.batch_size)
+                for j in range(len(run)):
+                    root = root + ad.slice_along(weighted, 0, j, j + 1)
                 root.backward()
             mean_loss = float(np.mean(losses))
             if not math.isfinite(mean_loss):

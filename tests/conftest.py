@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ofat import autodiff as ad
 from ofat.data import make_synthetic_dataset
 from ofat.distill import masked_input, span_mask
 from ofat.rng import Rng
@@ -75,3 +76,16 @@ def student_forward_masked(model, config, features, mask_spec, rng):
     h = masked_input(model, config, [features], [indices])
     final, hidden, head_out = encode(model, config, h)
     return final, hidden, head_out, (h, indices)
+
+
+def reference_distill_loss(student_head_out, targets, mask_indices, reduction="mean"):
+    """One sequence's masked L1 from primitive ops: sub, tabs, a 0/1 gate column,
+    tsum and a scale. The composition that distill_loss and the fused
+    autodiff.masked_l1 behind it must equal bit for bit, values and gradients."""
+    indices = np.asarray(mask_indices, dtype=np.int64)
+    t, d = student_head_out.shape
+    gate = np.zeros((t, 1), dtype=student_head_out.dtype)
+    gate[indices] = 1.0
+    per_entry = ad.tabs(student_head_out - targets) * ad.Tensor(gate)
+    denom = float(indices.size * (d if reduction == "mean" else 1))
+    return ad.tsum(per_entry) * (1.0 / denom)

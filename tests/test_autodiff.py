@@ -907,3 +907,89 @@ def test_a_fortran_ordered_first_contribution_sums_like_zeros_then_add():
     assert b.grad.tobytes() == zeros_then_add.sum(axis=0).tobytes()
     assert w.grad.tobytes() == (x.data.T @ zeros_then_add).tobytes()
     assert c.T.sum(axis=0).tobytes() != zeros_then_add.sum(axis=0).tobytes()  # the order shows
+
+
+# -- the fused masked L1 ---------------------------------------------------------------
+
+
+def _span_masks(rng, seqs, t_len, convention):
+    from ofat.distill import MaskSpec, span_mask
+
+    spec = MaskSpec(p=0.4, span_length=2, convention=convention)
+    return [span_mask(t_len, spec, rng) for _ in range(seqs)]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, F32_TOL), (np.float64, F64_TOL)])
+@pytest.mark.parametrize("seqs", [1, 3, 4])
+@pytest.mark.parametrize("convention", ["fraction", "span_start"])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+def test_masked_l1_gradcheck(reduction, convention, seqs, dtype, tol):
+    rng = Rng(64, seqs)
+    with ad.precision(dtype):
+        for _ in range(4):
+            t_len, d = _rand_shape(rng, 3, 6)
+            mask = ad.LossMask(_span_masks(rng, seqs, t_len, convention), t_len)
+            # Keep |x - targets| away from the L1 kink relative to the probe step.
+            tgt = rng.normal((seqs * t_len, d))
+            x_arr = tgt + np.sign(rng.normal(tgt.shape)) * (0.5 + rng.uniform(tgt.shape))
+            x = Tensor(x_arr.astype(dtype), requires_grad=True)
+            targets = Tensor(tgt.astype(dtype))
+            c = Tensor(rng.normal(seqs).astype(dtype))
+            err = finite_diff_check(lambda v: ad.tsum(ad.masked_l1(v, targets, mask, reduction) * c), x)
+            assert err < tol, (t_len, d, err)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seqs,t_len,d", [(1, 128, 64), (3, 128, 64), (4, 128, 64), (4, 16, 16), (3, 7, 5)])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+def test_masked_l1_equals_the_composition_per_sequence_bitwise(reduction, seqs, t_len, d, dtype):
+    from conftest import reference_distill_loss
+
+    rng = Rng(65, seqs * t_len + d)
+    masks = _span_masks(rng, seqs, t_len, "fraction")
+    x_arr = rng.normal((seqs * t_len, d)).astype(dtype)
+    x_arr[::5] = 0.0  # rows where x equals the targets below: sign 0
+    tgt = rng.normal((seqs * t_len, d)).astype(dtype)
+    tgt[::5] = 0.0
+    weights = rng.normal(seqs).astype(dtype)
+
+    x = Tensor(x_arr.copy(), requires_grad=True)
+    targets = Tensor(tgt.copy())
+    losses = ad.masked_l1(x, targets, ad.LossMask(masks, t_len), reduction)
+    assert losses.shape == (seqs,) and losses.dtype == dtype
+    ad.tsum(losses * Tensor(weights)).backward()
+    for s in range(seqs):
+        rows = slice(s * t_len, (s + 1) * t_len)
+        xs = Tensor(x_arr[rows].copy(), requires_grad=True)
+        alone = reference_distill_loss(xs, Tensor(tgt[rows].copy()), masks[s], reduction)
+        assert losses.data[s].tobytes() == np.asarray(alone.data).tobytes(), s
+        (alone * Tensor(weights[s])).backward()
+        assert x.grad[rows].tobytes() == xs.grad.tobytes(), s
+
+    lone_x = Tensor(x_arr[:t_len].copy(), requires_grad=True)
+    lone = ad.masked_l1(lone_x, Tensor(tgt[:t_len]), ad.LossMask(masks[0], t_len), reduction)
+    ref_x = Tensor(x_arr[:t_len].copy(), requires_grad=True)
+    ref = reference_distill_loss(ref_x, Tensor(tgt[:t_len]), masks[0], reduction)
+    assert lone.shape == () and np.asarray(lone.data).tobytes() == np.asarray(ref.data).tobytes()
+    lone.backward()
+    ref.backward()
+    assert lone_x.grad.tobytes() == ref_x.grad.tobytes()
+
+
+def test_masked_l1_contract_errors():
+    x = t32(np.zeros((6, 2)))
+    mask = ad.LossMask([np.array([0]), np.array([1, 2])], 3)
+    with pytest.raises(ContractError, match="masked step"):
+        ad.LossMask([np.array([0]), np.array([], dtype=np.int64)], 3)
+    with pytest.raises(ContractError, match="masked step"):
+        ad.LossMask(np.array([], dtype=np.int64), 3)
+    with pytest.raises(ContractError, match="masked step"):
+        ad.LossMask([], 3)
+    with pytest.raises(ContractError, match="shapes disagree"):
+        ad.masked_l1(x, t32(np.zeros((6, 3))), mask)
+    with pytest.raises(ContractError, match="unknown reduction 'max'"):
+        ad.masked_l1(x, x, mask, "max")
+    with pytest.raises(ContractError, match="2 sequences of 3 rows"):
+        ad.masked_l1(t32(np.zeros((9, 2))), t32(np.zeros((9, 2))), mask)
+    with pytest.raises(ContractError, match="2 sequences of 2 rows"):
+        ad.masked_l1(x, x, ad.LossMask([np.array([0]), np.array([1])], 2))

@@ -60,6 +60,9 @@ def test_invalid_values_name_their_field():
         RunConfig.from_text("distill:\n  p: 1.5\n")
     with pytest.raises(ConfigurationError, match="distill.p"):
         RunConfig.from_text("distill:\n  p: 2e0\n")
+    for p in ("0", "0.0", "-0.1"):
+        with pytest.raises(ConfigurationError, match=r"distill\.p.*\(0, 1\]"):
+            RunConfig.from_text(f"distill:\n  p: {p}\n")
     with pytest.raises(ConfigurationError, match="distill.k"):
         RunConfig.from_text("distill:\n  k: 99\n")
     with pytest.raises(ConfigurationError, match="warmup"):

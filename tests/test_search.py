@@ -30,7 +30,7 @@ from ofat.spaces import desk_space, max_subnet, mid_subnet, min_subnet, sample_s
 from ofat.supernet import build_supernet, extract_subnet
 from ofat.train import TeacherArch, make_teacher
 
-from conftest import student_forward_masked
+from conftest import reference_distill_loss, student_forward_masked
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
@@ -223,25 +223,57 @@ def _reference_loss(model, config, val, teacher, mask_spec, eval_seed, eval_batc
             feats = model.frontend.forward(val.sequences[b % len(val.sequences)])
             targets = teacher.targets_from_features(feats, TGT)
             _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, mask_spec, mask_rng)
-            losses.append(distill_loss(head_out, targets, mask_indices, reduction=reduction).item())
+            losses.append(reference_distill_loss(head_out, targets, mask_indices, reduction=reduction).item())
     return float(np.mean(losses))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mask_spec,eval_batches,reduction", [
     (MASK, 2, "mean"),
     # more batches than sequences: sequences recur with a different mask
     (MaskSpec(p=0.2, span_length=3, convention="span_start"), 7, "sum"),
 ])
-def test_search_losses_equal_per_candidate_reference(setup, mask_spec, eval_batches, reduction):
+def test_search_losses_equal_per_candidate_reference(setup, mask_spec, eval_batches, reduction, dtype):
+    # Under float64 the weights, gate and scales are float64 too: a loss gated or
+    # scaled in another dtype than its rows would round apart from the reference.
     space, model, teacher, val = setup
     budget = SearchBudget(max_params=max_params_of(space), n_candidates=200,
                           eval_batches=eval_batches, seed=13)
-    result = random_search(model, space, budget, val.sequences, teacher, mask_spec, TGT,
-                           l1_reduction=reduction)
-    assert {e.config.depth for e in result.entries} == set(space.depths)
-    for e in result.entries + [result.bound_min, result.bound_max]:
-        assert e.loss == _reference_loss(model, e.config, val, teacher, mask_spec, budget.seed,
-                                         eval_batches, reduction)
+    with ad.precision(dtype):
+        if dtype is np.float64:
+            model = build_supernet(space, Rng(40, 1))  # weights of that dtype, so the walk runs in it
+        result = random_search(model, space, budget, val.sequences, teacher, mask_spec, TGT,
+                               l1_reduction=reduction)
+        assert {e.config.depth for e in result.entries} == set(space.depths)
+        for e in result.entries + [result.bound_min, result.bound_max]:
+            assert e.loss == _reference_loss(model, e.config, val, teacher, mask_spec, budget.seed,
+                                             eval_batches, reduction)
+
+
+@pytest.mark.parametrize("eval_batches,two_lengths", [(1, False), (4, False), (7, True)])
+def test_loss_runs_once_per_leaf_per_sequence_length(setup, monkeypatch, eval_batches, two_lengths):
+    space, model, teacher, val = setup
+    if two_lengths:
+        val = _two_length_val()
+    rng = Rng(19, 4)
+    configs = [sample_subnet(space, rng) for _ in range(40)]
+    leaves = {(c.embed_dim, c.heads, c.ffn_ratio) for c in configs}
+    lengths = {len(val.sequences[b % len(val.sequences)]) for b in range(eval_batches)}
+    real = search.distill_loss
+    for walkers in (1, 4):  # 4 > cores still runs concurrently
+        monkeypatch.setattr(search, "walker_count", lambda: walkers)
+        stacks, lock = Counter(), threading.Lock()
+
+        def counted(head_out, targets, mask, **kwargs):
+            with lock:  # walkers race on the Counter
+                stacks[mask.seqs] += 1
+            return real(head_out, targets, mask, **kwargs)
+
+        monkeypatch.setattr(search, "distill_loss", counted)
+        evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
+        # one call per (leaf, stack), each scoring every batch of its stack
+        assert sum(stacks.values()) == len(leaves) * len(lengths)
+        assert sum(seqs * n for seqs, n in stacks.items()) == len(leaves) * eval_batches
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ from ofat.train import (
     teacher_self_regression_loss,
 )
 
-from conftest import student_forward_masked
+from conftest import reference_distill_loss, student_forward_masked
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
@@ -391,7 +391,6 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
     import math
 
     from ofat.data import CyclicBatcher
-    from ofat.distill import distill_loss
     from ofat.rng import STREAM_MASK
     from ofat.train import TrainLog, TrainRecord, grad_norm
 
@@ -408,7 +407,7 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
             feats = model.frontend.forward(seq)
             targets = teacher.targets_from_features(feats, target_cfg)
             _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, mask_spec, mask_rng)
-            loss = distill_loss(head_out, targets, mask_indices, reduction=l1_reduction)
+            loss = reference_distill_loss(head_out, targets, mask_indices, reduction=l1_reduction)
             (loss * (1.0 / cfg.batch_size)).backward()
             losses.append(loss.item())
         gn = grad_norm(model.params)
