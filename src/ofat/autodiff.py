@@ -1,7 +1,7 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: float32 row-major arrays (float64 behind
-a per-thread switch used by the gradient-check tests), a tape built from
+a per-context switch used by the gradient-check tests), a tape built from
 parent pointers, and exactly the operations the encoder needs:
 
 - elementwise add, sub, mul, neg, tabs; the reduction tsum;
@@ -38,9 +38,8 @@ finite-difference oracle that every differentiable op is tested against.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,63 +47,41 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DimensionError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-# Tape recording and the default dtype are per-thread: a no-grad or float64
-# evaluation in one thread must not change them for anyone else.
-_TLS = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_TLS, "grad_enabled", True)
+# Tape recording and the default dtype are per-context, so a mode set in one
+# thread changes no other; ofat.threads carries them into the threads it starts.
+_DTYPE = contextvars.ContextVar("ofat_dtype", default=_FLOAT_DTYPES[0])
+_GRAD_ENABLED = contextvars.ContextVar("ofat_grad_enabled", default=True)
 
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C1 = 0.044715
 
 
 def default_dtype() -> np.dtype:
-    """The dtype new tensors are created with in this thread (float32 unless in precision())."""
-    return getattr(_TLS, "dtype", _FLOAT_DTYPES[0])
+    """The dtype new tensors are created with in this context (float32 unless in precision())."""
+    return _DTYPE.get()
 
 
 @contextlib.contextmanager
 def precision(dtype):
-    """Switch this thread's default dtype (the float64 verification mode)."""
+    """Switch this context's default dtype (the float64 verification mode)."""
     dt = np.dtype(dtype)
     if dt not in _FLOAT_DTYPES:
         raise ContractError(f"unsupported dtype {dt}; use float32 or float64")
-    saved = default_dtype()
-    _TLS.dtype = dt
+    token = _DTYPE.set(dt)
     try:
         yield
     finally:
-        _TLS.dtype = saved
+        _DTYPE.reset(token)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording in this thread (evaluation-only forwards)."""
-    saved = _grad_enabled()
-    _TLS.grad_enabled = False
+    """Disable tape recording in this context (evaluation-only forwards)."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _TLS.grad_enabled = saved
-
-
-def walker_count() -> int:
-    """Threads ofat's numpy work may run on: the usable CPUs over the threads of each BLAS call.
-
-    It sets how many threads walk the search trie (search.evaluate_subnets)
-    and, above one, switches on training's target helper thread
-    (train._run_training). The BLAS thread count is read from
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else taken as every usable
-    CPU. Unpinned, BLAS already spreads each product over every core, and
-    further threads would oversubscribe them (measured slower than one), so
-    that work stays serial.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
-    blas_threads = int(value) if value.isdigit() and int(value) > 0 else cpus
-    return max(1, cpus // blas_threads)
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -223,7 +200,7 @@ def _result(data: np.ndarray, parents, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    needs = _grad_enabled() and any(p.requires_grad for p in parents)
+    needs = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     out.requires_grad = needs
     if needs:
         out._parents = tuple(parents)

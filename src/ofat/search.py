@@ -11,14 +11,13 @@ bounds, whatever the budget.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import walker_count
+from . import threads
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_input, span_mask
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
@@ -142,9 +141,10 @@ def evaluate_subnets(
     are built once per call.
 
     The subtrees below the layer-0 children of each (embed dim, sequence
-    length) root are independent, so walker_count() threads walk them, the
-    caller's among them; numpy and BLAS release the GIL inside each
-    kernel. Every node runs the same ops on the same inputs whichever
+    length) root are independent, so threads.walker_count() threads walk
+    them with tape recording off, the caller's among them; numpy and BLAS
+    release the GIL inside each kernel (BENCH_search_walkers.json
+    workloads). Every node runs the same ops on the same inputs whichever
     thread takes it, and each config's losses land in its own row, so the
     result is the same for any walker count. Each walker holds only its
     root-to-node path: per layer the block input, its ln1, one attention
@@ -206,48 +206,9 @@ def evaluate_subnets(
                                  [masks[b] for b in stack.batches])
                 yield from steps(root, e, 0, positional_stage(model, e, h, stack.mask.seqs), stack)
 
-    _run_walkers(subtrees(), walker_count(), failures)
+    with ad.no_grad():  # entered here, not in subtrees(): the walkers resume it in their own contexts
+        threads.run_walkers(subtrees(), threads.walker_count(), failures)
     return [float(np.mean(row)) for row in per_batch]
-
-
-def _run_walkers(tasks, n: int, failures: list) -> None:
-    """Run every callable the iterator `tasks` yields on n threads, the caller's among them.
-
-    Each thread takes its next task under one lock, so the iterator's own
-    work runs once, in order. The first exception stops the hand-out and is
-    re-raised here, with its own type, once every thread has ended. Tape
-    recording is off and the caller's dtype holds in every thread (both
-    are per-thread).
-    """
-    lock = threading.Lock()
-    dtype = ad.default_dtype()
-
-    def take():
-        with lock:
-            return None if failures else next(tasks, None)
-
-    def walker():
-        try:
-            with ad.no_grad(), ad.precision(dtype):
-                for task in iter(take, None):
-                    task()
-        except BaseException as exc:  # re-raised in the caller below
-            failures.append(exc)
-
-    threads = []
-    try:
-        for _ in range(n - 1):
-            thread = threading.Thread(target=walker)
-            thread.start()
-            threads.append(thread)
-        walker()
-    except BaseException as exc:  # a thread that could not start
-        failures.append(exc)
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):
@@ -306,8 +267,9 @@ def random_search(
     """Score budget-satisfying random subnets; rank ascending by loss.
 
     Every candidate and both bounds are scored in one evaluate_subnets
-    pass, on walker_count() threads. `workers` is ignored and changes no
-    result; it stays only until the benchmark, which passes it, drops it.
+    pass, on threads.walker_count() threads (BENCH_search_walkers.json
+    workloads). `workers` is ignored and changes no result; it stays only
+    until the benchmark, which passes it, drops it.
     """
     configs, params, acceptance = sample_candidates(space, budget)
     lo, hi = min_subnet(space), max_subnet(space)

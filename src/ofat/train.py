@@ -16,14 +16,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, walker_count
+from . import threads
+from .autodiff import Tensor
 from .binio import atomic_open
 from .checkpoint import Checkpoint, load_model, supernet_to_checkpoint
 from .data import CyclicBatcher, SyntheticDataset
@@ -188,46 +187,6 @@ def _adopt_teacher_frontend(model: SupernetModel, teacher: TeacherModel) -> None
     model.frontend = teacher.frontend.copy()
 
 
-# Batches whose targets the helper thread may compute ahead of the step. A
-# stage-2 step on a small subnet can be shorter than the teacher forward, so
-# a few banked batches cover it; 1 measured no faster and slightly slower
-# (BENCH_target_prefetch.json, design_runs).
-LOOKAHEAD = 4
-
-
-def _lookahead(work, items, ahead: int):
-    """Yield (item, future of work(item)) for each item, in order; items are drawn on the caller's thread.
-
-    With ahead > 0 one helper thread runs work, under the caller's dtype, on
-    the yielded item and up to `ahead` items past it; otherwise work runs
-    here before its item is yielded. An exception in work is raised by its
-    future's result() with its own type. Closing the generator cancels what
-    has not started and waits for what has, so no thread outlives it.
-    """
-    if not ahead:
-        for item in items:
-            done = Future()
-            done.set_result(work(item))
-            yield item, done
-        return
-    dtype = ad.default_dtype()
-
-    def run(item):
-        with ad.precision(dtype):
-            return work(item)
-
-    helper = ThreadPoolExecutor(1)
-    try:
-        pending = deque()
-        for item in items:
-            pending.append((item, helper.submit(run, item)))
-            if len(pending) > ahead:
-                yield pending.popleft()
-        yield from pending
-    finally:
-        helper.shutdown(cancel_futures=True)
-
-
 def _run_training(
     model: SupernetModel,
     space: SearchSpace,
@@ -243,13 +202,11 @@ def _run_training(
     batch is one row-stacked graph and one backward, bitwise one graph per sequence.
 
     A batch's teacher targets depend only on its frontend features, never
-    on the student. When walker_count() > 1 a helper thread computes them,
-    for the step's own batch and up to LOOKAHEAD batches past it, while the
-    student trains; the step waits for its targets only at its first loss.
-    Otherwise (BLAS unpinned) each step computes its own before its
-    forward: there the helper measured slower, stage-1 p50 68 -> 98 ms in
-    cold `ofat train` processes on 2 cores, as BLAS's own threads already
-    fill them (BENCH_target_prefetch.json, unpinned_helper_against_inline).
+    on the student. When threads.walker_count() > 1 a helper thread computes
+    them, for the step's own batch and up to threads.LOOKAHEAD batches past
+    it, while the student trains; the step waits for its targets only at its
+    first loss. Otherwise each step computes its own before its forward
+    (BENCH_target_prefetch.json workloads; unpinned_helper_against_inline).
     Batches, features, configs, learning rates and masks are made on the
     caller's thread in step order either way, and the frozen teacher gives
     the same targets on any thread, so logs and weights are bitwise the same.
@@ -272,7 +229,7 @@ def _run_training(
         return teacher.batch_targets(feats, target_cfg, keys)
 
     batches = (features(batcher.next_batch(cfg.batch_size)) for _ in range(cfg.steps))
-    jobs = _lookahead(targets_of, batches, LOOKAHEAD if walker_count() > 1 else 0)
+    jobs = threads.lookahead(targets_of, batches, threads.LOOKAHEAD if threads.walker_count() > 1 else 0)
     with contextlib.closing(jobs):
         for step in range(cfg.steps):
             config = pick_config(step)

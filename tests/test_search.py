@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ofat import autodiff as ad
-from ofat import search
+from ofat import search, threads
 from ofat.data import SyntheticDataset, make_synthetic_dataset
 from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
 from ofat.errors import BudgetInfeasibleError, ConfigurationError, DimensionError
@@ -261,7 +261,7 @@ def test_loss_runs_once_per_leaf_per_sequence_length(setup, monkeypatch, eval_ba
     lengths = {len(val.sequences[b % len(val.sequences)]) for b in range(eval_batches)}
     real = search.distill_loss
     for walkers in (1, 4):  # 4 > cores still runs concurrently
-        monkeypatch.setattr(search, "walker_count", lambda: walkers)
+        monkeypatch.setattr(threads, "walker_count", lambda: walkers)
         stacks, lock = Counter(), threading.Lock()
 
         def counted(head_out, targets, mask, **kwargs):
@@ -331,7 +331,7 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
 
     reals = {name: getattr(search, name) for name in ("block_norm", "attention_half", "ffn_half", "head_forward")}
     for walkers in (1, 4):  # 4 > cores still runs concurrently
-        monkeypatch.setattr(search, "walker_count", lambda: walkers)
+        monkeypatch.setattr(threads, "walker_count", lambda: walkers)
         calls, lock = Counter(), threading.Lock()
         for name, real in reals.items():
             def counted(*args, _real=real, _name=name):
@@ -357,29 +357,29 @@ def test_search_losses_equal_for_any_walker_count(setup, desk_setup, monkeypatch
         model = build_supernet(space, Rng(43, 1))  # weights of that dtype, so the walk runs in it
     rng = Rng(17, 4)
     configs = [sample_subnet(space, rng) for _ in range(24)] + [min_subnet(space), max_subnet(space)]
-    losses, threads, real = {}, {1: set(), 4: set()}, search.ffn_half
+    losses, idents, real = {}, {1: set(), 4: set()}, search.ffn_half
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)  # switch walkers often, so a race would show
         for walkers in (1, 4):  # 4 > cores still runs concurrently
-            def on_thread(*args, _seen=threads[walkers]):
+            def on_thread(*args, _seen=idents[walkers]):
                 _seen.add(threading.get_ident())
                 return real(*args)
-            monkeypatch.setattr(search, "walker_count", lambda: walkers)
+            monkeypatch.setattr(threads, "walker_count", lambda: walkers)
             monkeypatch.setattr(search, "ffn_half", on_thread)
             with ad.precision(dtype):
                 losses[walkers] = evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT,
                                                    eval_seed=3, eval_batches=4)
     finally:
         sys.setswitchinterval(interval)
-    assert len(threads[1]) == 1 and len(threads[4]) > 1
+    assert len(idents[1]) == 1 and len(idents[4]) > 1
     assert losses[4] == losses[1]
 
 
 def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeypatch):
     space, model, teacher, val = setup
     walkers = 4
-    monkeypatch.setattr(search, "walker_count", lambda: walkers)
+    monkeypatch.setattr(threads, "walker_count", lambda: walkers)
     calls, lock, real = [0], threading.Lock(), search.ffn_half
 
     def failing(*args):
@@ -411,17 +411,20 @@ def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeyp
     ({"OPENBLAS_NUM_THREADS": "8"}, 1),
     ({"OPENBLAS_NUM_THREADS": "0"}, 1),
     ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "²"}, 1),  # a digit to str.isdigit, not to int
+    ({"OMP_NUM_THREADS": "²"}, 1),
 ])
 def test_walker_count_is_usable_cpus_over_blas_threads(monkeypatch, env, expected):
     from ofat import train
 
-    assert search.walker_count is train.walker_count is ad.walker_count  # one rule for the walk and the helper
-    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    # one rule for the walk and the helper: threads.walker_count, with no copy held elsewhere
+    assert not any(hasattr(module, "walker_count") for module in (search, train, ad))
+    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert ad.walker_count() == expected
+    assert threads.walker_count() == expected
 
 
 def test_search_workers_match_serial(setup):

@@ -364,7 +364,7 @@ def test_divergence_aborts_with_diagnostic():
 
 def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
     """A finite loss with a non-finite gradient must not reach the weights."""
-    from ofat import train
+    from ofat import threads, train
     from ofat.errors import DivergenceError
     from ofat.supernet import build_supernet
     from ofat.train import _adopt_teacher_frontend
@@ -578,7 +578,7 @@ def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, dela
 @pytest.mark.parametrize("lengths", ["one", "two"])
 def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatch, tmp_path, lengths, dtype):
     from ofat import autodiff as ad
-    from ofat import train
+    from ofat import threads
     from ofat.data import SyntheticDataset
 
     space, _, data, _ = small_setup()
@@ -594,7 +594,7 @@ def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatc
         sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
         for walkers in (1, 2):
             with monkeypatch.context() as m, ad.precision(dtype):
-                m.setattr(train, "walker_count", lambda: walkers)
+                m.setattr(threads, "walker_count", lambda: walkers)
                 _recorded_batch_targets(m, seen[walkers])
                 # a fresh teacher per run, so every first epoch's targets are cold
                 teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
@@ -617,10 +617,10 @@ def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatc
 
 
 def test_a_helper_failure_reaches_the_caller_with_its_type(monkeypatch):
-    from ofat import train
+    from ofat import threads
 
     space, teacher, data, _ = small_setup()
-    monkeypatch.setattr(train, "walker_count", lambda: 2)
+    monkeypatch.setattr(threads, "walker_count", lambda: 2)
     seen = []
     _recorded_batch_targets(monkeypatch, seen, fail_on_call=3)
     before = threading.active_count()
@@ -636,11 +636,11 @@ def test_divergence_cancels_the_pending_lookahead(monkeypatch, slow):
     """A slow step waits until the helper has started as far ahead as it may, and
     then a while longer, in which nothing further starts. A slow teacher leaves
     batches unstarted when step 0 diverges, and they never start."""
-    from ofat import train
+    from ofat import threads, train
     from ofat.errors import DivergenceError
 
     space, teacher, data, _ = small_setup()
-    monkeypatch.setattr(train, "walker_count", lambda: 2)
+    monkeypatch.setattr(threads, "walker_count", lambda: 2)
     window_started = threading.Event()
 
     def nan_norm(params):
@@ -652,13 +652,13 @@ def test_divergence_cancels_the_pending_lookahead(monkeypatch, slow):
     monkeypatch.setattr(train, "grad_norm", nan_norm)
     seen = []
     _recorded_batch_targets(monkeypatch, seen, delay=0.2 if slow == "teacher" else 0.0,
-                            started=window_started, started_at=train.LOOKAHEAD + 1)
+                            started=window_started, started_at=threads.LOOKAHEAD + 1)
     before = threading.active_count()
     with pytest.raises(DivergenceError, match="grad norm nan at step 0") as failure:
         stage1_train(TrainConfig(stage=1, steps=50, batch_size=2, seed=38), space, teacher, data, MASK, TGT)
     if slow == "step":
-        assert len(seen) == train.LOOKAHEAD + 1
+        assert len(seen) == threads.LOOKAHEAD + 1
     else:  # batch 0, and batch 1 running when step 0 failed
-        assert 2 <= len(seen) < train.LOOKAHEAD + 1
+        assert 2 <= len(seen) < threads.LOOKAHEAD + 1
     # checked while the held traceback keeps the step loop's frame alive
     assert threading.active_count() == before, failure.value
