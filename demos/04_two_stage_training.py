@@ -18,14 +18,14 @@ STEPS = 120  # keep the demo minutes-scale; the full-scale budget is 200k steps
 print(f"== stage 1: largest architecture only, {STEPS} steps ==")
 c1 = TrainConfig(stage=1, steps=STEPS, batch_size=4, learning_rate=2e-3,
                  warmup_steps=12, seed=0)
-ck1, model1, log1 = stage1_train(c1, space, teacher, train_data, mask, tgt)
+_, model1, log1 = stage1_train(c1, space, teacher, train_data, mask, tgt)
 for r in log1.records[:: STEPS // 4]:
     print(f"  step {r.step:4d}  loss {r.loss:.4f}  lr {r.lr:.2e}")
 
 print(f"\n== stage 2: random subnet per step, init from stage 1 ==")
 c2 = TrainConfig(stage=2, steps=STEPS, batch_size=4, learning_rate=2e-3,
                  warmup_steps=12, seed=0, ofa_init="stage1_weights", init_checkpoint="-")
-ck2, model2, log2 = stage2_train(c2, space, teacher, train_data, mask, tgt, init_model=model1)
+_, model2, log2 = stage2_train(c2, space, teacher, train_data, mask, tgt, init_model=model1)
 for r in log2.records[:: STEPS // 4]:
     print(f"  step {r.step:4d}  loss {r.loss:.4f}  "
           f"subnet embed={r.config.embed_dim} depth={r.config.depth} heads={r.config.heads}")

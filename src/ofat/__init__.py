@@ -17,7 +17,7 @@ from .autodiff import (
     slice_prefix,
     softmax_lastdim,
 )
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from .data import SyntheticDataset, load_dataset, make_synthetic_dataset, save_dataset
 from .distill import (
     MaskSpec,

@@ -79,14 +79,23 @@ def atomic_open(path, mode: str = "w"):
     """Write `path` through a temp file beside it, moved over `path` on a clean exit.
 
     `mode` is "w" or "wb". If the block raises, `path` keeps its previous
-    contents (or stays absent) and the temp file is removed.
+    contents (or stays absent) and the temp file is removed. An OSError of
+    the open or the move names `path`, never the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x")) as fh:
+        with _naming(path, open, tmp, mode.replace("w", "x")) as fh:
             yield fh
-        os.replace(tmp, path)
+        _naming(path, os.replace, tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+
+
+def _naming(path, fn, *args):
+    """fn(*args), an OSError of which is raised again naming `path`."""
+    try:
+        return fn(*args)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None

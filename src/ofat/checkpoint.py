@@ -1,5 +1,8 @@
 """Named-tensor checkpoint archive, shared by teacher, supernet and subnets.
 
+save_model and load_model are the one writer and the one reader of model
+files; save_checkpoint and load_checkpoint are the raw format beneath them.
+
 Layout (all integers little-endian):
 
     magic "OFAT" | version u32 | metadata_len u32 | metadata UTF-8 JSON |
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,27 +24,13 @@ import numpy as np
 from . import autodiff as ad
 from .binio import ByteReader, atomic_open
 from .errors import ConfigurationError
-from .frontend import Frontend, FrontendSpec, checkpoint_array
+from .frontend import Frontend, FrontendSpec
 from .spaces import SearchSpace, SubnetConfig, max_subnet
 from .supernet import SupernetModel, config_dims, count_params, full_config, model_from_arrays, touched_boxes
 
 MAGIC = b"OFAT"
 VERSION = 1
 MAX_RANK = 32  # the array rank every numpy release supports
-
-
-@dataclass
-class Checkpoint:
-    tensors: dict[str, np.ndarray]  # insertion order == file order
-    metadata: dict
-
-    def save(self, path) -> None:
-        save_checkpoint(path, self.tensors, self.metadata)
-
-    @classmethod
-    def load(cls, path) -> "Checkpoint":
-        tensors, metadata = load_checkpoint(path)
-        return cls(tensors, metadata)
 
 
 def canonical_metadata(metadata: dict) -> bytes:
@@ -93,19 +81,15 @@ def load_checkpoint(path):
     return tensors, metadata
 
 
-# -- model <-> checkpoint ----------------------------------------------------------
+# -- model <-> file ----------------------------------------------------------------
 
 
-def supernet_to_checkpoint(model: SupernetModel, metadata: dict) -> Checkpoint:
-    """Snapshot a supernet, extracted subnet or teacher.
+def save_model(path, model: SupernetModel, metadata: dict) -> None:
+    """Write a supernet, extracted subnet or teacher to `path`.
 
     The metadata role defaults to "supernet"; a supernet file records its
     search space, any other role (subnet, teacher) its exact architecture.
     """
-    # Copies, not views: a checkpoint must stay a snapshot even if the model
-    # keeps training in place afterwards.
-    tensors = {name: arr.copy() for name, arr in model.frontend.arrays.items()}
-    tensors.update((name, t.data.copy()) for name, t in model.params.items())
     meta = {"role": "supernet", **metadata}
     if meta["role"] == "supernet":
         meta["space"] = model.space.to_dict()
@@ -118,19 +102,27 @@ def supernet_to_checkpoint(model: SupernetModel, metadata: dict) -> Checkpoint:
             "heads": list(config.heads),
             "frontend": model.frontend.spec.to_dict(),
         }
-    return Checkpoint(tensors, meta)
+    tensors = {**model.frontend.arrays, **{name: t.data for name, t in model.params.items()}}
+    save_checkpoint(path, tensors, meta)
 
 
-def supernet_from_checkpoint(ckpt: Checkpoint) -> SupernetModel:
-    """Rebuild the model of a supernet, extracted-subnet or teacher checkpoint.
+def load_model(path, *roles: str) -> tuple[SupernetModel, dict]:
+    """(model, metadata) of the model file at `path`, parsed once.
 
-    A supernet file carries its space; for the others the space holding only
-    their one config comes from the `arch` metadata plus the tensor shapes
-    (FFN widths, conv kernel, head width).
+    `roles` are the metadata roles the caller accepts ("supernet",
+    "subnet", "teacher"; a file without one is a supernet). A supernet file
+    carries its space; for the others the space holding only their one
+    config comes from the `arch` metadata plus the tensor shapes (FFN
+    widths, conv kernel, head width). Any other role, like a missing or
+    malformed file, raises ConfigurationError.
     """
-    tensors, meta = ckpt.tensors, ckpt.metadata
+    tensors, meta = load_checkpoint(path)
+    role = meta.get("role", "supernet")
+    if role not in roles:
+        expected = " or ".join(f"'{r}'" for r in roles)
+        raise ConfigurationError(f"{path}: checkpoint role is '{role}', expected {expected}")
     try:
-        if meta.get("role", "supernet") == "supernet":
+        if role == "supernet":
             space = SearchSpace.from_dict(meta["space"])
             config = max_subnet(space)
         else:
@@ -146,37 +138,37 @@ def supernet_from_checkpoint(ckpt: Checkpoint) -> SupernetModel:
                 frontend=FrontendSpec.from_dict(arch["frontend"]),
                 teacher_dim=tensors["head.w"].shape[1],
             )
-        frontend = Frontend.from_arrays(space.frontend, tensors)
-    except (KeyError, IndexError, TypeError) as exc:
+        frontend = Frontend(space.frontend, {name: _array(tensors, name, shape)
+                                             for name, shape in space.frontend.array_shapes().items()})
+        dtype = ad.default_dtype()
+        arrays = {name: _array(tensors, name, tuple(s.stop for s in box)).astype(dtype, copy=False)
+                  for name, box in touched_boxes(space, config).items()}
+        params = count_params(space, config).total
+    except ConfigurationError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
+        # metadata of the wrong type or size: int("x"), int(nan), int(1e400), an embed_dim of 0
         raise ConfigurationError(
             f"checkpoint does not describe a model ({type(exc).__name__}: {exc})") from None
-    arrays = {name: checkpoint_array(tensors, name, tuple(s.stop for s in box)).astype(ad.default_dtype())
-              for name, box in touched_boxes(space, config).items()}
     # A tensor the model does not read means the metadata describes less
     # than the file holds, such as an `arch.heads` list that lost a layer.
     unread = tensors.keys() - arrays.keys() - frontend.arrays.keys()
     if unread:
         raise ConfigurationError(f"checkpoint tensor {min(unread)} is not part of the model its metadata describes")
-    recorded, params = meta.get("params_with_frontend_and_head"), count_params(space, config).total
+    recorded = meta.get("params_with_frontend_and_head")
     if recorded is not None and recorded != params:
         raise ConfigurationError(
             f"checkpoint records params_with_frontend_and_head={recorded}, its architecture has {params}")
-    return model_from_arrays(space, frontend, arrays)
+    return model_from_arrays(space, frontend, arrays), meta
 
 
-def load_model(path, *roles: str) -> tuple[SupernetModel, dict]:
-    """(model, metadata) of the checkpoint file at `path`, parsed once.
-
-    `roles` are the metadata roles the caller accepts ("supernet",
-    "subnet", "teacher"; a file without one is a supernet). Any other role,
-    like a missing or malformed file, raises ConfigurationError.
-    """
-    ckpt = Checkpoint.load(path)
-    role = ckpt.metadata.get("role", "supernet")
-    if role not in roles:
-        expected = " or ".join(f"'{r}'" for r in roles)
-        raise ConfigurationError(f"{path}: checkpoint role is '{role}', expected {expected}")
-    return supernet_from_checkpoint(ckpt), ckpt.metadata
+def _array(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """tensors[name], which must be there with `shape`; else a ConfigurationError naming both."""
+    arr = tensors.get(name)
+    if arr is None or arr.shape != shape:
+        got = "nothing" if arr is None else f"shape {arr.shape}"
+        raise ConfigurationError(f"checkpoint tensor {name} has {got}, expected {shape}")
+    return arr
 
 
 def file_digest(path) -> str:

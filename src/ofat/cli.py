@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .binio import atomic_open
-from .checkpoint import file_digest, load_model, supernet_to_checkpoint
+from .checkpoint import file_digest, load_model, save_model
 from .config import RunConfig
 from .data import load_dataset, make_synthetic_dataset, save_dataset
 from .distill import TeacherModel
@@ -37,14 +37,7 @@ from .rng import Rng
 from .search import evaluate_subnets, random_search, report_scatter, subnet_params, summarize
 from .spaces import max_subnet, min_subnet, parse_subnet_spec
 from .supernet import count_params, extract_subnet, forward, full_config, reference_forward
-from .train import (
-    check_teacher_compat,
-    make_teacher,
-    stage1_train,
-    stage2_train,
-    teacher_self_regression_loss,
-    teacher_to_checkpoint,
-)
+from .train import check_teacher_compat, make_teacher, stage1_train, stage2_train, teacher_self_regression_loss
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,8 +190,7 @@ def cmd_init_teacher(args) -> int:
         warmup_lr=float(cfg.data["distill"]["teacher"]["warmup_lr"]),
         dataset=dataset,
     )
-    ckpt = teacher_to_checkpoint(teacher, {"seed": cfg.seed, "config_digest": cfg.digest()})
-    ckpt.save(args.out)
+    save_model(args.out, teacher.encoder, {"seed": cfg.seed, "config_digest": cfg.digest(), "role": "teacher"})
     print(f"{args.out}  sha256={file_digest(args.out)}")
     if dataset is not None:
         loss = teacher_self_regression_loss(teacher, dataset.sequences[:4])
@@ -218,17 +210,11 @@ def cmd_train(args) -> int:
     space = cfg.space()
     teacher = _load_teacher(cfg)
     dataset = _load_train_data(cfg, "train_data")
-    mask_spec = cfg.mask_spec()
-    target_cfg = cfg.target_config()
-    extra = {"config_digest": cfg.digest()}
     tc = cfg.train_config(stage=args.stage, init_checkpoint=args.init)
-    if args.stage == 1:
-        ckpt, _, log = stage1_train(tc, space, teacher, dataset, mask_spec, target_cfg,
-                                    l1_reduction=cfg.l1_reduction(), extra_metadata=extra)
-    else:
-        ckpt, _, log = stage2_train(tc, space, teacher, dataset, mask_spec, target_cfg,
-                                    l1_reduction=cfg.l1_reduction(), extra_metadata=extra)
-    ckpt.save(args.out)
+    train = stage1_train if args.stage == 1 else stage2_train
+    meta, model, log = train(tc, space, teacher, dataset, cfg.mask_spec(), cfg.target_config(),
+                             l1_reduction=cfg.l1_reduction())
+    save_model(args.out, model, {**meta, "config_digest": cfg.digest()})
     log_path = args.log or f"{args.out}.log.csv"
     log.to_csv(log_path, header_lines=(f"config_digest={cfg.digest()}", f"seed={cfg.seed}"))
     final = log.records[-1]
@@ -295,7 +281,7 @@ def cmd_extract(args) -> int:
         "source_checkpoint_digest": file_digest(args.checkpoint),
         "params_with_frontend_and_head": params,
     }
-    supernet_to_checkpoint(subnet, meta).save(args.out)
+    save_model(args.out, subnet, meta)
     print(f"{args.out}  sha256={file_digest(args.out)}")
     print(f"params={params} equivalence_max_abs_diff={worst:.3e}")
     if worst > 1e-6:

@@ -132,13 +132,6 @@ class Frontend:
                 arrays[name] = (np.ones if name == "frontend.norm.g" else np.zeros)(shape, dtype=np.float32)
         return cls(spec, arrays)
 
-    @classmethod
-    def from_arrays(cls, spec: FrontendSpec, tensors: dict) -> "Frontend":
-        """The frontend of `spec` holding its arrays out of `tensors`; each
-        must be there with the shape the spec gives it."""
-        return cls(spec, {name: checkpoint_array(tensors, name, shape)
-                          for name, shape in spec.array_shapes().items()})
-
     def copy(self) -> "Frontend":
         """Independent copy: same spec, every array copied."""
         return Frontend(self.spec, {name: arr.copy() for name, arr in self.arrays.items()})
@@ -159,15 +152,6 @@ class Frontend:
                 x = x * self.arrays["frontend.norm.g"][:, None] + self.arrays["frontend.norm.b"][:, None]
             x = gelu_array(x)
         return np.ascontiguousarray(x.T)
-
-
-def checkpoint_array(tensors: dict, name: str, shape: tuple) -> np.ndarray:
-    """tensors[name], which must be there with `shape`; else a ConfigurationError naming both."""
-    arr = tensors.get(name)
-    if arr is None or arr.shape != shape:
-        got = "nothing" if arr is None else f"shape {arr.shape}"
-        raise ConfigurationError(f"checkpoint tensor {name} has {got}, expected {shape}")
-    return arr
 
 
 def _strided_conv_same(x: np.ndarray, w: np.ndarray, b, stride: int) -> np.ndarray:

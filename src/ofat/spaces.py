@@ -46,8 +46,8 @@ class SearchSpace:
         ):
             if len(values) == 0:
                 raise ConfigurationError(f"{name} must be non-empty")
-            if any(v <= 0 for v in values):
-                raise ConfigurationError(f"{name} must be positive, got {values}")
+            if any(not 0 < v < math.inf for v in values):  # NaN fails too
+                raise ConfigurationError(f"{name} must be positive and finite, got {values}")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigurationError(f"{name} must be strictly increasing, got {values}")
         # Odd kernels are enforced by the conv op itself; counting-only spaces

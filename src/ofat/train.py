@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import threads
 from .autodiff import Tensor
 from .binio import atomic_open
-from .checkpoint import Checkpoint, load_model, supernet_to_checkpoint
+from .checkpoint import load_model
 from .data import CyclicBatcher, SyntheticDataset
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_input, span_mask
 from .errors import ConfigurationError, DivergenceError
@@ -246,12 +246,8 @@ def _run_training(
                 run_losses = distill_loss(head_out, run_targets, ad.LossMask([masks[i] for i in run], t),
                                           reduction=l1_reduction)
                 losses.extend(run_losses.data.tolist())
-                # summed one sequence after another, as one loss per sequence was
-                weighted = run_losses * (1.0 / cfg.batch_size)
-                root = 0.0
-                for j in range(len(run)):
-                    root = root + ad.slice_along(weighted, 0, j, j + 1)
-                root.backward()
+                # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
+                ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
             mean_loss = float(np.mean(losses))
             if not math.isfinite(mean_loss):
                 raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
@@ -272,9 +268,9 @@ def stage1_train(
     mask_spec: MaskSpec = MaskSpec(),
     target_cfg: TargetConfig = TargetConfig(),
     l1_reduction: str = "mean",
-    extra_metadata: dict | None = None,
 ):
-    """Train the largest architecture from scratch. Returns (ckpt, model, log)."""
+    """Train the largest architecture from scratch. Returns (metadata, model, log),
+    the metadata being what save_model should record with the model."""
     if cfg.stage != 1:
         raise ConfigurationError("stage1_train requires cfg.stage == 1")
     model = build_supernet(space, Rng(cfg.seed, STREAM_WEIGHTS))
@@ -285,8 +281,7 @@ def stage1_train(
         model, space, teacher, dataset, cfg, mask_spec, target_cfg,
         lambda step: largest, l1_reduction
     )
-    meta = {"stage": 1, "seed": cfg.seed, **(extra_metadata or {})}
-    return supernet_to_checkpoint(model, meta), model, log
+    return {"stage": 1, "seed": cfg.seed}, model, log
 
 
 def stage2_train(
@@ -298,14 +293,13 @@ def stage2_train(
     target_cfg: TargetConfig = TargetConfig(),
     l1_reduction: str = "mean",
     init_model: SupernetModel | None = None,
-    extra_metadata: dict | None = None,
 ):
     """Once-for-all training: a fresh random subnet per step.
 
     Init comes from cfg.ofa_init: the stage 1 weights of init_model (or,
     without one, of the supernet file cfg.init_checkpoint), which must
     already carry the teacher's frontend, or a fresh random build, which
-    adopts it.
+    adopts it. Returns (metadata, model, log), as stage1_train does.
     """
     if cfg.stage != 2:
         raise ConfigurationError("stage2_train requires cfg.stage == 2")
@@ -324,8 +318,7 @@ def stage2_train(
         model, space, teacher, dataset, cfg, mask_spec, target_cfg,
         lambda step: sample_subnet(space, arch_rng), l1_reduction,
     )
-    meta = {"stage": 2, "seed": cfg.seed, "ofa_init": cfg.ofa_init, **(extra_metadata or {})}
-    return supernet_to_checkpoint(model, meta), model, log
+    return {"stage": 2, "seed": cfg.seed, "ofa_init": cfg.ofa_init}, model, log
 
 
 # -- teacher construction ------------------------------------------------------
@@ -408,17 +401,10 @@ def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size
     for _ in range(steps):
         adam.zero_grad()
         feats = [model.frontend.forward(seq) for _, seq in batcher.next_batch(batch_size)]
-        for t, run in itertools.groupby(feats, key=lambda f: f.shape[0]):
+        for _, run in itertools.groupby(feats, key=lambda f: f.shape[0]):
             run = list(run)
-            head_out = forward(model, config, np.concatenate(run), seqs=len(run))[2]
-            root = 0.0
-            for j, f in enumerate(run):
-                err = ad.slice_along(head_out, 0, j * t, (j + 1) * t) - Tensor(f)
-                root = root + ad.tsum(err * err) * (1.0 / (err.size * batch_size))
-            root.backward()
+            stacked = np.concatenate(run)
+            err = forward(model, config, stacked, seqs=len(run))[2] - Tensor(stacked)
+            (ad.tsum(err * err) * (1.0 / (run[0].size * batch_size))).backward()
         adam.step(lr, boxes)
     adam.zero_grad()  # the teacher is frozen from here on; its gradient buffers need not live
-
-
-def teacher_to_checkpoint(teacher: TeacherModel, metadata: dict) -> Checkpoint:
-    return supernet_to_checkpoint(teacher.encoder, {**metadata, "role": "teacher"})

@@ -13,7 +13,7 @@ import pytest
 
 from ofat import autodiff as ad
 from ofat.autodiff import Tensor, finite_diff_check
-from ofat.checkpoint import Checkpoint, supernet_from_checkpoint, supernet_to_checkpoint
+from ofat.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from ofat.data import load_dataset, make_synthetic_dataset, save_dataset
 from ofat.distill import MaskSpec, TargetConfig, distill_loss, span_mask
 from ofat.rng import Rng, STREAM_SEARCH
@@ -285,11 +285,11 @@ def test_criterion_8_persistence(tmp_path, desk_setup):
     _, _, before = forward(model, cfg, x)
 
     p1, p2 = tmp_path / "m1.ofat", tmp_path / "m2.ofat"
-    supernet_to_checkpoint(model, {"seed": 12}).save(p1)
-    Checkpoint.load(p1).save(p2)
+    save_model(p1, model, {"seed": 12})
+    save_checkpoint(p2, *load_checkpoint(p1))
     ckpt_bytes_ok = p1.read_bytes() == p2.read_bytes()
 
-    restored = supernet_from_checkpoint(Checkpoint.load(p1))
+    restored = load_model(p1, "supernet")[0]
     _, _, after = forward(restored, cfg, x)
     forward_ok = bool(np.array_equal(before.data, after.data))
 

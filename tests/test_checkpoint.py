@@ -1,20 +1,16 @@
-"""Checkpoint format: byte-exact round trips and model bridges."""
-
-import copy
+"""Checkpoint format: byte-exact round trips, and the model writer and reader."""
 
 import numpy as np
 import pytest
 
 from ofat.binio import atomic_open
 from ofat.checkpoint import (
-    Checkpoint,
     canonical_metadata,
     file_digest,
     load_checkpoint,
     load_model,
     save_checkpoint,
-    supernet_from_checkpoint,
-    supernet_to_checkpoint,
+    save_model,
 )
 from ofat.data import make_synthetic_dataset
 from ofat.errors import ConfigurationError
@@ -22,7 +18,7 @@ from ofat.rng import Rng
 from ofat.spaces import SubnetConfig, max_subnet, sample_subnet
 from ofat.supernet import build_supernet, extract_subnet, forward, full_config, reference_forward
 from ofat.distill import TeacherModel
-from ofat.train import make_teacher, teacher_to_checkpoint, TeacherArch
+from ofat.train import make_teacher, TeacherArch
 
 
 def test_round_trip_bytes_exact(tmp_path):
@@ -58,24 +54,26 @@ def test_supernet_checkpoint_forward_identical(tmp_path, tiny_space, tiny_model)
     x = (Rng(2, 2).uniform((6, tiny_space.frontend_dim)) * 2 - 1).astype(np.float32)
     _, _, before = forward(tiny_model, cfg, x)
     path = tmp_path / "model.ofat"
-    supernet_to_checkpoint(tiny_model, {"seed": 11}).save(path)
-    restored = supernet_from_checkpoint(Checkpoint.load(path))
+    save_model(path, tiny_model, {"seed": 11})
+    restored = load_model(path, "supernet")[0]
     _, _, after = forward(restored, cfg, x)
     np.testing.assert_array_equal(before.data, after.data)
 
 
 def test_supernet_checkpoint_metadata_has_space_and_role(tmp_path, tiny_model):
-    ckpt = supernet_to_checkpoint(tiny_model, {"seed": 3})
-    assert ckpt.metadata["role"] == "supernet"
-    assert "space" in ckpt.metadata
+    path = tmp_path / "model.ofat"
+    save_model(path, tiny_model, {"seed": 3})
+    metadata = load_checkpoint(path)[1]
+    assert metadata["role"] == "supernet"
+    assert "space" in metadata
 
 
 def test_extracted_checkpoint_round_trip_reverify(tmp_path, tiny_space, tiny_model):
     cfg = sample_subnet(tiny_space, Rng(3, 4))
     enc = extract_subnet(tiny_model, cfg)
     path = tmp_path / "subnet.ofat"
-    supernet_to_checkpoint(enc, {"role": "subnet", "seed": 0}).save(path)
-    enc2 = supernet_from_checkpoint(Checkpoint.load(path))
+    save_model(path, enc, {"role": "subnet", "seed": 0})
+    enc2 = load_model(path, "subnet")[0]
     for i in range(3):
         x = (Rng(50 + i, 2).uniform((8, tiny_space.frontend_dim)) * 2 - 1).astype(np.float32)
         _, _, a = reference_forward(enc, cfg, x)
@@ -90,7 +88,7 @@ def test_teacher_checkpoint_round_trip(tmp_path, tiny_space):
                        conv_groups=4, conv_kernel=3)
     teacher = make_teacher(seed=5, arch=arch, frontend_spec=tiny_space.frontend)
     path = tmp_path / "teacher.ofat"
-    teacher_to_checkpoint(teacher, {"seed": 5}).save(path)
+    save_model(path, teacher.encoder, {"seed": 5, "role": "teacher"})
     loaded = TeacherModel(encoder=load_model(path, "teacher")[0])
     raw = (Rng(6, 2).uniform(72) * 2 - 1).astype(np.float32)
     feats_a = teacher.frontend.forward(raw)
@@ -106,7 +104,7 @@ def test_teacher_checkpoint_round_trip(tmp_path, tiny_space):
 
 def test_teacher_loader_rejects_wrong_role(tmp_path, tiny_model):
     path = tmp_path / "supernet.ofat"
-    supernet_to_checkpoint(tiny_model, {"seed": 1}).save(path)
+    save_model(path, tiny_model, {"seed": 1})
     with pytest.raises(ConfigurationError, match="role"):
         load_model(path, "teacher")
 
@@ -114,46 +112,55 @@ def test_teacher_loader_rejects_wrong_role(tmp_path, tiny_model):
 def test_load_then_save_supernet_is_byte_identical(tmp_path, tiny_model):
     p1 = tmp_path / "one.ofat"
     p2 = tmp_path / "two.ofat"
-    supernet_to_checkpoint(tiny_model, {"seed": 4}).save(p1)
-    Checkpoint.load(p1).save(p2)
+    save_model(p1, tiny_model, {"seed": 4})
+    save_checkpoint(p2, *load_checkpoint(p1))
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_supernet_loader_rejects_mismatched_tensor_shape(tiny_model):
-    ckpt = supernet_to_checkpoint(tiny_model, {"seed": 4})
-    ckpt.tensors["head.w"] = ckpt.tensors["head.w"][:-1]
+def _saved_then_edited(path, model, metadata, edit):
+    """Save `model`, apply edit(tensors, metadata) to the file's contents
+    and write them back through the raw format; returns `path`."""
+    save_model(path, model, metadata)
+    tensors, meta = load_checkpoint(path)
+    edit(tensors, meta)
+    save_checkpoint(path, tensors, meta)
+    return path
+
+
+def test_supernet_loader_rejects_mismatched_tensor_shape(tmp_path, tiny_model):
+    def cut_head(tensors, meta):
+        tensors["head.w"] = tensors["head.w"][:-1]
+
+    path = _saved_then_edited(tmp_path / "m.ofat", tiny_model, {"seed": 4}, cut_head)
     with pytest.raises(ConfigurationError, match="head.w"):
-        supernet_from_checkpoint(ckpt)
+        load_model(path, "supernet")
 
 
-def test_supernet_loader_rejects_a_tensor_the_metadata_leaves_out(tiny_space, tiny_model):
+def test_supernet_loader_rejects_a_tensor_the_metadata_leaves_out(tmp_path, tiny_space, tiny_model):
     config = max_subnet(tiny_space)
-    ckpt = supernet_to_checkpoint(extract_subnet(tiny_model, config), {"role": "subnet"})
-    ckpt.metadata["arch"]["heads"] = ckpt.metadata["arch"]["heads"][:-1]
+
+    def drop_a_layer(tensors, meta):
+        meta["arch"]["heads"] = meta["arch"]["heads"][:-1]
+
+    path = _saved_then_edited(tmp_path / "m.ofat", extract_subnet(tiny_model, config), {"role": "subnet"},
+                              drop_a_layer)
     with pytest.raises(ConfigurationError, match=f"blocks.{config.depth - 1}"):
-        supernet_from_checkpoint(ckpt)
+        load_model(path, "subnet")
 
 
-def test_loading_a_checkpoint_draws_no_random_numbers(monkeypatch, tiny_space, tiny_model, tiny_teacher):
-    ckpts = [supernet_to_checkpoint(tiny_model, {"seed": 4}),
-             supernet_to_checkpoint(extract_subnet(tiny_model, max_subnet(tiny_space)), {"role": "subnet"}),
-             teacher_to_checkpoint(tiny_teacher, {"seed": 77})]
+def test_loading_a_checkpoint_draws_no_random_numbers(monkeypatch, tmp_path, tiny_space, tiny_model, tiny_teacher):
+    files = {"supernet": tiny_model,
+             "subnet": extract_subnet(tiny_model, max_subnet(tiny_space)),
+             "teacher": tiny_teacher.encoder}
+    for role, model in files.items():
+        save_model(tmp_path / f"{role}.ofat", model, {"seed": 4, "role": role})
 
     def no_rng(*args, **kwargs):
         raise AssertionError("a loader built an Rng")
 
     monkeypatch.setattr(Rng, "__init__", no_rng)
-    for ckpt in ckpts:
-        supernet_from_checkpoint(ckpt)
-
-
-def test_checkpoint_snapshot_detached_from_training(tiny_space, tiny_model):
-    """Saving then mutating the model must not change the snapshot."""
-    ckpt = supernet_to_checkpoint(tiny_model, {"seed": 4})
-    before = ckpt.tensors["input_proj.w"].copy()
-    tiny_model.params["input_proj.w"].data[0, 0] += 1.0
-    np.testing.assert_array_equal(ckpt.tensors["input_proj.w"], before)
-    tiny_model.params["input_proj.w"].data[0, 0] -= 1.0  # restore the session fixture
+    for role in files:
+        load_model(tmp_path / f"{role}.ofat", role)
 
 
 # -- malformed files and metadata -------------------------------------------------
@@ -222,13 +229,14 @@ def test_absurd_rank_or_extent_is_a_configuration_error(tmp_path):
     ("frontend", {"layers": [[0, 5, 2], [8, 5, 2]]}, "frontend layer sizes must be positive"),
     ("frontend", {"layers": [[8, 7, 2], [8, 5, 2]]}, r"frontend.conv0.w has shape \(8, 1, 5\), expected \(8, 1, 7\)"),
 ])
-def test_loader_maps_bad_space_values_to_configuration_error(tiny_model, key, value, match):
-    ckpt = supernet_to_checkpoint(tiny_model, {"seed": 1})
-    space = copy.deepcopy(ckpt.metadata["space"])
-    space[key] = {**space[key], **value} if isinstance(value, dict) else value
-    ckpt.metadata["space"] = space
+def test_loader_maps_bad_space_values_to_configuration_error(tmp_path, tiny_model, key, value, match):
+    def set_value(tensors, meta):
+        space = meta["space"]
+        space[key] = {**space[key], **value} if isinstance(value, dict) else value
+
+    path = _saved_then_edited(tmp_path / "m.ofat", tiny_model, {"seed": 1}, set_value)
     with pytest.raises(ConfigurationError, match=match):
-        supernet_from_checkpoint(ckpt)
+        load_model(path, "supernet")
 
 
 def test_a_write_that_fails_part_way_keeps_the_previous_file(tmp_path):
@@ -258,17 +266,17 @@ def test_atomic_open_leaves_no_file_on_failure_and_plain_permissions_on_success(
 
 
 @pytest.mark.parametrize("drop", ["space", "arch", "heads"])
-def test_loader_maps_missing_metadata_keys_to_configuration_error(tiny_space, tiny_model, drop):
+def test_loader_maps_missing_metadata_keys_to_configuration_error(tmp_path, tiny_space, tiny_model, drop):
+    def drop_key(tensors, meta):
+        del (meta if drop in ("space", "arch") else meta["arch"])[drop]
+
     if drop == "space":
-        ckpt = supernet_to_checkpoint(tiny_model, {"seed": 1})
-        del ckpt.metadata["space"]
+        role, model = "supernet", tiny_model
     else:
-        cfg = sample_subnet(tiny_space, Rng(3, 4))
-        ckpt = supernet_to_checkpoint(extract_subnet(tiny_model, cfg), {"role": "subnet"})
-        meta = ckpt.metadata if drop == "arch" else ckpt.metadata["arch"]
-        del meta[drop]
+        role, model = "subnet", extract_subnet(tiny_model, sample_subnet(tiny_space, Rng(3, 4)))
+    path = _saved_then_edited(tmp_path / "m.ofat", model, {"role": role}, drop_key)
     with pytest.raises(ConfigurationError, match=drop):
-        supernet_from_checkpoint(ckpt)
+        load_model(path, role)
 
 
 # -- golden files -----------------------------------------------------------------
@@ -289,18 +297,17 @@ def test_golden_checkpoints_keep_their_bytes_and_load_to_the_reference(tmp_path,
                            dataset=make_synthetic_dataset(seed=5, n_sequences=4, length=64), batch_size=2)
     model = build_supernet(tiny_space, Rng(11, 1))
     cfg = SubnetConfig(12, 2, (2, 1), (3.0, 2.0))
-    ckpts = {
-        "teacher": teacher_to_checkpoint(teacher, {"seed": 77}),
-        "supernet": supernet_to_checkpoint(model, {"seed": 11, "stage": 1}),
-        "subnet": supernet_to_checkpoint(extract_subnet(model, cfg),
-                                         {"role": "subnet", "seed": 11, "config": cfg.to_dict()}),
+    saves = {
+        "teacher": (teacher.encoder, {"seed": 77, "role": "teacher"}),
+        "supernet": (model, {"seed": 11, "stage": 1}),
+        "subnet": (extract_subnet(model, cfg), {"role": "subnet", "seed": 11, "config": cfg.to_dict()}),
     }
     x = (Rng(7, 2).uniform((9, tiny_space.frontend_dim)) * 2 - 1).astype(np.float32)
-    for role, ckpt in ckpts.items():
+    for role, (saved, metadata) in saves.items():
         path = tmp_path / f"{role}.ofat"
-        ckpt.save(path)
+        save_model(path, saved, metadata)
         assert file_digest(path) == GOLDEN_SHA256[role], role
-        loaded = supernet_from_checkpoint(Checkpoint.load(path))
+        loaded = load_model(path, role)[0]
         config = full_config(loaded)
         if role == "subnet":
             assert config == cfg

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ofat
-from ofat.checkpoint import load_model, supernet_to_checkpoint
+from ofat.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from ofat.cli import main
 from ofat.rng import Rng
 from ofat.spaces import desk_space
@@ -225,9 +225,8 @@ def test_search_attempt_cap_exit_code_4(workdir, tmp_path):
 
     from ofat.search import SearchBudget, subnet_params
     from ofat.spaces import min_subnet
-    from ofat.checkpoint import Checkpoint, supernet_from_checkpoint
 
-    space = supernet_from_checkpoint(Checkpoint.load(s1)).space
+    space = load_model(s1, "supernet")[0].space
     floor = subnet_params(space, min_subnet(space), SearchBudget(max_params=1, n_candidates=1))
     assert main(["search", "--config", str(cfg2), "--checkpoint", str(s1),
                  "--max-params", str(floor), "--out", str(tmp_path / "cap")]) == 4
@@ -461,6 +460,36 @@ def test_subnet_file_with_a_flipped_param_count_digit_exits_2(workdir, trained, 
     assert "params_with_frontend_and_head" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role, key, value", [
+    ("supernet", "head_dim", "x"),
+    ("supernet", "head_dim", float("nan")),
+    ("supernet", "head_dim", float("inf")),  # what JSON's 1e400 reads as
+    ("supernet", "ffn_ratios", ["a", 3.0]),
+    ("supernet", "ffn_ratios", [float("nan"), 3.0]),
+    ("subnet", "embed_dim", "x"),
+    ("subnet", "embed_dim", 0),
+], ids=["head-dim-text", "head-dim-nan", "head-dim-inf", "ratio-text", "ratio-nan", "embed-text", "embed-zero"])
+def test_model_metadata_of_the_wrong_type_exits_2_without_traceback(workdir, trained, tmp_path, role, key, value):
+    root, cfg, data_dir, _ = workdir
+    tensors, meta = load_checkpoint(trained[0] if role == "supernet" else trained[1])
+    meta["space" if role == "supernet" else "arch"][key] = value
+    bad = tmp_path / "bad.ofat"
+    save_checkpoint(bad, tensors, meta)
+    if role == "supernet":
+        proc = _run_cli("extract", "--checkpoint", str(bad), "--subnet-spec", "min", "--out", str(tmp_path / "x.ofat"))
+    else:
+        proc = _run_cli("eval", "--config", str(cfg), "--checkpoint", str(bad), "--data", str(data_dir / "val.ofad"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_write_into_a_missing_directory_exits_3_naming_the_out_path(trained, tmp_path):
+    out = tmp_path / "missing" / "x.ofat"
+    proc = _run_cli("extract", "--checkpoint", str(trained[0]), "--subnet-spec", "mid", "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert f"'{out}'" in proc.stderr and ".tmp" not in proc.stderr
+
+
 def _ofat_field_offsets(data: bytes) -> list:
     """Offsets of every OFAT byte that is not tensor payload: header, metadata,
     tensor count, and each tensor's name length, name, rank and extents."""
@@ -545,7 +574,7 @@ def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
     supernet = tmp_path / "supernet.ofat"
     model = build_supernet(desk_space(), Rng(5, 1))
     model.frontend = load_model(teacher, "teacher")[0].frontend  # search scores only on the teacher's features
-    supernet_to_checkpoint(model, {"seed": 5}).save(supernet)
+    save_model(supernet, model, {"seed": 5})
     one_cpu = {min(os.sched_getaffinity(0))}
     outputs = []
     for threads, cpus in (("1", None), ("2", None), ("1", one_cpu)):

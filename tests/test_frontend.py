@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ofat.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from ofat.errors import ConfigurationError
 from ofat.frontend import Frontend, FrontendSpec, desk_frontend, hubert_base_frontend
 from ofat.rng import Rng
@@ -40,22 +41,27 @@ def test_frontend_deterministic_by_seed():
         np.testing.assert_array_equal(wa, wb)
 
 
-def test_frontend_named_arrays_round_trip():
-    spec = desk_frontend()
-    fe = Frontend.build(spec, Rng(5, 8))
-    clone = Frontend.from_arrays(spec, fe.arrays)
+def test_frontend_named_arrays_round_trip(tmp_path, tiny_model):
+    path = tmp_path / "m.ofat"
+    save_model(path, tiny_model, {})
+    clone = load_model(path, "supernet")[0].frontend
     x = Rng(6, 2).uniform(32).astype(np.float32)
-    np.testing.assert_array_equal(fe.forward(x), clone.forward(x))
+    np.testing.assert_array_equal(tiny_model.frontend.forward(x), clone.forward(x))
 
 
-def test_frontend_from_arrays_refuses_a_missing_or_misshapen_array():
-    spec = desk_frontend()
-    arrays = Frontend.build(spec, Rng(5, 8)).arrays
-    assert list(arrays) == list(spec.array_shapes())
-    with pytest.raises(ConfigurationError, match="frontend.conv1.b has nothing"):
-        Frontend.from_arrays(spec, {n: a for n, a in arrays.items() if n != "frontend.conv1.b"})
-    with pytest.raises(ConfigurationError, match="frontend.conv0.w has shape"):
-        Frontend.from_arrays(spec, {**arrays, "frontend.conv0.w": arrays["frontend.conv0.w"][:, :, :-1]})
+def test_a_model_file_with_a_missing_or_misshapen_frontend_array_is_refused(tmp_path, tiny_model):
+    assert list(tiny_model.frontend.arrays) == list(tiny_model.space.frontend.array_shapes())
+    path = tmp_path / "m.ofat"
+    save_model(path, tiny_model, {})
+    tensors, meta = load_checkpoint(path)
+    edits = {
+        "frontend.conv1.b has nothing": {n: a for n, a in tensors.items() if n != "frontend.conv1.b"},
+        "frontend.conv0.w has shape": {**tensors, "frontend.conv0.w": tensors["frontend.conv0.w"][:, :, :-1]},
+    }
+    for match, edited in edits.items():
+        save_checkpoint(path, edited, meta)
+        with pytest.raises(ConfigurationError, match=match):
+            load_model(path, "supernet")
 
 
 def test_frontend_spec_dict_round_trip():

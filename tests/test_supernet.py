@@ -6,7 +6,7 @@ import pytest
 from ofat import autodiff as ad
 from ofat import supernet
 from ofat.autodiff import ComputeGraph
-from ofat.checkpoint import Checkpoint, load_model, supernet_to_checkpoint
+from ofat.checkpoint import load_checkpoint, load_model, save_model
 from ofat.distill import MaskSpec, distill_loss
 from ofat.errors import ConfigurationError, DimensionError
 from ofat.rng import Rng
@@ -114,12 +114,12 @@ def _boxes_layout(space, config):
 
 def test_params_are_the_touched_boxes_in_file_order(tiny_space, tiny_model, tmp_path):
     path = tmp_path / "s.ofat"
-    supernet_to_checkpoint(tiny_model, {}).save(path)
+    save_model(path, tiny_model, {})
     loaded, _ = load_model(path, "supernet")
     full = _boxes_layout(tiny_space, max_subnet(tiny_space))
     for model in (build_supernet(tiny_space, Rng(3, 1)), clone_supernet(tiny_model), loaded):
         assert _layout(model) == full
-    assert [n for n in Checkpoint.load(path).tensors if n not in tiny_model.frontend.arrays] == list(loaded.params)
+    assert [n for n in load_checkpoint(path)[0] if n not in tiny_model.frontend.arrays] == list(loaded.params)
     cfg = SubnetConfig(12, 2, (2, 1), (3.0, 2.0))
     assert _layout(extract_subnet(tiny_model, cfg)) == _boxes_layout(tiny_space, cfg)
 
@@ -200,7 +200,7 @@ def test_masked_distillation_graph_size(std_space, std_model):
 
 def test_masked_distillation_step_graph_size(std_space, monkeypatch):
     # A training step runs its batch of 4 as one row stack and scores it with
-    # one fused masked L1: a desk stage-1 step is one graph of 139 nodes
+    # one fused masked L1: a desk stage-1 step is one graph of 132 nodes
     # (169 with a sub, abs, gate, sum and two scales per sequence), against
     # 4 graphs of 141 (564) when each sequence had its own graph.
     from ofat.data import make_synthetic_dataset

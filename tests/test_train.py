@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ofat.autodiff import Tensor
+from ofat.checkpoint import save_model
 from ofat.data import make_synthetic_dataset
 from ofat.distill import MaskSpec, TargetConfig
 from ofat.errors import ConfigurationError
@@ -166,15 +167,21 @@ def test_stage1_teacher_and_frontend_bitwise_frozen():
         np.testing.assert_array_equal(w_model, w_teacher)
 
 
+def _arrays(model):
+    """Every array save_model writes of `model`, by tensor name in file order."""
+    return {**model.frontend.arrays, **{name: t.data for name, t in model.params.items()}}
+
+
 def test_stage1_deterministic_checkpoints():
     space, teacher, data, _ = small_setup()
     cfg = TrainConfig(stage=1, steps=10, batch_size=2, learning_rate=3e-3, seed=3)
-    ck1, _, log1 = stage1_train(cfg, space, teacher, data, MASK, TGT)
-    ck2, _, log2 = stage1_train(cfg, space, teacher, data, MASK, TGT)
-    for name in ck1.tensors:
-        np.testing.assert_array_equal(ck1.tensors[name], ck2.tensors[name])
+    meta1, model1, log1 = stage1_train(cfg, space, teacher, data, MASK, TGT)
+    _, model2, log2 = stage1_train(cfg, space, teacher, data, MASK, TGT)
+    arrays2 = _arrays(model2)
+    for name, arr in _arrays(model1).items():
+        np.testing.assert_array_equal(arr, arrays2[name])
     assert [r.loss for r in log1.records] == [r.loss for r in log2.records]
-    assert ck1.metadata["stage"] == 1
+    assert meta1["stage"] == 1
 
 
 # -- stage 2 ---------------------------------------------------------------------
@@ -192,10 +199,11 @@ def test_stage2_singleton_space_equals_stage1_bitwise():
     c1 = TrainConfig(stage=1, steps=12, batch_size=2, learning_rate=3e-3, seed=4)
     c2 = TrainConfig(stage=2, steps=12, batch_size=2, learning_rate=3e-3, seed=4,
                      ofa_init="random")
-    ck1, _, _ = stage1_train(c1, space, teacher, data, MASK, TGT)
-    ck2, _, _ = stage2_train(c2, space, teacher, data, MASK, TGT)
-    for name in ck1.tensors:
-        np.testing.assert_array_equal(ck1.tensors[name], ck2.tensors[name])
+    _, model1, _ = stage1_train(c1, space, teacher, data, MASK, TGT)
+    _, model2, _ = stage2_train(c2, space, teacher, data, MASK, TGT)
+    arrays2 = _arrays(model2)
+    for name, arr in _arrays(model1).items():
+        np.testing.assert_array_equal(arr, arrays2[name])
 
 
 def test_stage2_sampled_config_log_replays_arch_stream():
@@ -221,13 +229,13 @@ def test_stage2_requires_init_checkpoint_for_stage1_weights():
 def test_stage2_from_stage1_checkpoint_runs(tmp_path):
     space, teacher, data, _ = small_setup()
     c1 = TrainConfig(stage=1, steps=6, batch_size=2, seed=7)
-    ck1, _, _ = stage1_train(c1, space, teacher, data, MASK, TGT)
+    meta1, model1, _ = stage1_train(c1, space, teacher, data, MASK, TGT)
     path = tmp_path / "s1.ofat"
-    ck1.save(path)
+    save_model(path, model1, meta1)
     c2 = TrainConfig(stage=2, steps=6, batch_size=2, seed=7,
                      ofa_init="stage1_weights", init_checkpoint=str(path))
-    ck2, _, log = stage2_train(c2, space, teacher, data, MASK, TGT)
-    assert ck2.metadata["ofa_init"] == "stage1_weights"
+    meta2, _, log = stage2_train(c2, space, teacher, data, MASK, TGT)
+    assert meta2["ofa_init"] == "stage1_weights"
     assert len(log.records) == 6
 
 
@@ -418,12 +426,13 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
 
 
 def _assert_same_run(a, b):
-    (ck_a, _, log_a), (ck_b, _, log_b) = a, b
+    (_, model_a, log_a), (_, model_b, log_b) = a, b
     assert [(r.loss, r.grad_norm, r.lr, r.config) for r in log_a.records] == \
            [(r.loss, r.grad_norm, r.lr, r.config) for r in log_b.records]
-    assert list(ck_a.tensors) == list(ck_b.tensors)
-    for name in ck_a.tensors:
-        assert ck_a.tensors[name].tobytes() == ck_b.tensors[name].tobytes(), name
+    arrays_a, arrays_b = _arrays(model_a), _arrays(model_b)
+    assert list(arrays_a) == list(arrays_b)
+    for name in arrays_a:
+        assert arrays_a[name].tobytes() == arrays_b[name].tobytes(), name
 
 
 def _both_ways(monkeypatch, run):
@@ -493,8 +502,6 @@ def _per_sequence_warmup(model, space, config, dataset, steps, lr, batch_size):
 def test_stacked_teacher_warmup_equals_per_sequence_graphs_bitwise(monkeypatch, batch_size):
     from ofat import train
     from ofat.data import SyntheticDataset
-    from ofat.train import teacher_to_checkpoint
-
     space = small_setup()[0]
     data = make_synthetic_dataset(seed=13, n_sequences=4, length=64)
     short = make_synthetic_dataset(seed=16, n_sequences=3, length=48)
@@ -507,14 +514,14 @@ def test_stacked_teacher_warmup_equals_per_sequence_graphs_bitwise(monkeypatch, 
 
     teacher = warmed(4)
     assert all(p.grad is None for p in teacher.encoder.params.values())
-    stacked = teacher_to_checkpoint(teacher, {}).tensors
+    stacked = _arrays(teacher.encoder)
     with monkeypatch.context() as m:
         m.setattr(train, "_warmup_self_regression", _per_sequence_warmup)
-        reference = teacher_to_checkpoint(warmed(4), {}).tensors
+        reference = _arrays(warmed(4).encoder)
     assert list(stacked) == list(reference)
     for name in stacked:
         assert stacked[name].tobytes() == reference[name].tobytes(), name
-    fresh = teacher_to_checkpoint(warmed(0), {}).tensors
+    fresh = _arrays(warmed(0).encoder)
     assert any(stacked[name].tobytes() != fresh[name].tobytes() for name in fresh)
 
 
@@ -598,11 +605,11 @@ def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatc
                 _recorded_batch_targets(m, seen[walkers])
                 # a fresh teacher per run, so every first epoch's targets are cold
                 teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
-                ck1, model, log1 = stage1_train(c1, space, teacher, data, MASK, TGT)
-                ck2, _, log2 = stage2_train(c2, space, teacher, data, MASK, TGT, init_model=model)
+                runs = [stage1_train(c1, space, teacher, data, MASK, TGT)]
+                runs.append(stage2_train(c2, space, teacher, data, MASK, TGT, init_model=runs[0][1]))
             out = []
-            for stage, (ck, log) in enumerate(((ck1, log1), (ck2, log2)), start=1):
-                ck.save(tmp_path / f"w{walkers}s{stage}.ofat")
+            for stage, (meta, model, log) in enumerate(runs, start=1):
+                save_model(tmp_path / f"w{walkers}s{stage}.ofat", model, meta)
                 log.to_csv(tmp_path / f"w{walkers}s{stage}.log.csv")
                 out += [(tmp_path / f"w{walkers}s{stage}{ext}").read_bytes() for ext in (".ofat", ".log.csv")]
             files[walkers] = out
