@@ -31,6 +31,21 @@ layer_norm keep per-row statistics, not their [seqs*heads, t, t]
 probabilities or [rows, d] normalized input, which backward rebuilds bit
 for bit, so a training graph grows with its rows, not with t^2.
 
+The hot ops (gelu, layer_norm, linear_prefix, attention, mask_rows,
+masked_l1) run their expressions as in-place ufunc chains on one or two
+new work arrays per call, so a call allocates little beyond what it
+returns. Each chain runs the out-of-place expression's IEEE operations in
+its order, swapping operands only of commutative ops, so values and
+gradients are bitwise those of the expression. Two rules keep it so:
+- a step writes into a work array only when the result_type of its
+  operands is that array's dtype (_into); otherwise it allocates where the
+  expression promotes, as float64 oracle probes meeting float32 parameters
+  do;
+- a chain never writes into g (add's vjp hands one g to both parents, and
+  an intermediate node adopts it as its gradient), into a parent's data,
+  or into an array a closure still reads, such as gelu's saved tanh.
+tests/conftest.py keeps the out-of-place expressions as references.
+
 Gradient correctness is enforced by :func:`finite_diff_check`, a central
 finite-difference oracle that every differentiable op is tested against.
 """
@@ -240,6 +255,19 @@ def _accum_box(t: Tensor, box: tuple, g: np.ndarray) -> None:
         t.grad = grad
 
 
+def _into(ufunc, a, b, work: np.ndarray) -> np.ndarray:
+    """ufunc(a, b) written into `work` when the out-of-place result has work's dtype,
+    else into a new array of the dtype the out-of-place expression promotes to: a
+    narrower work array would round where the expression does not."""
+    return ufunc(a, b, out=work if np.result_type(a, b) == work.dtype else None)
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) by ndarray.mean's own two ufunc calls, without its wrapper."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+
+
 def _per_seq(a: np.ndarray, seqs: int) -> np.ndarray:
     """[seqs*t, d] rows (or any leading dims over d) as [seqs, t, d]."""
     return a.reshape(seqs, -1, a.shape[-1])
@@ -386,10 +414,12 @@ def linear_prefix(x, w, b, n_in: int, n_out: int, seqs: int = 1) -> Tensor:
                              f"and {seqs} sequences")
     box = (slice(0, n_in), slice(0, n_out))
     wv = w.data[box]
-    data = x.data @ wv + b.data[:n_out]
+    data = x.data @ wv
+    data = _into(np.add, data, b.data[:n_out], data)
 
     def vjp(g):
-        _accum(x, g @ wv.T)
+        if x.requires_grad:  # not the stem's raw features
+            _accum(x, g @ wv.T)
         g3 = _per_seq(g, seqs)
         for dw, db in zip(np.matmul(_per_seq(x.data, seqs).transpose(0, 2, 1), g3), g3.sum(axis=1)):
             _accum_box(w, box, dw)
@@ -456,22 +486,49 @@ def slice_prefix(a, dim: int, n: int) -> Tensor:
 # -- neural-net ops --------------------------------------------------------
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(C0 * (x + C1 * (x * x * x))) in one new array."""
+    t = np.multiply(x, x)
+    t *= x
+    t *= _GELU_C1
+    t += x
+    t *= _GELU_C0
+    return np.tanh(t, out=t)
+
+
 def gelu_array(x: np.ndarray) -> np.ndarray:
-    """GELU (tanh approximation) on a plain array; also the frontend activation."""
-    inner = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    """GELU (tanh approximation) on a plain array, 0.5 * x * (1.0 + t); also the frontend activation."""
+    t = _gelu_tanh(x)
+    y = np.multiply(x, 0.5)
+    y *= np.add(t, 1.0, out=t)
+    return y
 
 
 def gelu(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    t = np.tanh(_GELU_C0 * (x + _GELU_C1 * (x * x * x)))
-    y = 0.5 * x * (1.0 + t)
+    if not (_GRAD_ENABLED.get() and a.requires_grad):
+        return _result(gelu_array(x), (a,), None)
+    t = _gelu_tanh(x)
+    y = np.multiply(x, 0.5)
+    y *= np.add(t, 1.0)  # not into t: the vjp reads it
 
     def vjp(g):
-        # derivative from the saved tanh; no cost on no-grad forwards
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * (x * x))
-        _accum(a, g * dy)
+        # g * dy from the saved tanh, for
+        # dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C0 * (1.0 + 3.0 * C1 * (x * x))
+        w = np.multiply(t, t)  # the work array, allocated before the result it serves
+        np.subtract(1.0, w, out=w)
+        dy = np.multiply(x, 0.5)
+        dy *= w
+        dy *= _GELU_C0
+        np.multiply(x, x, out=w)
+        w *= 3.0 * _GELU_C1
+        w += 1.0
+        dy *= w
+        np.add(t, 1.0, out=w)
+        w *= 0.5
+        dy += w
+        _accum(a, _into(np.multiply, g, dy, dy))
 
     return _result(y, (a,), vjp)
 
@@ -544,7 +601,12 @@ def attention(q, k, v, heads: int, seqs: int = 1) -> Tensor:
         G = split(g)
         dV = np.matmul(P.transpose(0, 2, 1), G)
         dS = np.matmul(G, V.transpose(0, 2, 1))  # dP, turned into dS in place:
-        dS -= (dS * P).sum(axis=-1, keepdims=True)  # P * (dP - sum(dP * P)) * scale
+        # P * (dP - sum(dP * P)) * scale, the row sums taken one [t, t] slice at a time
+        prod = np.empty(dS.shape[1:], np.result_type(dS, P))
+        dots = np.empty(dS.shape[:2] + (1,), prod.dtype)
+        for i in range(n):
+            np.add.reduce(np.multiply(dS[i], P[i], out=prod), axis=-1, keepdims=True, out=dots[i])
+        dS -= dots
         dS *= P
         dS *= scale
         _accum(q, merge(np.matmul(dS, KT.transpose(0, 2, 1))))
@@ -568,23 +630,29 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, seqs: int = 1) -> Tensor:
             f"or {x.shape} does not hold {seqs} sequences")
     box = (slice(0, d),)
     gv, bv = gain.data[box], bias.data[box]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    y = xc * inv_std * gv + bv
+    mu = _row_mean(x.data)
+    y = np.subtract(x.data, mu)  # xc, turned into xc * inv_std * gv + bv in place
+    inv_std = 1.0 / np.sqrt(_row_mean(y * y) + eps)
+    y *= inv_std
+    y = _into(np.multiply, y, gv, y)
+    y = _into(np.add, y, bv, y)
 
     def vjp(g):
-        xhat = (x.data - mu) * inv_std  # the forward's xhat, from the parent
-        dxhat = g * gv
+        xhat = np.subtract(x.data, mu)  # the forward's xhat, from the parent
+        xhat *= inv_std
+        dxhat = np.multiply(g, gv)
         # Standard layer-norm backward, folded:
         # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv_std * (dxhat - m1 - xhat * m2))
-        for dg, db in zip(_per_seq(g * xhat, seqs).sum(axis=1), _per_seq(g, seqs).sum(axis=1)):
+        work = np.multiply(dxhat, xhat)
+        m1, m2 = _row_mean(dxhat), _row_mean(work)
+        work = _into(np.multiply, g, xhat, work)
+        for dg, db in zip(_per_seq(work, seqs).sum(axis=1), _per_seq(g, seqs).sum(axis=1)):
             _accum_box(gain, box, dg)
             _accum_box(bias, box, db)
+        dxhat = _into(np.subtract, dxhat, m1, dxhat)
+        xhat = _into(np.multiply, xhat, m2, xhat)
+        dxhat = _into(np.subtract, dxhat, xhat, dxhat)
+        _accum(x, _into(np.multiply, dxhat, inv_std, dxhat))
 
     return _result(y, (x, gain, bias), vjp)
 
@@ -655,11 +723,13 @@ def mask_rows(x, emb, rows, seqs: int = 1) -> Tensor:
     keep = 1.0 - col
 
     def vjp(g):
-        _accum(x, g * keep)
-        for de in _per_seq(g * col, seqs).sum(axis=1):
+        work = np.multiply(g, col)
+        for de in _per_seq(work, seqs).sum(axis=1):
             _accum_box(emb, box, de)
+        _accum(x, _into(np.multiply, g, keep, work))
 
-    return _result(x.data * keep + emb.data[box] * col, (x, emb), vjp)
+    y = np.multiply(x.data, keep)
+    return _result(_into(np.add, y, emb.data[box] * col, y), (x, emb), vjp)
 
 
 class LossMask:
@@ -728,8 +798,9 @@ def masked_l1(x, targets, mask: LossMask, reduction: str = "mean") -> Tensor:
     def vjp(g):
         # (g * scale) * gate * sign(diff) per sequence, in the composition's order
         g_seq = (np.reshape(g, seqs) * scales.reshape(seqs))[:, None, None]
-        sign = np.sign(_per_seq(x.data - targets.data, seqs))
-        _accum(x, ((g_seq * gate.reshape(seqs, -1, 1)) * sign).reshape(x.shape))
+        sign = _per_seq(np.subtract(x.data, targets.data), seqs)
+        np.sign(sign, out=sign)
+        _accum(x, _into(np.multiply, g_seq * gate.reshape(seqs, -1, 1), sign, sign).reshape(x.shape))
 
     return _result(per_entry.reshape(seqs, -1).sum(axis=1).reshape(scales.shape) * scales, (x,), vjp)
 

@@ -10,6 +10,7 @@ bounds, whatever the budget.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,8 +23,8 @@ from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
 from .spaces import SearchSpace, SubnetConfig, max_subnet, min_subnet, sample_subnet, validate_config
-from .supernet import (SupernetModel, attention_half, block_norm, count_params, ffn_half, head_forward,
-                       positional_stage)
+from .supernet import (SupernetModel, attention_half, block_norm, block_params, count_params, ffn_half,
+                       head_forward, positional_stage)
 
 ATTEMPT_FACTOR = 100  # rejection-sampling cap: 100 x n_candidates attempts
 
@@ -208,7 +209,7 @@ def evaluate_subnets(
 
     with ad.no_grad():  # entered here, not in subtrees(): the walkers resume it in their own contexts
         threads.run_walkers(subtrees(), threads.walker_count(), failures)
-    return [float(np.mean(row)) for row in per_batch]
+    return per_batch.mean(axis=1).tolist()
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):
@@ -220,18 +221,39 @@ def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches)
     return list(zip(feats, teacher.batch_targets(feats, target_cfg, [("val", idx) for idx in idxs])))
 
 
+def _param_prices(space: SearchSpace, budget: SearchBudget):
+    """subnet_params(space, ., budget) from one table: per embed dim the parameters
+    outside the blocks, plus block_params per layer's (embed dim, heads, ratio)."""
+    outside, block = {}, {}
+    for e in space.embed_dims:
+        pc = count_params(space, dataclasses.replace(min_subnet(space), embed_dim=e),
+                          includes_frontend=budget.includes_frontend, includes_head=budget.includes_head)
+        outside[e] = pc.total - pc.by_component["blocks"]
+        for h in space.head_choices:
+            for r in space.ffn_ratios:
+                block[e, h, r] = block_params(space, e, h, r)
+
+    def price(config: SubnetConfig) -> int:
+        e = config.embed_dim
+        return outside[e] + sum(block[e, h, r] for h, r in zip(config.heads, config.ffn_ratio))
+
+    return price
+
+
 def sample_candidates(space: SearchSpace, budget: SearchBudget):
     """Rejection-sample n_candidates budget-satisfying configs.
 
     Returns (configs, their subnet_params, acceptance_rate). The raw sampler
     is untouched so accepted candidates keep the training-time
-    per-dimension uniform distribution, just truncated by the budget.
+    per-dimension uniform distribution, just truncated by the budget. Each
+    draw is priced from a table built once per call.
     """
     floor = subnet_params(space, min_subnet(space), budget)
     if budget.max_params < floor:
         raise ConfigurationError(
             f"budget {budget.max_params} is below the minimal subnet size {floor}"
         )
+    price = _param_prices(space, budget)
     rng = Rng(budget.seed, STREAM_SEARCH)
     configs, params = [], []
     attempts = 0
@@ -246,7 +268,7 @@ def sample_candidates(space: SearchSpace, budget: SearchBudget):
             )
         config = sample_subnet(space, rng)
         attempts += 1
-        n = subnet_params(space, config, budget)
+        n = price(config)
         if n <= budget.max_params:
             configs.append(config)
             params.append(n)

@@ -323,6 +323,14 @@ class ParamCount:
     includes_head: bool
 
 
+def block_params(space: SearchSpace, e: int, heads: int, ratio: float) -> int:
+    """One block's parameters at embed dim e: QKV 3(e*a + a), output a*e + e,
+    FFN e*f + f + f*e + e and two norms 4e, for a = heads * head_dim."""
+    a = heads * space.head_dim
+    f = ffn_hidden(ratio, e)
+    return 3 * (e * a + a) + (a * e + e) + (e * f + f + f * e + e) + 4 * e
+
+
 def count_params(
     space: SearchSpace,
     config: SubnetConfig,
@@ -331,9 +339,8 @@ def count_params(
 ) -> ParamCount:
     """Closed-form parameter count for one subnet.
 
-    Exactly matches the tensor sizes extract_subnet copies: per layer
-    QKV 3(e*a + a), output a*e + e, FFN e*f + f + f*e + e, two norms 4e;
-    plus input projection, positional conv, final norm, mask embedding,
+    Exactly matches the tensor sizes extract_subnet copies: block_params per
+    layer, plus input projection, positional conv, final norm, mask embedding,
     and optionally the frontend and the prediction head.
     """
     validate_config(space, config)
@@ -344,12 +351,7 @@ def count_params(
         by["frontend"] = space.frontend.param_count()
     by["input_proj"] = space.frontend_dim * e + e
     by["pos_conv"] = e * (e // G) * k + e
-    blocks = 0
-    for l in range(config.depth):
-        a = config.heads[l] * space.head_dim
-        f = ffn_hidden(config.ffn_ratio[l], e)
-        blocks += 3 * (e * a + a) + (a * e + e) + (e * f + f + f * e + e) + 4 * e
-    by["blocks"] = blocks
+    by["blocks"] = sum(block_params(space, e, h, r) for h, r in zip(config.heads, config.ffn_ratio))
     by["final_norm"] = 2 * e
     by["mask_embedding"] = e
     if includes_head:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import threads
-from .autodiff import Tensor
+from .autodiff import Tensor, _into
 from .binio import atomic_open
 from .checkpoint import load_model
 from .data import CyclicBatcher, SyntheticDataset
@@ -132,30 +132,43 @@ class Adam:
             p.grad = None
 
     def step(self, lr: float, boxes: dict[str, tuple]) -> None:
-        """Update m, v and the weights in each box in place, rounding as the textbook expressions do."""
+        """Update m, v and the weights in each box in place, rounding as the textbook expressions
+        m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g) and
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) [+ lr * weight_decay * p] do, on two
+        box-sized work arrays."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, box in boxes.items():
             p = self.params[name]
-            g = p.grad[box] if p.grad is not None else 0.0
             m, v = self.m[name][box], self.v[name][box]
+            g = p.grad[box] if p.grad is not None else np.zeros_like(m)  # adds +0.0, as g = 0.0 would
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            update = np.multiply(g, 1.0 - self.beta1)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = lr * (m / bc1)
-            update /= np.sqrt(v / bc2) + self.eps
+            update = _into(np.multiply, g, g, update)
+            update = _into(np.multiply, update, 1.0 - self.beta2, update)
+            v += update
+            update = _into(np.true_divide, m, bc1, update)
+            update = _into(np.multiply, update, lr, update)
+            denom = np.true_divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom = _into(np.add, denom, self.eps, denom)
+            update = _into(np.true_divide, update, denom, update)
             if self.weight_decay:
-                update += lr * self.weight_decay * p.data[box]
+                decay = _into(np.multiply, p.data[box], lr * self.weight_decay, denom)
+                update = _into(np.add, update, decay, update)
             p.data[box] -= update
 
 
 def grad_norm(params: dict[str, Tensor]) -> float:
+    """The L2 norm of every gradient buffer, each squared in float64 into one work array and summed."""
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    work = np.empty(max((g.size for g in grads), default=0))
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+    for g in grads:
+        total += float(np.square(g, out=work[:g.size].reshape(g.shape), dtype=np.float64).sum())
     return math.sqrt(total)
 
 

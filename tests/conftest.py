@@ -1,4 +1,8 @@
-"""Shared fixtures: small spaces, models and data sized for fast unit tests."""
+"""Shared fixtures: small spaces, models and data sized for fast unit tests, and the
+textbook expressions that the in-place ops and the optimizer step must equal bit for bit."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,3 +93,81 @@ def reference_distill_loss(student_head_out, targets, mask_indices, reduction="m
     per_entry = ad.tabs(student_head_out - targets) * ad.Tensor(gate)
     denom = float(indices.size * (d if reduction == "mean" else 1))
     return ad.tsum(per_entry) * (1.0 / denom)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the Python-traced allocations (numpy's arrays among them) made while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def as_leaf_grad(like, g):
+    """g as a leaf tensor shaped like `like` holds it: added into a zeroed buffer of like's dtype."""
+    out = np.zeros_like(like)
+    out += g
+    return out
+
+
+# -- textbook expressions: the out-of-place forms of the in-place ops ----------------
+
+_GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
+_GELU_C1 = 0.044715
+
+
+def textbook_gelu(x, g):
+    """The tanh GELU of x and its input gradient for the upstream gradient g: (y, dx)."""
+    t = np.tanh(_GELU_C0 * (x + _GELU_C1 * (x * x * x)))
+    y = 0.5 * x * (1.0 + t)
+    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * (x * x))
+    return y, g * dy
+
+
+def textbook_layer_norm(x, gain, bias, g, eps=1e-5, seqs=1):
+    """Layer norm of x over its last dim d, affine by the first d entries of gain and bias, and
+    its backward for the upstream gradient g: (y, dx, dgain, dbias). The parameter gradients
+    are each sequence's sums, added in order into zeroed full-length buffers."""
+    d = x.shape[-1]
+    gv, bv = gain[:d], bias[:d]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    y = xc * inv_std * gv + bv
+    xhat = (x - mu) * inv_std
+    dxhat = g * gv
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv_std * (dxhat - m1 - xhat * m2)
+    dgain, dbias = np.zeros_like(gain), np.zeros_like(bias)
+    for dg, db in zip((g * xhat).reshape(seqs, -1, d).sum(axis=1), g.reshape(seqs, -1, d).sum(axis=1)):
+        dgain[:d] += dg
+        dbias[:d] += db
+    return y, dx, dgain, dbias
+
+
+def textbook_adam_step(adam, lr, boxes):
+    """Adam.step by the textbook expressions, on adam's own moments and parameters."""
+    adam.t += 1
+    bc1 = 1.0 - adam.beta1**adam.t
+    bc2 = 1.0 - adam.beta2**adam.t
+    for name, box in boxes.items():
+        p = adam.params[name]
+        g = p.grad[box] if p.grad is not None else 0.0
+        m = adam.m[name][box] = adam.beta1 * adam.m[name][box] + (1.0 - adam.beta1) * g
+        v = adam.v[name][box] = adam.beta2 * adam.v[name][box] + (1.0 - adam.beta2) * (g * g)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + adam.eps)
+        if adam.weight_decay:
+            update = update + lr * adam.weight_decay * p.data[box]
+        p.data[box] = p.data[box] - update
+
+
+def textbook_grad_norm(params):
+    total = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    return math.sqrt(total)

@@ -9,6 +9,8 @@ from ofat.errors import ConfigurationError, ContractError, DimensionError
 from ofat.rng import Rng
 from ofat.supernet import _attention
 
+from conftest import as_leaf_grad, textbook_gelu, textbook_layer_norm, traced_peak
+
 F32_TOL = 1e-3
 F64_TOL = 1e-6
 N_TRIALS = 20
@@ -993,3 +995,100 @@ def test_masked_l1_contract_errors():
         ad.masked_l1(t32(np.zeros((9, 2))), t32(np.zeros((9, 2))), mask)
     with pytest.raises(ContractError, match="2 sequences of 2 rows"):
         ad.masked_l1(x, x, ad.LossMask([np.array([0]), np.array([1])], 2))
+
+
+# -- in-place chains against the textbook expressions, bit for bit -------------------
+
+_DTYPES = {"f32": (np.float32,) * 3, "f64": (np.float64,) * 3,
+           # mixed, as finite_diff_check's float64 probes meet float32 operands
+           "f64x_f32params": (np.float64, np.float32, np.float32),
+           "f64gain": (np.float32, np.float64, np.float32),
+           "f64bias": (np.float32, np.float32, np.float64)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(512, 256), (7, 13)])  # the desk FFN hidden layer, a ragged one
+def test_gelu_equals_the_textbook_expressions_bitwise(shape, dtype):
+    rng = Rng(70, shape[0])
+    x_arr = (rng.normal(shape) * 2.0).astype(dtype)
+    x_arr[0, :3] = (0.0, -0.0, 30.0)
+    c = rng.normal(shape).astype(dtype)
+    y_ref, dx_ref = textbook_gelu(x_arr, c)
+    x = Tensor(x_arr.copy(), requires_grad=True)
+    y = ad.gelu(x)
+    ad.tsum(y * Tensor(c)).backward()
+    assert y.data.dtype == dtype and np.array_equal(y.data, y_ref)
+    assert np.array_equal(x.grad, as_leaf_grad(x_arr, dx_ref))
+    assert np.array_equal(x.data, x_arr)
+    with ad.no_grad():
+        assert np.array_equal(ad.gelu(x).data, y_ref)
+    assert np.array_equal(ad.gelu_array(x_arr), y_ref)
+
+
+@pytest.mark.parametrize("dtypes", list(_DTYPES), ids=list(_DTYPES))
+@pytest.mark.parametrize("seqs,t_len,d,extra", [(1, 512, 256, 0), (4, 128, 256, 0), (4, 128, 64, 16), (3, 5, 7, 2)])
+def test_layer_norm_equals_the_textbook_expressions_bitwise(seqs, t_len, d, extra, dtypes):
+    x_dt, g_dt, b_dt = _DTYPES[dtypes]
+    rng = Rng(71, seqs * d + extra)
+    x_arr = (rng.normal((seqs * t_len, d)) * 1.5 + 0.3).astype(x_dt)
+    gain = (rng.normal(d + extra) * 0.2 + 1.0).astype(g_dt)
+    bias = rng.normal(d + extra).astype(b_dt)
+    c = rng.normal(x_arr.shape).astype(np.result_type(x_dt, g_dt, b_dt))
+    y_ref, dx_ref, dg_ref, db_ref = textbook_layer_norm(x_arr, gain, bias, c, seqs=seqs)
+    x, g, b = (Tensor(a.copy(), requires_grad=True) for a in (x_arr, gain, bias))
+    y = ad.layer_norm(x, g, b, seqs=seqs)
+    ad.tsum(y * Tensor(c)).backward()
+    assert y.data.dtype == y_ref.dtype and np.array_equal(y.data, y_ref)
+    assert np.array_equal(x.grad, as_leaf_grad(x_arr, dx_ref))
+    assert np.array_equal(g.grad, dg_ref) and np.array_equal(b.grad, db_ref)
+    assert all(np.array_equal(t.data, a) for t, a in ((x, x_arr), (g, gain), (b, bias)))
+
+
+@pytest.mark.parametrize("dtypes", ["f32", "f64", "f64x_f32params"])
+def test_linear_prefix_on_a_frozen_input_skips_its_gradient_and_keeps_w_and_b_bitwise(dtypes):
+    # The stem's raw features keep no gradient, so no [rows, n_in] product is made for them.
+    x_dt, w_dt, b_dt = _DTYPES[dtypes]
+    rng = Rng(72, 1)
+    x_arr = rng.normal((256, 512)).astype(x_dt)
+    w_arr, b_arr = (rng.normal((512, 12)) * 0.1).astype(w_dt), rng.normal(12).astype(b_dt)
+    c = Tensor(rng.normal((256, 8)).astype(np.float32))
+    grads = []
+    for x_grad in (True, False):
+        x = Tensor(x_arr.copy(), requires_grad=x_grad)
+        w, b = Tensor(w_arr.copy(), requires_grad=True), Tensor(b_arr.copy(), requires_grad=True)
+        y = ad.linear_prefix(x, w, b, 512, 8, seqs=2)
+        g = np.ones(y.shape, y.dtype)
+        peak = traced_peak(lambda: y._vjp(g))
+        grads.append((w.grad, b.grad))
+        assert (x.grad is not None) == x_grad
+    assert peak < x_arr.nbytes // 4, peak  # g @ w.T alone would be x_arr.nbytes
+    _assert_same(*grads)
+
+
+def _intermediate(arr):
+    """A tape node holding arr (its vjp adopts the gradient it gets), and its leaf."""
+    leaf = Tensor(arr, requires_grad=True)
+    return leaf * 1.0
+
+
+def test_hot_vjps_allocate_a_stated_number_of_output_sized_arrays():
+    # One vjp at desk shapes, its input an intermediate node that adopts the gradient it returns.
+    rng = Rng(73, 1)
+    h = _intermediate(rng.normal((512, 256)).astype(np.float32))  # the desk FFN hidden layer
+    y = ad.gelu(h)
+    g = rng.normal(y.shape).astype(np.float32)
+    assert traced_peak(lambda: y._vjp(g)) < 2.25 * y.data.nbytes  # dy and one work array (was 4)
+
+    h = _intermediate(rng.normal((512, 64)).astype(np.float32))  # 4 x 128 frames at e = 64
+    gain, bias = (Tensor(a.astype(np.float32), requires_grad=True) for a in (rng.normal(64), rng.normal(64)))
+    y = ad.layer_norm(h, gain, bias, seqs=4)
+    g = rng.normal(y.shape).astype(np.float32)
+    assert traced_peak(lambda: y._vjp(g)) < 3.5 * y.data.nbytes  # dx and two work arrays (was 5)
+
+    seqs, heads, t_len, hd = 4, 4, 128, 16
+    q, k, v = (_intermediate(rng.normal((seqs * t_len, heads * hd)).astype(np.float32)) for _ in range(3))
+    y = ad.attention(q, k, v, heads, seqs)
+    g = rng.normal(y.shape).astype(np.float32)
+    probs = seqs * heads * t_len * t_len * 4
+    # P and dS, plus the q/k/v/g splits, products and C-ordered merges (was 3 [.., t, t] and 13)
+    assert traced_peak(lambda: y._vjp(g)) < 2 * probs + 10 * y.data.nbytes

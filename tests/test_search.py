@@ -1,5 +1,6 @@
 """Budgeted random search: determinism, budget enforcement, reporting."""
 
+import itertools
 import sys
 import threading
 import time
@@ -26,7 +27,7 @@ from ofat.search import (
     subnet_params,
     summarize,
 )
-from ofat.spaces import desk_space, max_subnet, mid_subnet, min_subnet, sample_subnet
+from ofat.spaces import SubnetConfig, desk_space, max_subnet, mid_subnet, min_subnet, sample_subnet, small_space
 from ofat.supernet import build_supernet, extract_subnet
 from ofat.train import TeacherArch, make_teacher
 
@@ -167,6 +168,23 @@ def test_sample_candidates_returns_each_candidates_subnet_params(setup, includes
     assert rate < 1.0 and len(params) == len(configs) == 40
     assert params == [subnet_params(space, c, budget) for c in configs]
     assert max(params) <= budget.max_params
+
+
+@pytest.mark.parametrize("includes", [(True, True), (True, False), (False, True), (False, False)])
+def test_param_price_table_equals_subnet_params(includes):
+    budget = SearchBudget(max_params=1, n_candidates=1, includes_frontend=includes[0], includes_head=includes[1])
+    for space, draws in ((small_space(), 500), (desk_space(), 3000)):
+        price = search._param_prices(space, budget)
+        # every table entry at every depth: each config whose layers share one (heads, ratio) ...
+        for e, depth, h, r in itertools.product(space.embed_dims, space.depths, space.head_choices,
+                                                space.ffn_ratios):
+            config = SubnetConfig(e, depth, (h,) * depth, (r,) * depth)
+            assert price(config) == subnet_params(space, config, budget), config
+        # ... and the mixed configs the sampler draws
+        rng = Rng(76, draws)
+        for _ in range(draws):
+            config = sample_subnet(space, rng)
+            assert price(config) == subnet_params(space, config, budget), config
 
 
 def test_budget_below_min_subnet_rejected(setup):

@@ -1,7 +1,6 @@
 """Counting, sampling, presets, and subnet-spec parsing."""
 
 import re
-import tracemalloc
 
 import pytest
 
@@ -26,6 +25,8 @@ from ofat.spaces import (
     validate_config,
 )
 from ofat.train import TeacherArch
+
+from conftest import traced_peak
 
 
 def test_count_small_space_exact():
@@ -192,14 +193,12 @@ def test_parse_subnet_spec_inline():
 @pytest.mark.parametrize("depth", [10_000_000, -3])
 def test_parse_subnet_spec_refuses_depth_outside_the_space_before_expanding(depth):
     space = desk_space()
-    tracemalloc.start()
-    try:
+
+    def parse():
         with pytest.raises(ConfigurationError, match=re.escape(f"depth {depth} not in {space.depths}")):
             parse_subnet_spec(space, f"embed=32,depth={depth}")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(parse) < 1 << 20
 
 
 def test_space_dict_round_trip():

@@ -30,7 +30,7 @@ from ofat.supernet import (
     touched_boxes,
 )
 
-from conftest import student_forward_masked
+from conftest import student_forward_masked, traced_peak
 
 
 def rand_input(seed, t, d):
@@ -240,8 +240,6 @@ def test_stacked_tape_keeps_rows_not_attention_probabilities():
     # Attention keeps its row max and sum and layer norm its mean and 1/std:
     # backward rebuilds the [seqs*heads, t, t] probabilities and the [rows, d]
     # normalized input from the parents, so the tape grows with rows, not t^2.
-    import tracemalloc
-
     space = desk_space(embed_dims=(16,), head_choices=(4,), ffn_ratios=(2.0,), depths=(2, 3, 4),
                        head_dim=4, conv_groups=4, conv_kernel=3, frontend_dim=8, teacher_dim=16)
     model = build_supernet(space, Rng(5, 1))
@@ -266,12 +264,7 @@ def test_stacked_tape_keeps_rows_not_attention_probabilities():
     def peak(depth):
         for p in [x, *model.params.values()]:
             p.grad = None
-        tracemalloc.start()
-        try:
-            loss(depth).backward()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: loss(depth).backward())
 
     probs_bytes = seqs * heads * t * t * 4
     per_block = (peak(4) - peak(2)) / 2

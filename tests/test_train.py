@@ -23,6 +23,7 @@ from ofat.train import (
     TeacherArch,
     TrainConfig,
     check_teacher_compat,
+    grad_norm,
     lr_at,
     make_teacher,
     stage1_train,
@@ -30,7 +31,7 @@ from ofat.train import (
     teacher_self_regression_loss,
 )
 
-from conftest import reference_distill_loss, student_forward_masked
+from conftest import reference_distill_loss, student_forward_masked, textbook_adam_step, textbook_grad_norm
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
@@ -669,3 +670,35 @@ def test_divergence_cancels_the_pending_lookahead(monkeypatch, slow):
         assert 2 <= len(seen) < threads.LOOKAHEAD + 1
     # checked while the held traceback keeps the step loop's frame alive
     assert threading.active_count() == before, failure.value
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_step_equals_the_textbook_expressions_bitwise(weight_decay, dtype):
+    rng = Rng(74, 1)
+    arrays = {"ffn": rng.normal((256, 512)), "norm": rng.normal(64), "never": rng.normal((8, 3))}
+    grads = [{name: rng.normal(a.shape) for name, a in arrays.items()} for _ in range(3)]
+    boxes = {"ffn": (slice(0, 192), slice(0, 384)), "norm": (slice(0, 48),), "never": (slice(0, 8), slice(0, 2))}
+    twins = [{name: Tensor(a.astype(dtype)) for name, a in arrays.items()} for _ in range(2)]
+    adams = [Adam(params, betas=(0.9, 0.98), eps=1e-6, weight_decay=weight_decay) for params in twins]
+    for step, step_grads in enumerate(grads):
+        for params in twins:
+            for name, p in params.items():  # "never" gets no gradient: its box takes g = 0
+                p.grad = None if name == "never" else step_grads[name].astype(dtype)
+        lr = 2e-3 * (3 - step) / 3
+        adams[0].step(lr, boxes)
+        textbook_adam_step(adams[1], lr, boxes)
+        for name in arrays:
+            for ours, ref in ((twins[0][name].data, twins[1][name].data), (adams[0].m[name], adams[1].m[name]),
+                              (adams[0].v[name], adams[1].v[name])):
+                assert ours.dtype == dtype and np.array_equal(ours, ref), (step, name)
+
+
+def test_grad_norm_equals_the_textbook_expression_bitwise():
+    rng = Rng(75, 1)
+    params = {"a": Tensor(rng.normal((256, 512)).astype(np.float32)), "b": Tensor(rng.normal(64)),
+              "c": Tensor(rng.normal((3, 5, 7)).astype(np.float32)), "none": Tensor(np.zeros(4, np.float32))}
+    for name in "abc":
+        params[name].grad = (rng.normal(params[name].shape) * 1e3).astype(params[name].dtype)
+    assert grad_norm(params) == textbook_grad_norm(params)
+    assert grad_norm({}) == 0.0 == textbook_grad_norm({})
