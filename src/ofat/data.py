@@ -78,11 +78,14 @@ def save_dataset(path, dataset: SyntheticDataset) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
-    """Read an OFAD file; a malformed one raises ConfigurationError naming the byte offset."""
+    """Read an OFAD file; a malformed one, or one holding an empty sequence, raises
+    ConfigurationError naming the byte offset."""
     r = ByteReader(path, MAGIC, VERSION, "dataset")
     sequences = []
     for i in range(r.unpack("<Q", "sequence count")):
         n = r.unpack("<Q", f"length of sequence {i}")
+        if n == 0:
+            raise ConfigurationError(f"{path}: sequence {i} is empty (length 0 at byte {r.pos - 8})")
         sequences.append(r.floats((n,), f"samples of sequence {i} ({n})"))
     r.end()
     return SyntheticDataset(sequences)

@@ -178,10 +178,10 @@ class TeacherModel:
 
         Caching is exact (the teacher is frozen). The key adds a digest of the
         features, so a key reused for another sequence misses. The misses of
-        each length run through the teacher as one row stack. The cache is
-        filled by one thread at a time: while a run trains, only its target
-        helper thread (or, without one, the training thread) calls this, and
-        search calls it before its walkers start."""
+        each length run through the teacher as one row stack. Threads that
+        call this at once must hold distinct keys: training's fill walkers
+        each hold sequences no other holds, and search calls it before its
+        walkers start."""
         arrays = [np.ascontiguousarray(f.data if isinstance(f, Tensor) else f) for f in features]
         keys = [None if k is None else (k, cfg.k, a.shape, a.dtype.str,
                                         hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())

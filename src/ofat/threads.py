@@ -1,4 +1,5 @@
-"""The threads ofat starts: the search trie's walkers and training's target helper.
+"""The threads ofat starts: walkers, which search runs over its trie's subtrees and
+training over the teacher target stacks it computes before step 0.
 
 Each runs its work in a copy of the starting thread's context, as
 asyncio.to_thread does, so the caller's dtype and grad mode hold there too.
@@ -10,23 +11,16 @@ import contextvars
 import functools
 import os
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-
-# Batches past the step's own whose targets the helper may compute: enough to
-# cover stage-2 steps shorter than a teacher forward (BENCH_target_prefetch.json design_runs).
-LOOKAHEAD = 4
 
 
 def walker_count() -> int:
     """Threads ofat's numpy work may run on: the usable CPUs over the threads of each BLAS call.
 
-    It sets how many threads walk the search trie and, above one, switches
-    on training's target helper. BLAS threads are OPENBLAS_NUM_THREADS, else
+    It sets how many threads walk the search trie and compute a training
+    run's teacher targets. BLAS threads are OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS, if a positive count in ASCII digits, else every usable
     CPU: unpinned BLAS already fills the cores, so the work stays on one
-    thread (BENCH_search_walkers.json unpinned_in_process,
-    BENCH_target_prefetch.json unpinned_helper_against_inline).
+    thread (BENCH_search_walkers.json unpinned_in_process).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     value = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
@@ -75,29 +69,3 @@ def run_walkers(tasks, n: int, failures: list) -> None:
     if failures:
         raise failures[0]
 
-
-def lookahead(work, items, ahead: int):
-    """Yield (item, future of work(item)) for each item, in order; items are drawn on the caller's thread.
-
-    With ahead > 0 one helper thread runs work on the yielded item and up to
-    `ahead` items past it; otherwise work runs here before its item is
-    yielded. An exception in work is raised by its future's result() with
-    its own type. Closing the generator cancels what has not started and
-    waits for what has, so no thread outlives it.
-    """
-    if not ahead:
-        for item in items:
-            done = Future()
-            done.set_result(work(item))
-            yield item, done
-        return
-    helper = ThreadPoolExecutor(1)
-    try:
-        pending = deque()
-        for item in items:
-            pending.append((item, helper.submit(_in_this_context(work), item)))
-            if len(pending) > ahead:
-                yield pending.popleft()
-        yield from pending
-    finally:
-        helper.shutdown(cancel_futures=True)

@@ -13,7 +13,7 @@ boxes of the step's subnet, so untouched slices keep their stale values.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -215,60 +215,63 @@ def _run_training(
     batch is one row-stacked graph and one backward, bitwise one graph per sequence.
 
     A batch's teacher targets depend only on its frontend features, never
-    on the student. When threads.walker_count() > 1 a helper thread computes
-    them, for the step's own batch and up to threads.LOOKAHEAD batches past
-    it, while the student trains; the step waits for its targets only at its
-    first loss. Otherwise each step computes its own before its forward
-    (BENCH_target_prefetch.json workloads; unpinned_helper_against_inline).
-    Batches, features, configs, learning rates and masks are made on the
-    caller's thread in step order either way, and the frozen teacher gives
-    the same targets on any thread, so logs and weights are bitwise the same.
+    on the student, and the run's batches are known before step 0. So the
+    batches and their features are drawn first, then every target the run
+    reads is computed: one teacher.batch_targets call per batch, on the
+    batch's sequences no earlier batch holds, in step order. Those are the
+    stacks a step computing its own missing targets would run, so none
+    grows past batch_size and a sequence the run never visits costs
+    nothing. The calls hold distinct sequences and run on
+    threads.walker_count() threads, the caller's among them. The step loop
+    only reads its targets, so logs and weights are bitwise the same for
+    any walker count.
     """
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
     batcher = CyclicBatcher(dataset)
-    feats_cache: dict[int, np.ndarray] = {}
+    batches = [[idx for idx, _ in batcher.next_batch(cfg.batch_size)] for _ in range(cfg.steps)]
+    feats_of = {idx: model.frontend.forward(dataset.sequences[idx])
+                for idx in dict.fromkeys(itertools.chain.from_iterable(batches))}
+    targets_of: dict[int, Tensor] = {}
     log = TrainLog()
 
-    def features(batch):
-        """The batch's frontend features and their target cache keys."""
-        for idx, seq in batch:
-            if idx not in feats_cache:
-                feats_cache[idx] = model.frontend.forward(seq)
-        return [feats_cache[idx] for idx, _ in batch], [("train", idx) for idx, _ in batch]
+    def fill(idxs):
+        got = teacher.batch_targets([feats_of[i] for i in idxs], target_cfg, [("train", i) for i in idxs])
+        targets_of.update(zip(idxs, got))
 
-    def targets_of(item):
-        feats, keys = item
-        return teacher.batch_targets(feats, target_cfg, keys)
+    fills, seen = [], set()
+    for batch in batches:
+        new = [idx for idx in batch if idx not in seen]
+        seen.update(new)
+        if new:
+            fills.append(functools.partial(fill, new))
+    threads.run_walkers(iter(fills), threads.walker_count(), [])
 
-    batches = (features(batcher.next_batch(cfg.batch_size)) for _ in range(cfg.steps))
-    jobs = threads.lookahead(targets_of, batches, threads.LOOKAHEAD if threads.walker_count() > 1 else 0)
-    with contextlib.closing(jobs):
-        for step in range(cfg.steps):
-            config = pick_config(step)
-            lr = lr_at(step, cfg)
-            adam.zero_grad()
-            (feats, _), targets = next(jobs)
-            masks = [span_mask(f.shape[0], mask_spec, mask_rng) for f in feats]
-            losses = []
-            for t, run in itertools.groupby(range(len(feats)), key=lambda i: feats[i].shape[0]):
-                run = list(run)
-                h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
-                head_out = encode(model, config, h, seqs=len(run))[2]
-                run_targets = Tensor(np.concatenate([targets.result()[i].data for i in run]))
-                run_losses = distill_loss(head_out, run_targets, ad.LossMask([masks[i] for i in run], t),
-                                          reduction=l1_reduction)
-                losses.extend(run_losses.data.tolist())
-                # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
-                ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
-            mean_loss = float(np.mean(losses))
-            if not math.isfinite(mean_loss):
-                raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
-            gn = grad_norm(model.params)
-            if not math.isfinite(gn):
-                raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
-            adam.step(lr, touched_boxes(space, config))
-            log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
+    for step, batch in enumerate(batches):
+        config = pick_config(step)
+        lr = lr_at(step, cfg)
+        adam.zero_grad()
+        feats, targets = [feats_of[idx] for idx in batch], [targets_of[idx] for idx in batch]
+        masks = [span_mask(f.shape[0], mask_spec, mask_rng) for f in feats]
+        losses = []
+        for t, run in itertools.groupby(range(len(feats)), key=lambda i: feats[i].shape[0]):
+            run = list(run)
+            h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
+            head_out = encode(model, config, h, seqs=len(run))[2]
+            run_targets = Tensor(np.concatenate([targets[i].data for i in run]))
+            run_losses = distill_loss(head_out, run_targets, ad.LossMask([masks[i] for i in run], t),
+                                      reduction=l1_reduction)
+            losses.extend(run_losses.data.tolist())
+            # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
+            ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
+        mean_loss = float(np.mean(losses))
+        if not math.isfinite(mean_loss):
+            raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
+        gn = grad_norm(model.params)
+        if not math.isfinite(gn):
+            raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
+        adam.step(lr, touched_boxes(space, config))
+        log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
     adam.zero_grad()  # the model outlives the run; its gradient buffers need not
     return log
 

@@ -13,6 +13,7 @@ import pytest
 import ofat
 from ofat.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from ofat.cli import main
+from ofat.data import SyntheticDataset, load_dataset, save_dataset
 from ofat.rng import Rng
 from ofat.spaces import desk_space
 from ofat.supernet import build_supernet
@@ -351,16 +352,26 @@ def test_truncated_checkpoint_exits_2_without_traceback(workdir, tmp_path, cut):
 
 
 def test_truncated_dataset_exits_2_without_traceback(workdir, tmp_path):
+    """A truncated dataset file, and a well-formed one holding an empty sequence: eval refuses
+    both, and train and search the second, each exiting 2 and naming the byte."""
     root, cfg, data_dir, _ = workdir
     s1 = tmp_path / "s1.ofat"
     assert main(["train", "--config", str(cfg), "--stage", "1", "--out", str(s1)]) == 0
-    val = tmp_path / "val.ofad"
-    val.write_bytes((data_dir / "val.ofad").read_bytes()[:500])
-    proc = _run_cli("eval", "--config", str(cfg), "--checkpoint", str(s1), "--subnet-spec", "mid",
-                    "--data", str(val))
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "at byte" in proc.stderr
+    truncated, empty = tmp_path / "val.ofad", tmp_path / "empty.ofad"
+    truncated.write_bytes((data_dir / "val.ofad").read_bytes()[:500])
+    save_dataset(empty, SyntheticDataset([load_dataset(data_dir / "val.ofad").sequences[0], np.zeros(0, np.float32)]))
+    empty_cfg = tmp_path / "empty.yaml"
+    empty_cfg.write_text(cfg.read_text().replace(str(data_dir / "train.ofad"), str(empty))
+                         .replace(str(data_dir / "val.ofad"), str(empty)))
+    runs = [_run_cli("eval", "--config", str(cfg), "--checkpoint", str(s1), "--subnet-spec", "mid",
+                     "--data", str(data)) for data in (truncated, empty)]
+    runs += [_run_cli("train", "--config", str(empty_cfg), "--stage", "1", "--out", str(tmp_path / "x.ofat")),
+             _run_cli("search", "--config", str(empty_cfg), "--checkpoint", str(s1), "--out", str(tmp_path / "s"))]
+    for proc in runs:
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "at byte" in proc.stderr
+    assert all("sequence 1 is empty" in proc.stderr for proc in runs[1:])
 
 
 @pytest.mark.parametrize("command", ["eval", "search", "extract", "train"])
@@ -592,8 +603,8 @@ def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
 
 def test_training_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
     """Both stages' checkpoints and logs must not depend on how OpenBLAS splits
-    the products, nor on whether a helper thread prepares the teacher targets
-    (it does only when the usable CPUs allow more than one walker)."""
+    the products, nor on how many walker threads compute the teacher targets
+    before step 0 (more than one only when the usable CPUs allow it)."""
     data_dir, teacher = tmp_path / "data", tmp_path / "teacher.ofat"
     cfg = tmp_path / "run.yaml"
     cfg.write_text(

@@ -7,8 +7,10 @@ from ofat import autodiff as ad
 from ofat.autodiff import Tensor, finite_diff_check
 from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
 from ofat.errors import ConfigurationError, ContractError
+from ofat.frontend import desk_frontend
 from ofat.rng import Rng
 from ofat.spaces import mid_subnet
+from ofat.train import TeacherArch, make_teacher
 
 from conftest import student_forward_masked
 
@@ -241,16 +243,24 @@ def test_student_forward_masked_only_changes_masked_frames(tiny_space, tiny_mode
     np.testing.assert_array_equal(masked.data[unmasked], h.data[unmasked])
 
 
-def test_batch_targets_stack_each_length_and_equal_per_sequence_targets_bitwise(tiny_teacher):
-    raws = [(Rng(30 + i, 2).uniform(n) * 2 - 1).astype(np.float32) for i, n in enumerate((96, 64, 96, 96, 64))]
-    feats = [tiny_teacher.frontend.forward(r) for r in raws]
-    cfg = TargetConfig(k=2)
-    teacher = type(tiny_teacher)(encoder=tiny_teacher.encoder)  # a cold cache
-    alone = [teacher.targets_from_features(f, cfg) for f in feats]
-    keys = [("b", i) for i in range(len(feats))]
-    batch = teacher.batch_targets(feats, cfg, keys)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", ["tiny", "desk"])
+def test_batch_targets_stack_each_length_and_equal_per_sequence_targets_bitwise(tiny_space, shape, dtype):
+    """At desk shapes: the default teacher on stacks of 128- and 96-frame sequences."""
+    arch, spec, cfg, lengths = {
+        "tiny": (TeacherArch(dim=16, depth=4, heads=4, ffn_ratio=2.0, head_dim=4, conv_groups=4, conv_kernel=3),
+                 tiny_space.frontend, TargetConfig(k=2), (96, 64, 96, 96, 64)),
+        "desk": (TeacherArch(), desk_frontend(), TargetConfig(), (512, 384, 512, 512, 384)),
+    }[shape]
+    with ad.precision(dtype):
+        teacher = make_teacher(seed=77, arch=arch, frontend_spec=spec)  # weights of that dtype
+        raws = [(Rng(30 + i, 2).uniform(n) * 2 - 1).astype(np.float32) for i, n in enumerate(lengths)]
+        feats = [teacher.frontend.forward(r) for r in raws]
+        alone = [teacher.targets_from_features(f, cfg) for f in feats]
+        keys = [("b", i) for i in range(len(feats))]
+        batch = teacher.batch_targets(feats, cfg, keys)
     for a, b in zip(alone, batch):
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.data.dtype == dtype and a.data.tobytes() == b.data.tobytes()
     again = teacher.batch_targets(feats[::-1], cfg, keys[::-1])
     assert all(x is y for x, y in zip(again, batch[::-1]))  # every one a cache hit
     assert teacher.targets_from_features(feats[1], cfg, cache_key=("b", 1)) is batch[1]

@@ -435,7 +435,7 @@ def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeyp
 def test_walker_count_is_usable_cpus_over_blas_threads(monkeypatch, env, expected):
     from ofat import train
 
-    # one rule for the walk and the helper: threads.walker_count, with no copy held elsewhere
+    # one rule for the walk and the target fill: threads.walker_count, with no copy held elsewhere
     assert not any(hasattr(module, "walker_count") for module in (search, train, ad))
     monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):

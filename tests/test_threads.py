@@ -6,7 +6,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import ofat
 from ofat import autodiff as ad
@@ -24,36 +23,30 @@ def _mode():
     return threading.get_ident(), ad.default_dtype(), probe.requires_grad
 
 
-@pytest.mark.parametrize("kind", ["walkers", "helper"])
-def test_the_callers_dtype_and_grad_mode_reach_every_thread_ofat_starts(
-        monkeypatch, tiny_space, tiny_teacher, kind):
+def test_the_callers_dtype_and_grad_mode_reach_every_thread_ofat_starts(monkeypatch, tiny_space, tiny_teacher):
+    """run_walkers, on search's walk; test_train.py checks training's target fill on it too."""
     from ofat import threads
 
     caller = threading.get_ident()
-    if kind == "walkers":  # evaluate_subnets enters no_grad for its walk; the caller only float64
-        monkeypatch.setattr(threads, "walker_count", lambda: 4)
-        seen, real = [], search.ffn_half
+    # evaluate_subnets enters no_grad for its walk; the caller only float64
+    monkeypatch.setattr(threads, "walker_count", lambda: 4)
+    seen, real = [], search.ffn_half
 
-        def recorded(*args):
-            seen.append(_mode())
-            time.sleep(0.001)  # a slow FFN half lets the other walkers take subtrees
-            return real(*args)
+    def recorded(*args):
+        seen.append(_mode())
+        time.sleep(0.001)  # a slow FFN half lets the other walkers take subtrees
+        return real(*args)
 
-        monkeypatch.setattr(search, "ffn_half", recorded)
-        rng = Rng(23, 4)
-        configs = [sample_subnet(tiny_space, rng) for _ in range(24)] + [min_subnet(tiny_space),
-                                                                        max_subnet(tiny_space)]
-        val = make_synthetic_dataset(seed=24, n_sequences=3, length=64)
-        with ad.precision(np.float64):
-            model = build_supernet(tiny_space, Rng(25, 1))
-            search.evaluate_subnets(model, configs, val.sequences, tiny_teacher,
-                                    MaskSpec(p=0.5, span_length=3), TargetConfig(k=2), eval_batches=2)
-        assert any(thread != caller for thread, _, _ in seen)
-    else:  # training's helper; a training step records a tape, so no_grad is set here
-        with ad.precision(np.float64), ad.no_grad():
-            seen = [done.result() for _, done in
-                    threads.lookahead(lambda item: _mode(), range(2 * threads.LOOKAHEAD), threads.LOOKAHEAD)]
-        assert all(thread != caller for thread, _, _ in seen)
+    monkeypatch.setattr(search, "ffn_half", recorded)
+    rng = Rng(23, 4)
+    configs = [sample_subnet(tiny_space, rng) for _ in range(24)] + [min_subnet(tiny_space),
+                                                                    max_subnet(tiny_space)]
+    val = make_synthetic_dataset(seed=24, n_sequences=3, length=64)
+    with ad.precision(np.float64):
+        model = build_supernet(tiny_space, Rng(25, 1))
+        search.evaluate_subnets(model, configs, val.sequences, tiny_teacher,
+                                MaskSpec(p=0.5, span_length=3), TargetConfig(k=2), eval_batches=2)
+    assert any(thread != caller for thread, _, _ in seen)
     assert {dtype for _, dtype, _ in seen} == {np.dtype(np.float64)}
     assert not any(taped for _, _, taped in seen)
 

@@ -1,6 +1,7 @@
 """Optimizer semantics, schedules, and the two training stages."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 import time
@@ -557,34 +558,31 @@ def test_adam_in_place_step_equals_the_out_of_place_expressions_bitwise(weight_d
             assert arr.tobytes() == ref[name].tobytes(), (t, name)
 
 
-# -- the target helper thread ------------------------------------------------------
+# -- the teacher targets computed before step 0 ------------------------------------
 
 
-def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, delay: float = 0.0,
-                            started=None, started_at: int = 0):
-    """Wrap TeacherModel.batch_targets to record each call's (thread, dtype), set the
-    event `started` once started_at calls have begun, then sleep `delay` s, raising a
-    ConfigurationError on call number fail_on_call."""
+def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, delay: float = 0.0):
+    """Wrap TeacherModel.batch_targets to record each call's (thread, dtype, keys), then
+    sleep `delay` s, raising a ConfigurationError on call number fail_on_call."""
     from ofat import autodiff as ad
     from ofat.distill import TeacherModel
 
-    real = TeacherModel.batch_targets
+    real, calls = TeacherModel.batch_targets, itertools.count(1)
 
-    def recorded(self, *args):
-        seen.append((threading.get_ident(), ad.default_dtype()))
-        if started is not None and len(seen) >= started_at:
-            started.set()
+    def recorded(self, features, cfg, keys):
+        number = next(calls)
+        seen.append((threading.get_ident(), ad.default_dtype(), list(keys)))
         time.sleep(delay)
-        if len(seen) == fail_on_call:
+        if number == fail_on_call:
             raise ConfigurationError("injected")
-        return real(self, *args)
+        return real(self, features, cfg, keys)
 
     monkeypatch.setattr(TeacherModel, "batch_targets", recorded)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lengths", ["one", "two"])
-def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatch, tmp_path, lengths, dtype):
+def test_training_is_bitwise_equal_on_one_and_two_target_walkers(monkeypatch, tmp_path, lengths, dtype):
     from ofat import autodiff as ad
     from ofat import threads
     from ofat.data import SyntheticDataset
@@ -603,7 +601,8 @@ def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatc
         for walkers in (1, 2):
             with monkeypatch.context() as m, ad.precision(dtype):
                 m.setattr(threads, "walker_count", lambda: walkers)
-                _recorded_batch_targets(m, seen[walkers])
+                # a slow teacher call, so the other walker takes the next batch meanwhile
+                _recorded_batch_targets(m, seen[walkers], delay=0.02 * (walkers - 1))
                 # a fresh teacher per run, so every first epoch's targets are cold
                 teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
                 runs = [stage1_train(c1, space, teacher, data, MASK, TGT)]
@@ -617,59 +616,40 @@ def test_training_is_bitwise_equal_with_and_without_the_target_helper(monkeypatc
     finally:
         sys.setswitchinterval(interval)
     assert files[2] == files[1]
+    # per stage, one call per batch holding a sequence no earlier batch holds, with just those
+    n = len(data)
+    firsts = [[("train", i) for i in range(b, min(b + c1.batch_size, n))] for b in range(0, n, c1.batch_size)]
+    for walkers in (1, 2):
+        assert sorted(keys for _, _, keys in seen[walkers]) == sorted(2 * firsts)
     caller = threading.get_ident()
-    assert len(seen[1]) == len(seen[2]) == c1.steps + c2.steps
-    assert all(thread == caller for thread, _ in seen[1])
-    assert all(thread != caller for thread, _ in seen[2])
-    assert {d for _, d in seen[1] + seen[2]} == {np.dtype(dtype)}  # the helper runs in the caller's dtype
+    assert all(thread == caller for thread, _, _ in seen[1])
+    assert any(thread != caller for thread, _, _ in seen[2])
+    assert {d for _, d, _ in seen[1] + seen[2]} == {np.dtype(dtype)}  # the walkers run in the caller's dtype
 
 
-def test_a_helper_failure_reaches_the_caller_with_its_type(monkeypatch):
-    from ofat import threads
+def test_a_target_failure_reaches_the_caller_with_its_type_before_step_0(monkeypatch):
+    from ofat import threads, train
 
     space, teacher, data, _ = small_setup()
     monkeypatch.setattr(threads, "walker_count", lambda: 2)
+    steps = []
+    monkeypatch.setattr(train, "lr_at", lambda step, cfg: steps.append(step))
     seen = []
-    _recorded_batch_targets(monkeypatch, seen, fail_on_call=3)
+    _recorded_batch_targets(monkeypatch, seen, fail_on_call=2)
     before = threading.active_count()
     with pytest.raises(ConfigurationError, match="injected") as failure:
         stage1_train(TrainConfig(stage=1, steps=10, batch_size=2, seed=37), space, teacher, data, MASK, TGT)
-    # checked while the held traceback keeps the step loop's frame alive
+    # checked while the held traceback keeps the fill's frame alive
     assert threading.active_count() == before, failure.value
-    assert all(thread != threading.get_ident() for thread, _ in seen)
+    assert steps == []
 
 
-@pytest.mark.parametrize("slow", ["step", "teacher"])
-def test_divergence_cancels_the_pending_lookahead(monkeypatch, slow):
-    """A slow step waits until the helper has started as far ahead as it may, and
-    then a while longer, in which nothing further starts. A slow teacher leaves
-    batches unstarted when step 0 diverges, and they never start."""
-    from ofat import threads, train
-    from ofat.errors import DivergenceError
-
+def test_a_short_run_computes_the_targets_of_the_sequences_it_visits_only():
     space, teacher, data, _ = small_setup()
-    monkeypatch.setattr(threads, "walker_count", lambda: 2)
-    window_started = threading.Event()
-
-    def nan_norm(params):
-        if slow == "step":
-            window_started.wait(timeout=60)  # on timeout the count below fails
-            time.sleep(0.2)
-        return float("nan")
-
-    monkeypatch.setattr(train, "grad_norm", nan_norm)
-    seen = []
-    _recorded_batch_targets(monkeypatch, seen, delay=0.2 if slow == "teacher" else 0.0,
-                            started=window_started, started_at=threads.LOOKAHEAD + 1)
-    before = threading.active_count()
-    with pytest.raises(DivergenceError, match="grad norm nan at step 0") as failure:
-        stage1_train(TrainConfig(stage=1, steps=50, batch_size=2, seed=38), space, teacher, data, MASK, TGT)
-    if slow == "step":
-        assert len(seen) == threads.LOOKAHEAD + 1
-    else:  # batch 0, and batch 1 running when step 0 failed
-        assert 2 <= len(seen) < threads.LOOKAHEAD + 1
-    # checked while the held traceback keeps the step loop's frame alive
-    assert threading.active_count() == before, failure.value
+    cfg = TrainConfig(stage=1, steps=2, batch_size=2, seed=38)
+    assert cfg.steps * cfg.batch_size < len(data)
+    stage1_train(cfg, space, teacher, data, MASK, TGT)
+    assert sorted(key[0] for key in teacher._target_cache) == [("train", i) for i in range(4)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
