@@ -63,7 +63,7 @@ from .errors import ConfigurationError, ContractError, DimensionError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # Tape recording and the default dtype are per-context, so a mode set in one
-# thread changes no other; ofat.threads carries them into the threads it starts.
+# thread changes no other; a forked walker starts with the caller's.
 _DTYPE = contextvars.ContextVar("ofat_dtype", default=_FLOAT_DTYPES[0])
 _GRAD_ENABLED = contextvars.ContextVar("ofat_grad_enabled", default=True)
 

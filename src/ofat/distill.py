@@ -173,19 +173,21 @@ class TeacherModel:
         """Distillation targets for one feature sequence, optionally cached (batch_targets)."""
         return self.batch_targets([features], cfg, [cache_key])[0]
 
-    def batch_targets(self, features: list, cfg: TargetConfig, cache_keys: list) -> list:
-        """Distillation targets per feature sequence, cached under its key unless None.
+    def target_key(self, cache_key, features, cfg: TargetConfig) -> tuple:
+        """The key the targets of `features` are cached under: cache_key, plus a digest of
+        the features, so a key reused for another sequence misses."""
+        a = np.ascontiguousarray(features.data if isinstance(features, Tensor) else features)
+        return (cache_key, cfg.k, a.shape, a.dtype.str, hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
 
-        Caching is exact (the teacher is frozen). The key adds a digest of the
-        features, so a key reused for another sequence misses. The misses of
-        each length run through the teacher as one row stack. Threads that
-        call this at once must hold distinct keys: training's fill walkers
-        each hold sequences no other holds, and search calls it before its
-        walkers start."""
+    def batch_targets(self, features: list, cfg: TargetConfig, cache_keys: list) -> list:
+        """Distillation targets per feature sequence, cached under target_key unless its key is None.
+
+        Caching is exact (the teacher is frozen). The misses of each length
+        run through the teacher as one row stack. A forked walker's cache is
+        its own copy, so training's fill walkers pass None keys and the
+        caller caches what they send back."""
         arrays = [np.ascontiguousarray(f.data if isinstance(f, Tensor) else f) for f in features]
-        keys = [None if k is None else (k, cfg.k, a.shape, a.dtype.str,
-                                        hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
-                for k, a in zip(cache_keys, arrays)]
+        keys = [None if k is None else self.target_key(k, a, cfg) for k, a in zip(cache_keys, arrays)]
         out = [self._target_cache.get(key) for key in keys]
         misses = [i for i, hit in enumerate(out) if hit is None]
         for t in dict.fromkeys(arrays[i].shape[0] for i in misses):

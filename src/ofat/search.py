@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from . import threads
+from . import walkers
 from .distill import MaskSpec, TargetConfig, TeacherModel, distill_loss, masked_input, span_mask
 from .errors import BudgetInfeasibleError, ConfigurationError
 from .rng import Rng, STREAM_EVAL_MASK, STREAM_SEARCH
@@ -131,25 +132,29 @@ def evaluate_subnets(
     ffn_ratio[:l]), and every candidate sees the same masks. So the
     frontend, teacher targets and masks run once per batch; the
     masked_input stem and positional stage once per embed dim on the
-    batches of one sequence length stacked as rows; and the blocks over a
-    trie keyed in two levels per layer, heads[l] then ffn_ratio[l], walked
-    depth first over that stack. A block's attention half depends only on
-    its input and heads, so at a node with children ln1 runs once, each
-    heads child runs one attention_half and one ln2, and each ratio
-    grandchild one ffn_half. Where a config's depth ends, the head runs
+    batches of one sequence length stacked as rows (once per walker, see
+    below); and the blocks over a trie keyed in two levels per layer,
+    heads[l] then ffn_ratio[l], walked depth first over that stack. A
+    block's attention half depends only on its input and heads, so at a
+    node with children ln1 runs once, each heads child runs one
+    attention_half and one ln2, and each ratio grandchild one ffn_half. Where a config's depth ends, the head runs
     once on the stack and distill_loss once, scoring every batch of the
     stack in one fused op against the stack's targets and LossMask, which
     are built once per call.
 
-    The subtrees below the layer-0 children of each (embed dim, sequence
-    length) root are independent, so threads.walker_count() threads walk
-    them with tape recording off, the caller's among them; numpy and BLAS
-    release the GIL inside each kernel (BENCH_search_walkers.json
-    workloads). Every node runs the same ops on the same inputs whichever
-    thread takes it, and each config's losses land in its own row, so the
+    The subtrees below the layer-0 children (heads, ratio) of each (embed
+    dim, sequence length) root are independent. They are the tasks of
+    walkers.run_walkers, taken in order by walkers.walker_count() walkers
+    with tape recording off: the caller and the children it forks
+    (BENCH_process_walkers.json). Each process computes a root's stem, ln1
+    and attention halves at most once, for the tasks it takes, so with more
+    than one walker a root's layer 0 may run once in each. Each task
+    returns the per-batch losses of the configs it scored, and every node
+    runs the same ops on the same inputs whichever walker takes it, so the
     result is the same for any walker count. Each walker holds only its
-    root-to-node path: per layer the block input, its ln1, one attention
-    half and its ln2, so at most about 4 * max_depth stacked arrays.
+    current root's layer 0 and its root-to-node path: per layer the block
+    input, its ln1, one attention half and its ln2, so at most about 4 *
+    max_depth stacked arrays besides the root's attention halves.
     """
     tries: dict[int, tuple[SubnetConfig, _PrefixNode]] = {}
     for i, config in enumerate(configs):
@@ -169,46 +174,61 @@ def evaluate_subnets(
     stacks = [_ScoredStack(group, ad.Tensor(np.concatenate([batches[b][1].data for b in group])),
                            ad.LossMask([masks[b] for b in group], t))
               for t, group in groups.items()]
-    per_batch = np.zeros((len(configs), len(batches)))
-    failures: list[BaseException] = []  # once not empty, every walker stops
+    roots = [(e, first, root, stack) for e, (first, root) in tries.items() for stack in stacks]
+    held: dict[int, tuple] = {}  # this process's current root: its stem, ln1 and attention halves
 
-    def score(ends, e, h, stack):
-        """The configs `ends` on h, the rows of `stack`."""
-        head_out = head_forward(model, e, h, stack.mask.seqs)[1]
-        losses = distill_loss(head_out, stack.targets, stack.mask, reduction=l1_reduction)
-        for i in ends:
-            per_batch[i, stack.batches] = losses.data
+    def layer0(r, heads):
+        """(attention half, its ln2) of root r's layer 0 under heads, at most once per process:
+        walkers take tasks in order, so a root once left is never taken again."""
+        e, first, _, stack = roots[r]
+        seqs = stack.mask.seqs
+        if r not in held:
+            held.clear()
+            h = masked_input(model, first, [batches[b][0] for b in stack.batches], [masks[b] for b in stack.batches])
+            h = positional_stage(model, e, h, seqs)
+            held[r] = (h, block_norm(model, 0, "ln1", h, seqs), {})
+        h, hn, halves = held[r]
+        if heads not in halves:
+            a = attention_half(model, 0, h, hn, e, heads, seqs)
+            halves[heads] = (a, block_norm(model, 0, "ln2", a, seqs))
+        return halves[heads]
 
-    def steps(node, e, depth, h, stack):
-        """The work below `node`, one independent callable per child (and one for its ends);
-        siblings' shared ln1, attention halves and ln2s run here, as the callables are drawn."""
+    def walk(node, e, depth, h, stack, scored):
+        """Append (config indices, batch indices, their losses) to scored for every config at or below node."""
         seqs = stack.mask.seqs
         if node.ends:
-            yield functools.partial(score, node.ends, e, h, stack)
+            head_out = head_forward(model, e, h, seqs)[1]
+            losses = distill_loss(head_out, stack.targets, stack.mask, reduction=l1_reduction)
+            scored.append((node.ends, stack.batches, losses.data))
         if node.children:
             hn = block_norm(model, depth, "ln1", h, seqs)
         for heads, by_ratio in node.children.items():
             a = attention_half(model, depth, h, hn, e, heads, seqs)
             an = block_norm(model, depth, "ln2", a, seqs)
             for ratio, child in by_ratio.items():
-                yield functools.partial(descend, child, e, depth, a, an, ratio, stack)
+                descend(child, e, depth, a, an, ratio, stack, scored)
 
-    def descend(child, e, depth, a, an, ratio, stack):
-        if failures:
+    def descend(child, e, depth, a, an, ratio, stack, scored):
+        if walkers.stopped():
             return
         h = ffn_half(model, depth, a, an, e, ratio, stack.mask.seqs)
-        for step in steps(child, e, depth + 1, h, stack):
-            step()
+        walk(child, e, depth + 1, h, stack, scored)
 
-    def subtrees():
-        for e, (first, root) in tries.items():
-            for stack in stacks:
-                h = masked_input(model, first, [batches[b][0] for b in stack.batches],
-                                 [masks[b] for b in stack.batches])
-                yield from steps(root, e, 0, positional_stage(model, e, h, stack.mask.seqs), stack)
+    def subtree(r, heads, ratio):
+        """The scores below root r's layer-0 child (heads, ratio)."""
+        e, _, root, stack = roots[r]
+        scored = []
+        descend(root.children[heads][ratio], e, 0, *layer0(r, heads), ratio, stack, scored)
+        return scored
 
-    with ad.no_grad():  # entered here, not in subtrees(): the walkers resume it in their own contexts
-        threads.run_walkers(subtrees(), threads.walker_count(), failures)
+    # depths are positive, so no config ends at a root
+    tasks = [functools.partial(subtree, r, heads, ratio) for r, (_, _, root, _) in enumerate(roots)
+             for heads, by_ratio in root.children.items() for ratio in by_ratio]
+    with ad.no_grad():  # the forked walkers start in this context too
+        results = walkers.run_walkers(tasks, walkers.walker_count())
+    per_batch = np.zeros((len(configs), len(batches)))
+    for ends, rows, losses in itertools.chain.from_iterable(results):
+        per_batch[np.ix_(ends, rows)] = losses
     return per_batch.mean(axis=1).tolist()
 
 
@@ -289,9 +309,9 @@ def random_search(
     """Score budget-satisfying random subnets; rank ascending by loss.
 
     Every candidate and both bounds are scored in one evaluate_subnets
-    pass, on threads.walker_count() threads (BENCH_search_walkers.json
-    workloads). `workers` is ignored and changes no result; it stays only
-    until the benchmark, which passes it, drops it.
+    pass, on walkers.walker_count() walkers (BENCH_process_walkers.json).
+    `workers` is ignored and changes no result; it stays only until the
+    benchmark, which passes it, drops it.
     """
     configs, params, acceptance = sample_candidates(space, budget)
     lo, hi = min_subnet(space), max_subnet(space)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import threads
+from . import walkers
 from .autodiff import Tensor, _into
 from .binio import atomic_open
 from .checkpoint import load_model
@@ -217,14 +217,16 @@ def _run_training(
     A batch's teacher targets depend only on its frontend features, never
     on the student, and the run's batches are known before step 0. So the
     batches and their features are drawn first, then every target the run
-    reads is computed: one teacher.batch_targets call per batch, on the
-    batch's sequences no earlier batch holds, in step order. Those are the
+    reads and the teacher's cache lacks is computed: one
+    teacher.batch_targets stack per batch, of the batch's uncached
+    sequences that no earlier batch holds, in step order. Those are the
     stacks a step computing its own missing targets would run, so none
     grows past batch_size and a sequence the run never visits costs
-    nothing. The calls hold distinct sequences and run on
-    threads.walker_count() threads, the caller's among them. The step loop
-    only reads its targets, so logs and weights are bitwise the same for
-    any walker count.
+    nothing. The stacks are the tasks of walkers.run_walkers on
+    walkers.walker_count() walkers, so a run whose targets are all cached
+    forks nothing; the caller, not a walker, puts what they send back in
+    the teacher's cache. The step loop only reads its targets, so logs and
+    weights are bitwise the same for any walker count.
     """
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
@@ -232,20 +234,23 @@ def _run_training(
     batches = [[idx for idx, _ in batcher.next_batch(cfg.batch_size)] for _ in range(cfg.steps)]
     feats_of = {idx: model.frontend.forward(dataset.sequences[idx])
                 for idx in dict.fromkeys(itertools.chain.from_iterable(batches))}
-    targets_of: dict[int, Tensor] = {}
-    log = TrainLog()
-
-    def fill(idxs):
-        got = teacher.batch_targets([feats_of[i] for i in idxs], target_cfg, [("train", i) for i in idxs])
-        targets_of.update(zip(idxs, got))
-
-    fills, seen = [], set()
+    cache = teacher._target_cache
+    keys = {idx: teacher.target_key(("train", idx), feats, target_cfg) for idx, feats in feats_of.items()}
+    targets_of: dict[int, Tensor] = {idx: cache[key] for idx, key in keys.items() if key in cache}
+    fills, seen = [], set(targets_of)
     for batch in batches:
         new = [idx for idx in batch if idx not in seen]
         seen.update(new)
         if new:
-            fills.append(functools.partial(fill, new))
-    threads.run_walkers(iter(fills), threads.walker_count(), [])
+            fills.append(new)
+    with ad.no_grad():  # the forked walkers start in this context too
+        got = walkers.run_walkers([functools.partial(teacher.batch_targets, [feats_of[i] for i in fill],
+                                                     target_cfg, [None] * len(fill)) for fill in fills],
+                                  walkers.walker_count())
+    for fill, targets in zip(fills, got):
+        for idx, target in zip(fill, targets):
+            targets_of[idx] = cache[keys[idx]] = target
+    log = TrainLog()
 
     for step, batch in enumerate(batches):
         config = pick_config(step)

@@ -1,7 +1,10 @@
-"""Shared fixtures: small spaces, models and data sized for fast unit tests, and the
-textbook expressions that the in-place ops and the optimizer step must equal bit for bit."""
+"""Shared fixtures: small spaces, models and data sized for fast unit tests, the
+textbook expressions that the in-place ops and the optimizer step must equal bit for bit,
+and a record file that forked walkers append to."""
 
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -171,3 +174,34 @@ def textbook_grad_norm(params):
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     return math.sqrt(total)
+
+
+def append_record(path, row) -> int:
+    """Append row to path as one JSON line in one O_APPEND write, so the lines forked
+    walkers write never interleave. Returns the file's size just after this line: with
+    rows of one length, it numbers this call among every process's calls."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
+    try:
+        os.write(fd, (json.dumps(row) + "\n").encode())
+        return os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
+
+
+def read_records(path) -> list:
+    """The rows append_record wrote to path, in order; none if it never ran."""
+    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def mode_row() -> list:
+    """[process, dtype, whether a tape is recorded] where this is called."""
+    from ofat import autodiff as ad
+
+    probe = ad.Tensor([1], requires_grad=True) * 2.0
+    return [os.getpid(), ad.default_dtype().str, probe.requires_grad]
+
+
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -18,6 +18,8 @@ from ofat.rng import Rng
 from ofat.spaces import desk_space
 from ofat.supernet import build_supernet
 
+from conftest import assert_no_child_left
+
 FAST_CONFIG = """
 seed: 3
 space:
@@ -571,7 +573,7 @@ def test_byte_flips_exit_with_a_documented_code(workdir, tmp_path, capsys):
 
 def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
     """The stacked search products must not depend on how OpenBLAS splits them,
-    nor on how many walker threads the usable CPUs allow."""
+    nor on how many walkers the usable CPUs allow."""
     data_dir, teacher = tmp_path / "data", tmp_path / "teacher.ofat"
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
@@ -603,7 +605,7 @@ def test_search_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
 
 def test_training_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
     """Both stages' checkpoints and logs must not depend on how OpenBLAS splits
-    the products, nor on how many walker threads compute the teacher targets
+    the products, nor on how many walkers compute the teacher targets
     before step 0 (more than one only when the usable CPUs allow it)."""
     data_dir, teacher = tmp_path / "data", tmp_path / "teacher.ofat"
     cfg = tmp_path / "run.yaml"
@@ -628,3 +630,58 @@ def test_training_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
         outputs.append([Path(f"{p}{ext}").read_bytes() for p in (s1, s2) for ext in ("", ".log.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["search", "train"])
+def test_forked_walkers_print_nothing_twice_and_write_the_files_of_one_walker(workdir, trained, tmp_path,
+                                                                              monkeypatch, capfd, command):
+    """In process, as a user's script would run it: with 2 walkers (and 4 for search) each
+    stdout line prints once, and every file equals the same command's on 1 walker byte for byte."""
+    from ofat import walkers
+
+    _, cfg, _, _ = workdir
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    capfd.readouterr()
+    outputs = {}
+    for n in (1, 2, 4) if command == "search" else (1, 2):
+        monkeypatch.setattr(walkers, "walker_count", lambda n=n: n)
+        run = tmp_path / f"walkers{n}"
+        run.mkdir()
+        if command == "search":
+            args = ["search", "--config", str(cfg), "--checkpoint", str(trained[0]), "--out", str(run / "out")]
+            names = ["out.csv", "out.summary.yaml"]
+        else:  # a fresh teacher from its file: every target is cold
+            args = ["train", "--config", str(cfg), "--stage", "1", "--out", str(run / "s1.ofat")]
+            names = ["s1.ofat", "s1.ofat.log.csv"]
+        assert main(args) == 0
+        lines = capfd.readouterr().out.replace(str(run), "<run>").splitlines()
+        assert len(lines) == len(set(lines)) == (4 if command == "search" else 2), lines
+        assert_no_child_left()
+        outputs[n] = lines, [(run / name).read_bytes() for name in names]
+    assert forks  # the runs on more than one walker forked
+    assert all(output == outputs[1] for output in outputs.values())
+
+
+def test_eval_of_one_config_never_forks(workdir, trained, monkeypatch, capsys):
+    """One config on held-out sequences of one length is one walker task: the caller's."""
+    from ofat import walkers
+
+    _, cfg, data_dir, _ = workdir
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(walkers, "walker_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(trained[0]), "--subnet-spec", "mid",
+                 "--data", str(data_dir / "val.ofad")]) == 0
+    assert "loss[mid]:" in capsys.readouterr().out
+    assert_no_child_left()

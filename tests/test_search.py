@@ -1,8 +1,8 @@
 """Budgeted random search: determinism, budget enforcement, reporting."""
 
+import hashlib
 import itertools
-import sys
-import threading
+import os
 import time
 from collections import Counter
 from dataclasses import replace
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ofat import autodiff as ad
-from ofat import search, threads
+from ofat import search, walkers
 from ofat.data import SyntheticDataset, make_synthetic_dataset
 from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
 from ofat.errors import BudgetInfeasibleError, ConfigurationError, DimensionError
@@ -31,7 +31,7 @@ from ofat.spaces import SubnetConfig, desk_space, max_subnet, mid_subnet, min_su
 from ofat.supernet import build_supernet, extract_subnet
 from ofat.train import TeacherArch, make_teacher
 
-from conftest import reference_distill_loss, student_forward_masked
+from conftest import append_record, assert_no_child_left, read_records, reference_distill_loss, student_forward_masked
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
@@ -269,7 +269,7 @@ def test_search_losses_equal_per_candidate_reference(setup, mask_spec, eval_batc
 
 
 @pytest.mark.parametrize("eval_batches,two_lengths", [(1, False), (4, False), (7, True)])
-def test_loss_runs_once_per_leaf_per_sequence_length(setup, monkeypatch, eval_batches, two_lengths):
+def test_loss_runs_once_per_leaf_per_sequence_length(setup, monkeypatch, tmp_path, eval_batches, two_lengths):
     space, model, teacher, val = setup
     if two_lengths:
         val = _two_length_val()
@@ -278,17 +278,17 @@ def test_loss_runs_once_per_leaf_per_sequence_length(setup, monkeypatch, eval_ba
     leaves = {(c.embed_dim, c.heads, c.ffn_ratio) for c in configs}
     lengths = {len(val.sequences[b % len(val.sequences)]) for b in range(eval_batches)}
     real = search.distill_loss
-    for walkers in (1, 4):  # 4 > cores still runs concurrently
-        monkeypatch.setattr(threads, "walker_count", lambda: walkers)
-        stacks, lock = Counter(), threading.Lock()
+    for n in (1, 4):  # 4 > cores still forks 3 walkers
+        monkeypatch.setattr(walkers, "walker_count", lambda n=n: n)
+        rows = tmp_path / f"losses{n}.jsonl"
 
-        def counted(head_out, targets, mask, **kwargs):
-            with lock:  # walkers race on the Counter
-                stacks[mask.seqs] += 1
+        def counted(head_out, targets, mask, _rows=rows, **kwargs):
+            append_record(_rows, mask.seqs)  # every walker's call, whichever process
             return real(head_out, targets, mask, **kwargs)
 
         monkeypatch.setattr(search, "distill_loss", counted)
         evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
+        stacks = Counter(read_records(rows))
         # one call per (leaf, stack), each scoring every batch of its stack
         assert sum(stacks.values()) == len(leaves) * len(lengths)
         assert sum(seqs * n for seqs, n in stacks.items()) == len(leaves) * eval_batches
@@ -332,7 +332,7 @@ def test_search_losses_equal_per_candidate_reference_on_two_sequence_lengths(set
 
 
 @pytest.mark.parametrize("eval_batches,two_lengths", [(1, False), (4, False), (1, True), (7, True)])
-def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkeypatch, eval_batches,
+def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkeypatch, tmp_path, eval_batches,
                                                                     two_lengths):
     space, model, teacher, val = setup
     if two_lengths:
@@ -348,26 +348,44 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
     assert len(attention_keys) < len(nodes)
 
     reals = {name: getattr(search, name) for name in ("block_norm", "attention_half", "ffn_half", "head_forward")}
-    for walkers in (1, 4):  # 4 > cores still runs concurrently
-        monkeypatch.setattr(threads, "walker_count", lambda: walkers)
-        calls, lock = Counter(), threading.Lock()
+    for n in (1, 4):  # 4 > cores still forks 3 walkers
+        monkeypatch.setattr(walkers, "walker_count", lambda n=n: n)
+        rows = tmp_path / f"calls{n}.jsonl"
         for name, real in reals.items():
-            def counted(*args, _real=real, _name=name):
-                with lock:  # walkers race on the Counter
-                    calls[_name] += 1
+            def counted(*args, _real=real, _name=name, _rows=rows):
+                append_record(_rows, [os.getpid(), _name, *_node_of(_name, args)])
                 return _real(*args)
             monkeypatch.setattr(search, name, counted)
         evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
+        calls = [tuple(row) for row in read_records(rows)]
 
-        assert calls["attention_half"] == len(attention_keys) * len(lengths)
-        assert calls["ffn_half"] == len(nodes) * len(lengths)
-        assert calls["block_norm"] == (len(parents) + len(attention_keys)) * len(lengths)  # ln1 + ln2
-        assert calls["head_forward"] == len(set(paths)) * len(lengths)
+        # no call repeats in a process; below layer 0 and at the leaves none repeats in any:
+        # each layer-0 child's subtree is one task, and a root's layer 0 runs at most once per walker
+        assert len(set(calls)) == len(calls)
+        deep = [row[1:] for row in calls if row[1] in ("ffn_half", "head_forward") or row[2] > 0]
+        assert len(set(deep)) == len(deep)
+        nodes_run = Counter(name for name, *_ in {row[1:] for row in calls})
+        assert nodes_run["attention_half"] == len(attention_keys) * len(lengths)
+        assert nodes_run["ffn_half"] == len(nodes) * len(lengths)
+        assert nodes_run["block_norm"] == (len(parents) + len(attention_keys)) * len(lengths)  # ln1 + ln2
+        assert nodes_run["head_forward"] == len(set(paths)) * len(lengths)
+        if n == 1:
+            assert len(calls) == sum(nodes_run.values())
+
+
+def _node_of(name, args):
+    """[depth, choice, digest of the input] of one call of a block half, a block norm or the head:
+    which trie node (and stack) it runs for, the same in every process."""
+    x = {"block_norm": args[3], "attention_half": args[2], "ffn_half": args[2], "head_forward": args[2]}[name]
+    digest = hashlib.blake2b(np.ascontiguousarray(x.data).tobytes(), digest_size=8).hexdigest()
+    if name == "head_forward":
+        return [-1, args[1], digest]
+    return [args[1], args[2] if name == "block_norm" else args[5], digest]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dims", ["desk", "two_lengths"])
-def test_search_losses_equal_for_any_walker_count(setup, desk_setup, monkeypatch, dims, dtype):
+def test_search_losses_equal_for_any_walker_count(setup, desk_setup, monkeypatch, tmp_path, dims, dtype):
     space, _, teacher, val = desk_setup if dims == "desk" else setup
     if dims == "two_lengths":
         val = _two_length_val()
@@ -375,36 +393,36 @@ def test_search_losses_equal_for_any_walker_count(setup, desk_setup, monkeypatch
         model = build_supernet(space, Rng(43, 1))  # weights of that dtype, so the walk runs in it
     rng = Rng(17, 4)
     configs = [sample_subnet(space, rng) for _ in range(24)] + [min_subnet(space), max_subnet(space)]
-    losses, idents, real = {}, {1: set(), 4: set()}, search.ffn_half
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)  # switch walkers often, so a race would show
-        for walkers in (1, 4):  # 4 > cores still runs concurrently
-            def on_thread(*args, _seen=idents[walkers]):
-                _seen.add(threading.get_ident())
-                return real(*args)
-            monkeypatch.setattr(threads, "walker_count", lambda: walkers)
-            monkeypatch.setattr(search, "ffn_half", on_thread)
-            with ad.precision(dtype):
-                losses[walkers] = evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT,
-                                                   eval_seed=3, eval_batches=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(idents[1]) == 1 and len(idents[4]) > 1
+    losses, pids, real = {}, {}, search.ffn_half
+    for n in (1, 4):  # 4 > cores still forks 3 walkers
+        rows = tmp_path / f"pids{n}.jsonl"
+
+        def in_process(*args, _rows=rows):
+            append_record(_rows, os.getpid())
+            return real(*args)
+        monkeypatch.setattr(walkers, "walker_count", lambda n=n: n)
+        monkeypatch.setattr(search, "ffn_half", in_process)
+        with ad.precision(dtype):
+            losses[n] = evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT,
+                                         eval_seed=3, eval_batches=4)
+        pids[n] = set(read_records(rows))
+    assert pids[1] == {os.getpid()} and len(pids[4]) > 1
     assert losses[4] == losses[1]
 
 
-def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeypatch):
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeypatch, tmp_path, where):
     space, model, teacher, val = setup
-    walkers = 4
-    monkeypatch.setattr(threads, "walker_count", lambda: walkers)
-    calls, lock, real = [0], threading.Lock(), search.ffn_half
+    n = 4
+    monkeypatch.setattr(walkers, "walker_count", lambda: n)
+    rows, failed, real, caller = tmp_path / "calls.jsonl", tmp_path / "failed.jsonl", search.ffn_half, os.getpid()
 
     def failing(*args):
-        with lock:
-            calls[0] += 1
-            n = calls[0]
-        if n == 5:
+        number = append_record(rows, 0) // len("0\n")  # this call's number among every walker's
+        # the first call from the fifth on that runs in `where` fails: it takes the first claim
+        if (number >= 5 and (os.getpid() == caller) == (where == "caller")
+                and append_record(failed.with_suffix(".claims"), 0) == len("0\n")):
+            append_record(failed, number)
             raise DimensionError("injected")
         time.sleep(0.01)  # a slow FFN half keeps the other walkers mid-subtree when the failure lands
         return real(*args)
@@ -413,11 +431,11 @@ def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeyp
     rng = Rng(18, 4)
     deepest = replace(space, depths=(max(space.depths),))  # every subtree has nodes below layer 0
     configs = [sample_subnet(deepest, rng) for _ in range(60)]
-    before = threading.active_count()
     with pytest.raises(DimensionError, match="injected"):
         evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=2)
-    assert 5 <= calls[0] <= 5 + (walkers - 1)  # at most one further ffn_half per other walker
-    assert threading.active_count() == before
+    [number] = read_records(failed)
+    assert number <= len(read_records(rows)) <= number + (n - 1)  # at most one further ffn_half per other walker
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("env,expected", [
@@ -435,14 +453,14 @@ def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeyp
 def test_walker_count_is_usable_cpus_over_blas_threads(monkeypatch, env, expected):
     from ofat import train
 
-    # one rule for the walk and the target fill: threads.walker_count, with no copy held elsewhere
+    # one rule for the walk and the target fill: walkers.walker_count, with no copy held elsewhere
     assert not any(hasattr(module, "walker_count") for module in (search, train, ad))
-    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(walkers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert threads.walker_count() == expected
+    assert walkers.walker_count() == expected
 
 
 def test_search_workers_match_serial(setup):

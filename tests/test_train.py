@@ -1,9 +1,9 @@
 """Optimizer semantics, schedules, and the two training stages."""
 
 import dataclasses
+import hashlib
 import itertools
-import sys
-import threading
+import os
 import time
 
 import numpy as np
@@ -32,7 +32,8 @@ from ofat.train import (
     teacher_self_regression_loss,
 )
 
-from conftest import reference_distill_loss, student_forward_masked, textbook_adam_step, textbook_grad_norm
+from conftest import (append_record, assert_no_child_left, mode_row, read_records, reference_distill_loss,
+                      student_forward_masked, textbook_adam_step, textbook_grad_norm)
 
 MASK = MaskSpec(p=0.5, span_length=3)
 TGT = TargetConfig(k=2)
@@ -374,7 +375,7 @@ def test_divergence_aborts_with_diagnostic():
 
 def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
     """A finite loss with a non-finite gradient must not reach the weights."""
-    from ofat import threads, train
+    from ofat import train
     from ofat.errors import DivergenceError
     from ofat.supernet import build_supernet
     from ofat.train import _adopt_teacher_frontend
@@ -561,17 +562,17 @@ def test_adam_in_place_step_equals_the_out_of_place_expressions_bitwise(weight_d
 # -- the teacher targets computed before step 0 ------------------------------------
 
 
-def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, delay: float = 0.0):
-    """Wrap TeacherModel.batch_targets to record each call's (thread, dtype, keys), then
-    sleep `delay` s, raising a ConfigurationError on call number fail_on_call."""
-    from ofat import autodiff as ad
+def _recorded_batch_targets(monkeypatch, rows, fail_on_call: int = 0, delay: float = 0.0):
+    """Wrap TeacherModel.batch_targets to append each call's [process, dtype, taped, sequence
+    digests] to the file rows, in whichever walker it runs, then sleep `delay` s, raising a
+    ConfigurationError on call number fail_on_call counted over every process."""
     from ofat.distill import TeacherModel
 
-    real, calls = TeacherModel.batch_targets, itertools.count(1)
+    real, calls = TeacherModel.batch_targets, rows.with_suffix(".calls")
 
     def recorded(self, features, cfg, keys):
-        number = next(calls)
-        seen.append((threading.get_ident(), ad.default_dtype(), list(keys)))
+        append_record(rows, mode_row() + [[_digest(f) for f in features]])
+        number = append_record(calls, 0) // len("0\n")
         time.sleep(delay)
         if number == fail_on_call:
             raise ConfigurationError("injected")
@@ -580,11 +581,15 @@ def _recorded_batch_targets(monkeypatch, seen: list, fail_on_call: int = 0, dela
     monkeypatch.setattr(TeacherModel, "batch_targets", recorded)
 
 
+def _digest(features) -> str:
+    return hashlib.blake2b(np.ascontiguousarray(features).tobytes(), digest_size=8).hexdigest()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lengths", ["one", "two"])
 def test_training_is_bitwise_equal_on_one_and_two_target_walkers(monkeypatch, tmp_path, lengths, dtype):
     from ofat import autodiff as ad
-    from ofat import threads
+    from ofat import walkers
     from ofat.data import SyntheticDataset
 
     space, _, data, _ = small_setup()
@@ -594,53 +599,50 @@ def test_training_is_bitwise_equal_on_one_and_two_target_walkers(monkeypatch, tm
                                  data.sequences[2], data.sequences[3], short.sequences[2]])
     c1 = TrainConfig(stage=1, steps=9, batch_size=3, learning_rate=3e-3, warmup_steps=2, seed=36)
     c2 = TrainConfig(stage=2, steps=9, batch_size=3, learning_rate=3e-3, seed=36, init_checkpoint="-")
-    files, seen = {}, {1: [], 2: []}
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
-        for walkers in (1, 2):
-            with monkeypatch.context() as m, ad.precision(dtype):
-                m.setattr(threads, "walker_count", lambda: walkers)
-                # a slow teacher call, so the other walker takes the next batch meanwhile
-                _recorded_batch_targets(m, seen[walkers], delay=0.02 * (walkers - 1))
-                # a fresh teacher per run, so every first epoch's targets are cold
-                teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
-                runs = [stage1_train(c1, space, teacher, data, MASK, TGT)]
-                runs.append(stage2_train(c2, space, teacher, data, MASK, TGT, init_model=runs[0][1]))
-            out = []
-            for stage, (meta, model, log) in enumerate(runs, start=1):
-                save_model(tmp_path / f"w{walkers}s{stage}.ofat", model, meta)
-                log.to_csv(tmp_path / f"w{walkers}s{stage}.log.csv")
-                out += [(tmp_path / f"w{walkers}s{stage}{ext}").read_bytes() for ext in (".ofat", ".log.csv")]
-            files[walkers] = out
-    finally:
-        sys.setswitchinterval(interval)
+    files, seen = {}, {}
+    for n in (1, 2):
+        with monkeypatch.context() as m, ad.precision(dtype):
+            m.setattr(walkers, "walker_count", lambda n=n: n)
+            # a slow teacher call, so the other walker takes the next batch meanwhile
+            _recorded_batch_targets(m, tmp_path / f"w{n}.jsonl", delay=0.02 * (n - 1))
+            # a fresh teacher per run, so every first epoch's targets are cold
+            teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
+            runs = [stage1_train(c1, space, teacher, data, MASK, TGT)]
+            runs.append(stage2_train(c2, space, teacher, data, MASK, TGT, init_model=runs[0][1]))
+        out = []
+        for stage, (meta, model, log) in enumerate(runs, start=1):
+            save_model(tmp_path / f"w{n}s{stage}.ofat", model, meta)
+            log.to_csv(tmp_path / f"w{n}s{stage}.log.csv")
+            out += [(tmp_path / f"w{n}s{stage}{ext}").read_bytes() for ext in (".ofat", ".log.csv")]
+        files[n], seen[n] = out, read_records(tmp_path / f"w{n}.jsonl")
     assert files[2] == files[1]
-    # per stage, one call per batch holding a sequence no earlier batch holds, with just those
+    # stage 1 makes one call per batch holding a sequence no earlier batch holds, with just those;
+    # stage 2 finds every target in the teacher's cache and makes none
+    index_of = {_digest(teacher.frontend.forward(seq)): i for i, seq in enumerate(data.sequences)}
     n = len(data)
-    firsts = [[("train", i) for i in range(b, min(b + c1.batch_size, n))] for b in range(0, n, c1.batch_size)]
-    for walkers in (1, 2):
-        assert sorted(keys for _, _, keys in seen[walkers]) == sorted(2 * firsts)
-    caller = threading.get_ident()
-    assert all(thread == caller for thread, _, _ in seen[1])
-    assert any(thread != caller for thread, _, _ in seen[2])
-    assert {d for _, d, _ in seen[1] + seen[2]} == {np.dtype(dtype)}  # the walkers run in the caller's dtype
+    firsts = [list(range(b, min(b + c1.batch_size, n))) for b in range(0, n, c1.batch_size)]
+    for walkers_run in (1, 2):
+        stacks = [[index_of[d] for d in digests] for *_, digests in seen[walkers_run]]
+        assert sorted(stacks) == sorted(firsts)
+    assert all(pid == os.getpid() for pid, *_ in seen[1])
+    assert any(pid != os.getpid() for pid, *_ in seen[2])
+    # the walkers run in the caller's dtype, with no tape
+    assert {d for _, d, _, _ in seen[1] + seen[2]} == {np.dtype(dtype).str}
+    assert not any(taped for _, _, taped, _ in seen[1] + seen[2])
+    assert_no_child_left()
 
 
-def test_a_target_failure_reaches_the_caller_with_its_type_before_step_0(monkeypatch):
-    from ofat import threads, train
+def test_a_target_failure_reaches_the_caller_with_its_type_before_step_0(monkeypatch, tmp_path):
+    from ofat import train, walkers
 
     space, teacher, data, _ = small_setup()
-    monkeypatch.setattr(threads, "walker_count", lambda: 2)
+    monkeypatch.setattr(walkers, "walker_count", lambda: 2)
     steps = []
     monkeypatch.setattr(train, "lr_at", lambda step, cfg: steps.append(step))
-    seen = []
-    _recorded_batch_targets(monkeypatch, seen, fail_on_call=2)
-    before = threading.active_count()
-    with pytest.raises(ConfigurationError, match="injected") as failure:
+    _recorded_batch_targets(monkeypatch, tmp_path / "calls.jsonl", fail_on_call=2)
+    with pytest.raises(ConfigurationError, match="injected"):
         stage1_train(TrainConfig(stage=1, steps=10, batch_size=2, seed=37), space, teacher, data, MASK, TGT)
-    # checked while the held traceback keeps the fill's frame alive
-    assert threading.active_count() == before, failure.value
+    assert_no_child_left()
     assert steps == []
 
 
