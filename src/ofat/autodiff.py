@@ -46,6 +46,16 @@ gradients are bitwise those of the expression. Two rules keep it so:
   or into an array a closure still reads, such as gelu's saved tanh.
 tests/conftest.py keeps the out-of-place expressions as references.
 
+Inside defer_leaf_grads(), a leaf's gradient additions are recorded, not
+made: _accum_box appends (tensor, box, g) to the block's list, in the order
+backward makes them, and add_deferred() makes them later. Intermediate
+nodes accumulate as always. Since every parameter op adds its gradient per
+sequence, in order, a graph over the last sequences of a stack, deferred,
+and added onto the gradients of a graph over the first ones equals the
+graph over the whole stack bit for bit. That holds because a leaf's g is
+never written after it is handed over: no vjp writes into an array it has
+passed to _accum_box.
+
 Gradient correctness is enforced by :func:`finite_diff_check`, a central
 finite-difference oracle that every differentiable op is tested against.
 """
@@ -66,6 +76,7 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # thread changes no other; a forked walker starts with the caller's.
 _DTYPE = contextvars.ContextVar("ofat_dtype", default=_FLOAT_DTYPES[0])
 _GRAD_ENABLED = contextvars.ContextVar("ofat_grad_enabled", default=True)
+_DEFERRED = contextvars.ContextVar("ofat_deferred", default=None)  # the records of defer_leaf_grads
 
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C1 = 0.044715
@@ -97,6 +108,24 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+@contextlib.contextmanager
+def defer_leaf_grads():
+    """Record, not make, this context's leaf gradient additions; yields the list of
+    (tensor, box, g) records, in the order backward made them, for add_deferred."""
+    records = []
+    token = _DEFERRED.set(records)
+    try:
+        yield records
+    finally:
+        _DEFERRED.reset(token)
+
+
+def add_deferred(records) -> None:
+    """Make the leaf gradient additions defer_leaf_grads recorded, in their order."""
+    for t, box, g in records:
+        _accum_box(t, box, g)
 
 
 class Tensor:
@@ -238,12 +267,17 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _accum_box(t: Tensor, box: tuple, g: np.ndarray) -> None:
     """Add g into the `box` region of t.grad (frozen and no-grad tensors skip). A leaf
-    adds into one zeroed buffer; an intermediate node adopts its first whole-extent g,
-    C-ordered so sums over it run as over a zeroed buffer, and adds the rest out of
-    place, since an adopted g may be shared."""
+    adds into one zeroed buffer, or under defer_leaf_grads records the addition; an
+    intermediate node adopts its first whole-extent g, C-ordered so sums over it run
+    as over a zeroed buffer, and adds the rest out of place, since an adopted g may be
+    shared."""
     if not (t.requires_grad or t._vjp is not None):
         return
     if t._vjp is None:
+        deferred = _DEFERRED.get()
+        if deferred is not None:
+            deferred.append((t, box, g))
+            return
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad[box] += g

@@ -13,6 +13,7 @@ boxes of the step's subnet, so untouched slices keep their stale values.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import walkers
-from .autodiff import Tensor, _into
+from .autodiff import Tensor
 from .binio import atomic_open
 from .checkpoint import load_model
 from .data import CyclicBatcher, SyntheticDataset
@@ -135,7 +136,8 @@ class Adam:
         """Update m, v and the weights in each box in place, rounding as the textbook expressions
         m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g) and
         p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) [+ lr * weight_decay * p] do, on two
-        box-sized work arrays."""
+        box-sized work arrays. Every operand is the parameter's dtype (moments, gradient
+        and weights alike) or a Python float, so each step writes into a work array as is."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -147,18 +149,17 @@ class Adam:
             update = np.multiply(g, 1.0 - self.beta1)
             m += update
             v *= self.beta2
-            update = _into(np.multiply, g, g, update)
-            update = _into(np.multiply, update, 1.0 - self.beta2, update)
+            np.multiply(g, g, out=update)
+            update *= 1.0 - self.beta2
             v += update
-            update = _into(np.true_divide, m, bc1, update)
-            update = _into(np.multiply, update, lr, update)
+            np.true_divide(m, bc1, out=update)
+            update *= lr
             denom = np.true_divide(v, bc2)
             np.sqrt(denom, out=denom)
-            denom = _into(np.add, denom, self.eps, denom)
-            update = _into(np.true_divide, update, denom, update)
+            denom += self.eps
+            update /= denom
             if self.weight_decay:
-                decay = _into(np.multiply, p.data[box], lr * self.weight_decay, denom)
-                update = _into(np.add, update, decay, update)
+                update += np.multiply(p.data[box], lr * self.weight_decay, out=denom)
             p.data[box] -= update
 
 
@@ -223,10 +224,25 @@ def _run_training(
     stacks a step computing its own missing targets would run, so none
     grows past batch_size and a sequence the run never visits costs
     nothing. The stacks are the tasks of walkers.run_walkers on
-    walkers.walker_count() walkers, so a run whose targets are all cached
-    forks nothing; the caller, not a walker, puts what they send back in
-    the teacher's cache. The step loop only reads its targets, so logs and
-    weights are bitwise the same for any walker count.
+    walkers.walker_count() walkers, and the caller, not a walker, puts
+    what they send back in the teacher's cache. Every step's subnet and
+    masks are drawn next, from their own streams, so in the order a step
+    loop drawing them would.
+
+    A step's gradient is a left fold over its sequences, since every
+    parameter op adds per sequence, in order. So with two or more walkers,
+    a forked step partner (walkers.partner) computes the first half of
+    each step's first run, when that run holds two sequences or more, as
+    one graph from zeroed gradients: exactly the fold's prefix. Meanwhile
+    the caller runs the rest of that run as one graph with its leaf
+    gradient additions deferred (autodiff.defer_leaf_grads), then takes the
+    partner's gradients, which come back in shared memory, and adds its
+    deferred terms onto them in order. The model's weights live in one
+    MAP_SHARED mapping for the run, so the caller's Adam step is the
+    partner's next weights; they are private arrays again after the run,
+    on every path. A run whose targets are all cached forks only its step
+    partner. Steps only read their targets, so logs and weights are
+    bitwise the same for any walker count.
     """
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
@@ -250,35 +266,80 @@ def _run_training(
     for fill, targets in zip(fills, got):
         for idx, target in zip(fill, targets):
             targets_of[idx] = cache[keys[idx]] = target
-    log = TrainLog()
+    configs = [pick_config(step) for step in range(cfg.steps)]
+    masks = [[span_mask(feats_of[idx].shape[0], mask_spec, mask_rng) for idx in batch] for batch in batches]
+    # each step's runs of consecutive equal-length sequences, as positions in its batch
+    runs = [[list(run) for _, run in itertools.groupby(range(len(batch)), key=lambda i: len(feats_of[batch[i]]))]
+            for batch in batches]
 
-    for step, batch in enumerate(batches):
-        config = pick_config(step)
-        lr = lr_at(step, cfg)
+    def run_graph(step: int, seqs: list) -> list:
+        """One graph and one backward over the step's sequences at positions seqs; their losses."""
+        batch, step_masks, config = batches[step], masks[step], configs[step]
+        feats = [feats_of[batch[i]] for i in seqs]
+        h = masked_input(model, config, feats, [step_masks[i] for i in seqs])
+        head_out = encode(model, config, h, seqs=len(seqs))[2]
+        run_targets = Tensor(np.concatenate([targets_of[batch[i]].data for i in seqs]))
+        run_losses = distill_loss(head_out, run_targets,
+                                  ad.LossMask([step_masks[i] for i in seqs], feats[0].shape[0]),
+                                  reduction=l1_reduction)
+        # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
+        ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
+        return run_losses.data.tolist()
+
+    def first_half(step: int) -> tuple:
+        """In the step partner: the first half of the step's first run, its gradients put in grads;
+        (its losses, the names of the parameters it touched)."""
         adam.zero_grad()
-        feats, targets = [feats_of[idx] for idx in batch], [targets_of[idx] for idx in batch]
-        masks = [span_mask(f.shape[0], mask_spec, mask_rng) for f in feats]
-        losses = []
-        for t, run in itertools.groupby(range(len(feats)), key=lambda i: feats[i].shape[0]):
-            run = list(run)
-            h = masked_input(model, config, [feats[i] for i in run], [masks[i] for i in run])
-            head_out = encode(model, config, h, seqs=len(run))[2]
-            run_targets = Tensor(np.concatenate([targets[i].data for i in run]))
-            run_losses = distill_loss(head_out, run_targets, ad.LossMask([masks[i] for i in run], t),
-                                      reduction=l1_reduction)
-            losses.extend(run_losses.data.tolist())
-            # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
-            ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
-        mean_loss = float(np.mean(losses))
-        if not math.isfinite(mean_loss):
-            raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
-        gn = grad_norm(model.params)
-        if not math.isfinite(gn):
-            raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
-        adam.step(lr, touched_boxes(space, config))
-        log.records.append(TrainRecord(step, mean_loss, gn, lr, config))
+        first = runs[step][0]
+        losses = run_graph(step, first[:len(first) // 2])
+        touched = [name for name, p in model.params.items() if p.grad is not None]
+        for name in touched:
+            grads[name][...] = model.params[name].grad
+        return losses, touched
+
+    log = TrainLog()
+    split = walkers.walker_count() >= 2 and any(len(step_runs[0]) >= 2 for step_runs in runs)
+    with contextlib.ExitStack() as stack:
+        if split:
+            stack.callback(_make_private, model.params)
+            shared = walkers.shared_zeros({name: p.data for name, p in model.params.items()})
+            grads = walkers.shared_zeros(shared)
+            for name, p in model.params.items():
+                shared[name][...] = p.data
+                p.data = shared[name]
+            ask, answer = stack.enter_context(walkers.partner(first_half))
+        for step in range(cfg.steps):
+            lr = lr_at(step, cfg)
+            adam.zero_grad()
+            losses, rest = [], runs[step]
+            if split and len(rest[0]) >= 2:
+                first, rest = rest[0], rest[1:]
+                ask(step)
+                with ad.defer_leaf_grads() as deferred:
+                    ours = run_graph(step, first[len(first) // 2:])
+                losses, touched = answer()
+                for name in touched:
+                    model.params[name].grad = grads[name]
+                ad.add_deferred(deferred)
+                losses += ours
+            for run in rest:
+                losses += run_graph(step, run)
+            mean_loss = float(np.mean(losses))
+            if not math.isfinite(mean_loss):
+                raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
+            gn = grad_norm(model.params)
+            if not math.isfinite(gn):
+                raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
+            adam.step(lr, touched_boxes(space, configs[step]))
+            log.records.append(TrainRecord(step, mean_loss, gn, lr, configs[step]))
     adam.zero_grad()  # the model outlives the run; its gradient buffers need not
     return log
+
+
+def _make_private(params: dict[str, Tensor]) -> None:
+    """Give each parameter a private copy of its array, so no later fork shares writable weights."""
+    for p in params.values():
+        p.data = np.array(p.data)
 
 
 def stage1_train(

@@ -1,20 +1,25 @@
-"""The walkers ofat runs independent tasks on: search's trie subtrees and the teacher
-target stacks a training run computes before step 0.
+"""The processes ofat runs its numpy work on: walkers for independent tasks (search's trie
+subtrees and the teacher target stacks a training run computes before step 0), and a
+training run's step partner.
 
 A walk of more than one task on more than one walker forks the other walkers
 from the caller, which walks too, so they share no interpreter lock. Each
 walker takes its next task from one pipe that the caller fills before it
-forks, so a faster walker takes more. A child starts as a copy of the
-caller: it reads the model, the trie and the caller's dtype and grad mode
-without pickling them, and only its results come back, pickled on a pipe of
-its own. It leaves through os._exit, so nothing of the caller's (buffered
-output, finally blocks, exit handlers) runs twice. Forking is safe because
-ofat starts no threads, and OpenBLAS stops its own pool around a fork.
+forks, so a faster walker takes more. A step partner lives for one training
+run: the caller hands it one step at a time and reads its answer before the
+next. A forked process starts as a copy of the caller: it reads the model,
+the trie and the caller's dtype and grad mode without pickling them, and only
+its results come back, pickled on a pipe of its own. It leaves through
+os._exit, so nothing of the caller's (buffered output, finally blocks, exit
+handlers) runs twice. Forking is safe because ofat starts no threads, and
+OpenBLAS stops its own pool around a fork.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
+import functools
 import mmap
 import os
 import pickle
@@ -23,7 +28,10 @@ import signal
 import struct
 import traceback
 
-_RECORD = struct.Struct("=I")  # a task index, as the hand-out pipe holds it
+import numpy as np
+
+_RECORD = struct.Struct("=I")  # a task or step index, as a hand-out pipe holds it
+_LENGTH = struct.Struct("=Q")  # the byte count ahead of each pickled message on a results pipe
 _failed: mmap.mmap | None = None  # during a walk, one byte its walkers share: nonzero once one failed
 
 
@@ -31,7 +39,8 @@ def walker_count() -> int:
     """Processes ofat's numpy work may run on: the usable CPUs over the threads of each BLAS call.
 
     It sets how many walkers score the search trie and compute a training
-    run's teacher targets. BLAS threads are OPENBLAS_NUM_THREADS, else
+    run's teacher targets, and whether a training run has a step partner
+    (two or more). BLAS threads are OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS, if a positive count in ASCII digits, else every usable
     CPU: unpinned BLAS already fills the cores, so the work stays on the
     caller (BENCH_search_walkers.json unpinned_in_process).
@@ -69,40 +78,78 @@ def run_walkers(tasks: list, n: int) -> list:
     children = {}  # pid -> the read end of its results pipe
     try:
         for _ in range(n - 1):
-            back, send = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(tasks, per, take, send)
-            except BaseException:
-                os.close(back)
-                raise
-            finally:
-                os.close(send)
-            children[pid] = os.fdopen(back, "rb")
+            pid, children[pid] = _fork(functools.partial(_child, tasks, per, take))
         done = _walk(tasks, per, take)
         failure = None
         for pid in list(children):
-            data = children[pid].read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(pid).close()
-            if code != 0:
-                how = f"with exit status {code}" if code > 0 else f"by signal {-code}"
-                failure = failure or RuntimeError(f"walker process {pid} ended {how} before sending its results")
-                continue
-            theirs, exc = pickle.loads(data)
+            message = _receive(children[pid])
+            how = _reap(children, pid)
+            theirs, exc = message or (None, RuntimeError(f"walker process {pid} ended {how} "
+                                                         "before sending its results"))
             failure = failure or exc
             done.update(theirs or {})
         if failure is not None:
             raise failure
         return [done[i] for i in range(len(tasks))]
     finally:
-        for pid, back in children.items():  # left only when the walk was cut short
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            back.close()
+        for pid in list(children):  # left only when the walk was cut short
+            _reap(children, pid, kill=True)
         os.close(take)
         _failed = None
+
+
+@contextlib.contextmanager
+def partner(work):
+    """A forked process that runs work(s) for each step s the caller hands it, for the life of the block.
+
+    Yields (ask, answer): ask(s) hands the partner step s, and answer()
+    returns work(s)'s result, or re-raises its failure with its own type, or
+    raises a RuntimeError naming how the partner ended if it ended without
+    sending one. The caller asks again only after the answer. The partner is
+    a copy of the caller at the fork, so work reads what the caller held then
+    and what both share through shared_zeros arrays. It is killed and reaped
+    when the block ends, on every path.
+    """
+    take, hand = os.pipe()
+    children = {}  # the partner's pid -> the read end of its results pipe
+    try:
+        try:
+            pid, back = _fork(functools.partial(_serve, work, take, hand))
+        finally:
+            os.close(take)
+        children[pid] = back
+
+        def answer():
+            message = _receive(back)
+            if message is None:
+                how = _reap(children, pid)
+                raise RuntimeError(f"step partner process {pid} ended {how} before sending its results")
+            result, exc = message
+            if exc is not None:
+                raise exc
+            return result
+
+        def ask(step):
+            with contextlib.suppress(BrokenPipeError):  # a partner gone already: answer() says how
+                os.write(hand, _RECORD.pack(step))
+
+        yield ask, answer
+    finally:
+        os.close(hand)
+        for pid in list(children):
+            _reap(children, pid, kill=True)
+
+
+def shared_zeros(like: dict) -> dict:
+    """Zeroed arrays of the shapes and dtypes of like's, in one MAP_SHARED mapping: what the
+    caller writes into them, a process it forked reads, and the other way round."""
+    sizes = [-(-a.nbytes // 64) * 64 for a in like.values()]  # each array 64-byte aligned
+    buffer = mmap.mmap(-1, max(1, sum(sizes)))
+    out, offset = {}, 0
+    for (name, a), size in zip(like.items(), sizes):
+        out[name] = np.frombuffer(buffer, a.dtype, a.size, offset).reshape(a.shape)
+        offset += size
+    return out
 
 
 def _capacity(fd: int) -> int:
@@ -127,25 +174,79 @@ def _walk(tasks: list, per: int, take: int) -> dict:
     return done
 
 
-def _child(tasks: list, per: int, take: int, send: int) -> None:
-    """A forked walker: walk, send back ({index: result}, None) or (None, failure), end in os._exit."""
-    code = 1
+def _fork(body) -> tuple:
+    """(pid, the read end of its results pipe) of a forked process that calls body(out), out being
+    the pipe's buffered write end, and leaves through os._exit: status 0 only if body returned."""
+    back, send = os.pipe()
     try:
-        try:
-            payload = pickle.dumps((_walk(tasks, per, take), None), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # re-raised in the caller
-            payload = pickle.dumps((None, _portable(exc)), pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(send, "wb") as out:
-            out.write(payload)
-        code = 0
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(back)
+                with os.fdopen(send, "wb") as out:
+                    body(out)
+                code = 0
+            finally:
+                os._exit(code)
+    except BaseException:
+        os.close(back)
+        raise
     finally:
-        os._exit(code)
+        os.close(send)
+    return pid, os.fdopen(back, "rb")
 
 
-def _portable(exc: BaseException) -> BaseException:
-    """exc with this walker's traceback as a note, or a RuntimeError naming it if exc
+def _child(tasks: list, per: int, take: int, out) -> None:
+    """A forked walker: walk, send back ({index: result}, None) or (None, failure)."""
+    _send(out, _outcome("walker", _walk, tasks, per, take))
+
+
+def _serve(work, take: int, hand: int, out) -> None:
+    """The step partner: for each step read from take, send back (work(step), None) or
+    (None, failure), until the caller closes its end."""
+    os.close(hand)  # so that the caller's end closing, even by its death, ends the reads
+    while record := os.read(take, _RECORD.size):
+        _send(out, _outcome("step partner", work, _RECORD.unpack(record)[0]))
+
+
+def _outcome(what: str, fn, *args) -> bytes:
+    """(fn(*args), None) pickled, or (None, the failure) if fn raises or its result will not pickle;
+    `what` names the process in the failure's note."""
+    try:
+        return pickle.dumps((fn(*args), None), pickle.HIGHEST_PROTOCOL)
+    except BaseException as exc:  # re-raised in the caller
+        return pickle.dumps((None, _portable(exc, what)), pickle.HIGHEST_PROTOCOL)
+
+
+def _send(out, payload: bytes) -> None:
+    out.write(_LENGTH.pack(len(payload)) + payload)
+    out.flush()
+
+
+def _receive(back):
+    """The next message on a results pipe, unpickled, or None if its writer ended without sending it whole."""
+    head = back.read(_LENGTH.size)
+    if len(head) < _LENGTH.size:
+        return None
+    size = _LENGTH.unpack(head)[0]
+    payload = back.read(size)
+    return pickle.loads(payload) if len(payload) == size else None
+
+
+def _reap(children: dict, pid: int, kill: bool = False) -> str:
+    """Reap child pid, SIGKILLed first if kill, close its results pipe and say how it ended."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    children.pop(pid).close()
+    return f"with exit status {code}" if code >= 0 else f"by signal {-code}"
+
+
+def _portable(exc: BaseException, what: str) -> BaseException:
+    """exc with this process's traceback as a note, or a RuntimeError naming it if exc
     would not come back from pickle whole."""
-    exc.add_note(f"raised in walker process {os.getpid()}:\n" + "".join(traceback.format_tb(exc.__traceback__)))
+    exc.add_note(f"raised in {what} process {os.getpid()}:\n" + "".join(traceback.format_tb(exc.__traceback__)))
     try:
         pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
         return exc

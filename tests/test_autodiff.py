@@ -809,6 +809,53 @@ def test_mask_rows_over_stacked_sequences_equals_per_sequence_calls_bitwise(seqs
     _per_sequence_equal_stacked(op, seqs, t_len, x, [emb], c)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["linear_prefix", "layer_norm", "grouped_conv1d", "mask_rows"])
+def test_deferred_leaf_grads_added_onto_a_prefix_graph_equal_the_whole_stack_bitwise(op, dtype):
+    """The step partner's fold: the gradients of one graph over 4 sequences equal a graph over
+    the first 2 plus the other 2's deferred records, added in order; none is deferred outside."""
+    seqs, half, t_len, d = 4, 2, 16, 8
+    rng = Rng(63, len(op))
+    x_arr = rng.normal((seqs * t_len, d)).astype(dtype)
+    masks = [np.nonzero(rng.uniform(t_len) < 0.5)[0] for _ in range(seqs)]
+    if op == "linear_prefix":
+        params = [(rng.normal((d + 4, 20)) * 0.3).astype(dtype), rng.normal(20).astype(dtype)]
+        run = lambda x, ps, lo, hi: ad.linear_prefix(x, *ps, d, 12, hi - lo)
+    elif op == "layer_norm":
+        params = [(rng.normal(d + 4) * 0.2 + 1.0).astype(dtype), rng.normal(d + 4).astype(dtype)]
+        run = lambda x, ps, lo, hi: ad.layer_norm(x, *ps, 1e-5, hi - lo)
+    elif op == "grouped_conv1d":
+        params = [(rng.normal((d + 4, 3, 5)) * 0.3).astype(dtype), rng.normal(d + 4).astype(dtype)]
+        run = lambda x, ps, lo, hi: ad.grouped_conv1d(x, *ps, 4, hi - lo)
+    else:
+        params = [rng.normal(d + 4).astype(dtype)]
+        run = lambda x, ps, lo, hi: ad.mask_rows(
+            x, *ps, np.concatenate([m + i * t_len for i, m in enumerate(masks[lo:hi])]), hi - lo)
+    width = 12 if op == "linear_prefix" else d
+    c = rng.normal((seqs * t_len, width)).astype(dtype)
+
+    def backward(lo, hi, ps):
+        rows = slice(lo * t_len, hi * t_len)
+        x = Tensor(x_arr[rows].copy(), requires_grad=True)
+        ad.tsum(run(x, ps, lo, hi) * Tensor(c[rows])).backward()
+        return x
+
+    whole_p = [Tensor(p.copy(), requires_grad=True) for p in params]
+    whole_x = backward(0, seqs, whole_p)
+    split_p = [Tensor(p.copy(), requires_grad=True) for p in params]
+    with ad.defer_leaf_grads() as deferred:
+        last_x = backward(half, seqs, split_p)
+    assert last_x.grad is None and all(p.grad is None for p in split_p)
+    assert len(deferred) == 1 + (seqs - half) * len(params)  # the input once, each parameter per sequence
+    first_x = backward(0, half, split_p)
+    assert first_x.grad is not None and all(p.grad is not None for p in split_p)
+    assert len(deferred) == 1 + (seqs - half) * len(params)  # nothing deferred outside the block
+    ad.add_deferred(deferred)
+    assert np.concatenate([first_x.grad, last_x.grad]).tobytes() == whole_x.grad.tobytes()
+    for whole, split in zip(whole_p, split_p):
+        assert split.grad.dtype == dtype and split.grad.tobytes() == whole.grad.tobytes()
+
+
 @pytest.mark.parametrize("op", ["layer_norm", "grouped_conv1d", "mask_rows"])
 def test_prefix_box_ops_equal_slicing_the_parameter_first_bitwise(op):
     # Reading a parameter's prefix box in the op equals slice_prefix and then the op.

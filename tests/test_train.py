@@ -438,10 +438,14 @@ def _assert_same_run(a, b):
         assert arrays_a[name].tobytes() == arrays_b[name].tobytes(), name
 
 
-def _both_ways(monkeypatch, run):
-    from ofat import train
+def _both_ways(monkeypatch, run, walker_count):
+    """run() with the step loop, on walker_count walkers (2: a step partner), and with
+    one graph per sequence; both must agree bit for bit."""
+    from ofat import train, walkers
 
-    stacked = run()
+    with monkeypatch.context() as m:
+        m.setattr(walkers, "walker_count", lambda: walker_count)
+        stacked = run()
     with monkeypatch.context() as m:
         m.setattr(train, "_run_training", _per_sequence_training)
         reference = run()
@@ -449,25 +453,33 @@ def _both_ways(monkeypatch, run):
     return stacked
 
 
+WALKER_COUNTS = pytest.mark.parametrize("walker_count", [1, 2], ids=["serial", "partner"])
+
+
+@WALKER_COUNTS
 @pytest.mark.parametrize("batch_size", [1, 3, 4])
-def test_stacked_steps_equal_per_sequence_graphs_bitwise(monkeypatch, batch_size):
+def test_stacked_steps_equal_per_sequence_graphs_bitwise(monkeypatch, batch_size, walker_count):
     space, teacher, data, _ = small_setup()
     c1 = TrainConfig(stage=1, steps=4, batch_size=batch_size, learning_rate=3e-3, warmup_steps=1,
                      seed=31, weight_decay=0.01)
-    _, model, _ = _both_ways(monkeypatch, lambda: stage1_train(c1, space, teacher, data, MASK, TGT))
+    _, model, _ = _both_ways(monkeypatch, lambda: stage1_train(c1, space, teacher, data, MASK, TGT), walker_count)
     c2 = TrainConfig(stage=2, steps=6, batch_size=batch_size, learning_rate=3e-3, seed=31,
                      init_checkpoint="-")
-    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, data, MASK, TGT, init_model=model))
+    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, data, MASK, TGT, init_model=model),
+               walker_count)
 
 
-def test_stacked_steps_equal_per_sequence_graphs_for_sum_loss_and_span_start_masks(monkeypatch):
+@WALKER_COUNTS
+def test_stacked_steps_equal_per_sequence_graphs_for_sum_loss_and_span_start_masks(monkeypatch, walker_count):
     space, teacher, data, _ = small_setup()
     span_mask = MaskSpec(p=0.12, span_length=3, convention="span_start")
     c2 = TrainConfig(stage=2, steps=6, batch_size=4, learning_rate=3e-3, seed=32, ofa_init="random")
-    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, data, span_mask, TGT, l1_reduction="sum"))
+    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, data, span_mask, TGT, l1_reduction="sum"),
+               walker_count)
 
 
-def test_stacked_steps_equal_per_sequence_graphs_over_two_sequence_lengths(monkeypatch):
+@WALKER_COUNTS
+def test_stacked_steps_equal_per_sequence_graphs_over_two_sequence_lengths(monkeypatch, walker_count):
     # Batches of 4 over these lengths hold runs of one, two and three equal lengths.
     from ofat.data import SyntheticDataset
 
@@ -476,9 +488,9 @@ def test_stacked_steps_equal_per_sequence_graphs_over_two_sequence_lengths(monke
     mixed = SyntheticDataset([data.sequences[0], short.sequences[0], short.sequences[1], data.sequences[1],
                               data.sequences[2], data.sequences[3], short.sequences[2]])
     c1 = TrainConfig(stage=1, steps=5, batch_size=4, learning_rate=3e-3, seed=33)
-    _both_ways(monkeypatch, lambda: stage1_train(c1, space, teacher, mixed, MASK, TGT))
+    _both_ways(monkeypatch, lambda: stage1_train(c1, space, teacher, mixed, MASK, TGT), walker_count)
     c2 = TrainConfig(stage=2, steps=5, batch_size=3, learning_rate=3e-3, seed=33, ofa_init="random")
-    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, mixed, MASK, TGT))
+    _both_ways(monkeypatch, lambda: stage2_train(c2, space, teacher, mixed, MASK, TGT), walker_count)
 
 
 def _per_sequence_warmup(model, space, config, dataset, steps, lr, batch_size):
@@ -581,6 +593,19 @@ def _recorded_batch_targets(monkeypatch, rows, fail_on_call: int = 0, delay: flo
     monkeypatch.setattr(TeacherModel, "batch_targets", recorded)
 
 
+def _recorded_step_graphs(monkeypatch, rows):
+    """Wrap the step loop's encode to append each call's [process, dtype, taped] to the file rows."""
+    from ofat import train
+
+    real = train.encode
+
+    def recorded(*args, **kwargs):
+        append_record(rows, mode_row())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "encode", recorded)
+
+
 def _digest(features) -> str:
     return hashlib.blake2b(np.ascontiguousarray(features).tobytes(), digest_size=8).hexdigest()
 
@@ -605,6 +630,7 @@ def test_training_is_bitwise_equal_on_one_and_two_target_walkers(monkeypatch, tm
             m.setattr(walkers, "walker_count", lambda n=n: n)
             # a slow teacher call, so the other walker takes the next batch meanwhile
             _recorded_batch_targets(m, tmp_path / f"w{n}.jsonl", delay=0.02 * (n - 1))
+            _recorded_step_graphs(m, tmp_path / f"graphs{n}.jsonl")
             # a fresh teacher per run, so every first epoch's targets are cold
             teacher = make_teacher(seed=99, arch=SMALL_TEACHER, frontend_spec=space.frontend)
             runs = [stage1_train(c1, space, teacher, data, MASK, TGT)]
@@ -629,6 +655,11 @@ def test_training_is_bitwise_equal_on_one_and_two_target_walkers(monkeypatch, tm
     # the walkers run in the caller's dtype, with no tape
     assert {d for _, d, _, _ in seen[1] + seen[2]} == {np.dtype(dtype).str}
     assert not any(taped for _, _, taped, _ in seen[1] + seen[2])
+    # on two walkers a step partner runs the first half of each step's first run, taped
+    graphs = {n: read_records(tmp_path / f"graphs{n}.jsonl") for n in (1, 2)}
+    assert graphs[1] and all(pid == os.getpid() for pid, *_ in graphs[1])
+    assert any(pid != os.getpid() for pid, *_ in graphs[2]) and any(pid == os.getpid() for pid, *_ in graphs[2])
+    assert all(taped and d == np.dtype(dtype).str for _, d, taped in graphs[1] + graphs[2])
     assert_no_child_left()
 
 
@@ -644,6 +675,71 @@ def test_a_target_failure_reaches_the_caller_with_its_type_before_step_0(monkeyp
         stage1_train(TrainConfig(stage=1, steps=10, batch_size=2, seed=37), space, teacher, data, MASK, TGT)
     assert_no_child_left()
     assert steps == []
+
+
+def _private(model) -> bool:
+    """Whether every weight of model is an array of its own, not a view into a shared mapping."""
+    return all(p.data.flags.owndata for p in model.params.values())
+
+
+def test_a_run_with_a_step_partner_leaves_private_weights_and_no_child(monkeypatch):
+    from ofat import walkers
+
+    space, teacher, data, _ = small_setup()
+    monkeypatch.setattr(walkers, "walker_count", lambda: 2)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    stage1_train(TrainConfig(stage=1, steps=2, batch_size=2, seed=34), space, teacher, data, MASK, TGT)
+    forks.clear()  # the first run filled the teacher's cache: the next forks only its step partner
+    _, model, _ = stage1_train(TrainConfig(stage=1, steps=3, batch_size=2, seed=34), space, teacher, data, MASK, TGT)
+    assert len(forks) == 1
+    assert _private(model)
+    assert all(p.grad is None for p in model.params.values())
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["caller", "partner"])
+def test_a_step_failure_kills_and_reaps_the_step_partner_and_leaves_private_weights(monkeypatch, where):
+    """A DivergenceError in the caller at step 3, or an error in the partner's half of step 3."""
+    from ofat import train, walkers
+    from ofat.errors import DivergenceError
+    from ofat.train import _adopt_teacher_frontend
+
+    space, teacher, data, _ = small_setup()
+    model = build_supernet(space, Rng(10, 1))
+    _adopt_teacher_frontend(model, teacher)
+    monkeypatch.setattr(walkers, "walker_count", lambda: 2)
+    caller, steps, graphs = os.getpid(), [], []
+    real_lr_at, real_grad_norm, real_encode = train.lr_at, train.grad_norm, train.encode
+    monkeypatch.setattr(train, "lr_at", lambda step, cfg: steps.append(step) or real_lr_at(step, cfg))
+    if where == "caller":
+        monkeypatch.setattr(train, "grad_norm",
+                            lambda params: float("inf") if steps[-1] == 3 else real_grad_norm(params))
+        expected = pytest.raises(DivergenceError, match="grad norm inf at step 3")
+    else:
+        def encode(*args, **kwargs):
+            graphs.append(1)  # in each process's own copy: the partner counts its own graphs
+            if os.getpid() != caller and len(graphs) == 4:
+                raise ConfigurationError("injected in the partner")
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(train, "encode", encode)
+        expected = pytest.raises(ConfigurationError, match="injected in the partner")
+    cfg = TrainConfig(stage=1, steps=6, batch_size=2, seed=10)
+    with expected as failure:
+        train._run_training(model, space, teacher, data, cfg, MASK, TGT, lambda step: max_subnet(space))
+    if where == "partner":
+        assert any("raised in step partner process" in note for note in failure.value.__notes__)
+    assert steps == [0, 1, 2, 3]
+    assert _private(model)
+    assert_no_child_left()
 
 
 def test_a_short_run_computes_the_targets_of_the_sequences_it_visits_only():

@@ -168,3 +168,62 @@ def test_a_child_never_flushes_the_callers_output_or_runs_its_finally_blocks(tmp
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"pending {list(range(16))}\nfinally\n"
+
+
+def test_a_step_partner_answers_each_step_from_its_own_process_and_shares_the_mapped_arrays():
+    shared = walkers.shared_zeros({"w": np.zeros((3, 5), np.float32), "g": np.zeros(7)})
+    assert {name: (a.shape, a.dtype) for name, a in shared.items()} == \
+           {"w": ((3, 5), np.dtype(np.float32)), "g": ((7,), np.dtype(np.float64))}
+
+    def work(step):  # reads the caller's latest write, answers with one of its own
+        shared["g"][step] = shared["w"].sum()
+        return step, os.getpid()
+
+    answers = []
+    with _deadline(30), walkers.partner(work) as (ask, answer):
+        for step in range(4):
+            shared["w"][...] = step + 1  # written after the fork
+            ask(step)
+            answers.append(answer())
+    assert [step for step, _ in answers] == list(range(4))
+    pids = {pid for _, pid in answers}
+    assert len(pids) == 1 and os.getpid() not in pids
+    assert shared["g"][:4].tolist() == [15.0, 30.0, 45.0, 60.0]
+    assert_no_child_left()
+
+
+def test_a_step_partners_failure_reaches_the_caller_with_its_type_message_and_note():
+    def work(step):
+        if step == 2:
+            raise KeyError("the partner's step failed")
+        return step
+
+    with _deadline(30), pytest.raises(KeyError, match="the partner's step failed") as failure:
+        with walkers.partner(work) as (ask, answer):
+            for step in range(4):
+                ask(step)
+                assert answer() == step
+    assert any("raised in step partner process" in note for note in failure.value.__notes__)
+    assert_no_child_left()
+
+
+def test_a_step_partner_killed_by_a_signal_is_an_error_naming_the_signal():
+    def work(step):
+        if step == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return step
+
+    with _deadline(30), pytest.raises(RuntimeError, match=f"step partner process .* by signal {signal.SIGKILL}"):
+        with walkers.partner(work) as (ask, answer):
+            for step in range(4):
+                ask(step)
+                assert answer() == step
+    assert_no_child_left()
+
+
+def test_a_failure_in_the_caller_kills_and_reaps_a_step_partner_mid_step():
+    with _deadline(30), pytest.raises(ValueError, match="the caller's half failed"):
+        with walkers.partner(lambda step: time.sleep(60)) as (ask, _):
+            ask(0)
+            raise ValueError("the caller's half failed")
+    assert_no_child_left()
