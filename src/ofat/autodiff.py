@@ -448,13 +448,13 @@ def linear_prefix(x, w, b, n_in: int, n_out: int, seqs: int = 1) -> Tensor:
                              f"and {seqs} sequences")
     box = (slice(0, n_in), slice(0, n_out))
     wv = w.data[box]
-    data = x.data @ wv
+    data = (_per_seq(x.data, seqs) @ wv).reshape(-1, n_out)
     data = _into(np.add, data, b.data[:n_out], data)
 
     def vjp(g):
-        if x.requires_grad:  # not the stem's raw features
-            _accum(x, g @ wv.T)
         g3 = _per_seq(g, seqs)
+        if x.requires_grad:  # not the stem's raw features
+            _accum(x, (g3 @ wv.T).reshape(-1, n_in))
         for dw, db in zip(np.matmul(_per_seq(x.data, seqs).transpose(0, 2, 1), g3), g3.sum(axis=1)):
             _accum_box(w, box, dw)
             _accum_box(b, box[1:], db)

@@ -193,32 +193,13 @@ def evaluate_subnets(
             halves[heads] = (a, block_norm(model, 0, "ln2", a, seqs))
         return halves[heads]
 
-    def walk(node, e, depth, h, stack, scored):
-        """Append (config indices, batch indices, their losses) to scored for every config at or below node."""
-        seqs = stack.mask.seqs
-        if node.ends:
-            head_out = head_forward(model, e, h, seqs)[1]
-            losses = distill_loss(head_out, stack.targets, stack.mask, reduction=l1_reduction)
-            scored.append((node.ends, stack.batches, losses.data))
-        if node.children:
-            hn = block_norm(model, depth, "ln1", h, seqs)
-        for heads, by_ratio in node.children.items():
-            a = attention_half(model, depth, h, hn, e, heads, seqs)
-            an = block_norm(model, depth, "ln2", a, seqs)
-            for ratio, child in by_ratio.items():
-                descend(child, e, depth, a, an, ratio, stack, scored)
-
-    def descend(child, e, depth, a, an, ratio, stack, scored):
-        if walkers.stopped():
-            return
-        h = ffn_half(model, depth, a, an, e, ratio, stack.mask.seqs)
-        walk(child, e, depth + 1, h, stack, scored)
-
     def subtree(r, heads, ratio):
         """The scores below root r's layer-0 child (heads, ratio)."""
         e, _, root, stack = roots[r]
         scored = []
-        descend(root.children[heads][ratio], e, 0, *layer0(r, heads), ratio, stack, scored)
+        if not walkers.stopped():
+            h = ffn_half(model, 0, *layer0(r, heads), e, ratio, stack.mask.seqs)
+            _walk(model, l1_reduction, root.children[heads][ratio], e, 1, h, stack, scored)
         return scored
 
     # depths are positive, so no config ends at a root
@@ -230,6 +211,27 @@ def evaluate_subnets(
     for ends, rows, losses in itertools.chain.from_iterable(results):
         per_batch[np.ix_(ends, rows)] = losses
     return per_batch.mean(axis=1).tolist()
+
+
+def _walk(model, l1_reduction, node, e, depth, h, stack, scored):
+    """Append (config indices, batch indices, their losses) to scored for every config at or below node,
+    h being the stack's input to block `depth`. Not a closure of evaluate_subnets: a recursive closure
+    holds itself, and so the model, in a reference cycle until the next full garbage collection."""
+    seqs = stack.mask.seqs
+    if node.ends:
+        head_out = head_forward(model, e, h, seqs)[1]
+        losses = distill_loss(head_out, stack.targets, stack.mask, reduction=l1_reduction)
+        scored.append((node.ends, stack.batches, losses.data))
+    if node.children:
+        hn = block_norm(model, depth, "ln1", h, seqs)
+    for heads, by_ratio in node.children.items():
+        a = attention_half(model, depth, h, hn, e, heads, seqs)
+        an = block_norm(model, depth, "ln2", a, seqs)
+        for ratio, child in by_ratio.items():
+            if walkers.stopped():
+                return
+            h_next = ffn_half(model, depth, a, an, e, ratio, seqs)
+            _walk(model, l1_reduction, child, e, depth + 1, h_next, stack, scored)
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):

@@ -229,20 +229,21 @@ def _run_training(
     masks are drawn next, from their own streams, so in the order a step
     loop drawing them would.
 
-    A step's gradient is a left fold over its sequences, since every
-    parameter op adds per sequence, in order. So with two or more walkers,
-    a forked step partner (walkers.partner) computes the first half of
-    each step's first run, when that run holds two sequences or more, as
-    one graph from zeroed gradients: exactly the fold's prefix. Meanwhile
-    the caller runs the rest of that run as one graph with its leaf
-    gradient additions deferred (autodiff.defer_leaf_grads), then takes the
-    partner's gradients, which come back in shared memory, and adds its
-    deferred terms onto them in order. The model's weights live in one
-    MAP_SHARED mapping for the run, so the caller's Adam step is the
-    partner's next weights; they are private arrays again after the run,
-    on every path. A run whose targets are all cached forks only its step
-    partner. Steps only read their targets, so logs and weights are
-    bitwise the same for any walker count.
+    Whatever the walker count, the run holds the model's weights in one
+    walkers.shared_zeros (MAP_SHARED) mapping and each grad in a buffer of
+    a second one, zeroed in place at the start of every step. A step's
+    gradient is a left fold over its sequences, since every parameter op
+    adds per sequence, in order. So with two or more walkers, a forked step
+    partner (walkers.partner) computes the first half of each step's first
+    run, when that run holds two sequences or more, as one graph adding
+    into the zeroed store: exactly the fold's prefix. Meanwhile the caller
+    runs the rest of that run as one graph with its leaf gradient additions
+    deferred (autodiff.defer_leaf_grads), and adds them onto the store in
+    order once the partner answers. After the run, on every path, the
+    weights are private arrays again and every grad is None. A run whose
+    targets are all cached forks only its step partner. Steps only read
+    their targets, so logs and weights are bitwise the same for any walker
+    count.
     """
     adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     mask_rng = Rng(cfg.seed, STREAM_MASK)
@@ -286,40 +287,34 @@ def _run_training(
         ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
         return run_losses.data.tolist()
 
-    def first_half(step: int) -> tuple:
-        """In the step partner: the first half of the step's first run, its gradients put in grads;
-        (its losses, the names of the parameters it touched)."""
-        adam.zero_grad()
+    def first_half(step: int) -> list:
+        """In the step partner: the first half of the step's first run, its gradients added into
+        the run's gradient store, which the caller zeroed before asking; its losses."""
         first = runs[step][0]
-        losses = run_graph(step, first[:len(first) // 2])
-        touched = [name for name, p in model.params.items() if p.grad is not None]
-        for name in touched:
-            grads[name][...] = model.params[name].grad
-        return losses, touched
+        return run_graph(step, first[:len(first) // 2])
 
     log = TrainLog()
     split = walkers.walker_count() >= 2 and any(len(step_runs[0]) >= 2 for step_runs in runs)
     with contextlib.ExitStack() as stack:
+        stack.callback(_make_private, model.params)
+        weights = walkers.shared_zeros({name: p.data for name, p in model.params.items()})
+        grads = walkers.shared_zeros(weights)
+        for name, p in model.params.items():
+            weights[name][...] = p.data
+            p.data, p.grad = weights[name], grads[name]
         if split:
-            stack.callback(_make_private, model.params)
-            shared = walkers.shared_zeros({name: p.data for name, p in model.params.items()})
-            grads = walkers.shared_zeros(shared)
-            for name, p in model.params.items():
-                shared[name][...] = p.data
-                p.data = shared[name]
             ask, answer = stack.enter_context(walkers.partner(first_half))
         for step in range(cfg.steps):
             lr = lr_at(step, cfg)
-            adam.zero_grad()
+            for g in grads.values():
+                g.fill(0)
             losses, rest = [], runs[step]
             if split and len(rest[0]) >= 2:
                 first, rest = rest[0], rest[1:]
                 ask(step)
                 with ad.defer_leaf_grads() as deferred:
                     ours = run_graph(step, first[len(first) // 2:])
-                losses, touched = answer()
-                for name in touched:
-                    model.params[name].grad = grads[name]
+                losses = answer()
                 ad.add_deferred(deferred)
                 losses += ours
             for run in rest:
@@ -332,14 +327,14 @@ def _run_training(
                 raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
             adam.step(lr, touched_boxes(space, configs[step]))
             log.records.append(TrainRecord(step, mean_loss, gn, lr, configs[step]))
-    adam.zero_grad()  # the model outlives the run; its gradient buffers need not
     return log
 
 
 def _make_private(params: dict[str, Tensor]) -> None:
-    """Give each parameter a private copy of its array, so no later fork shares writable weights."""
+    """Give each parameter a private copy of its array and drop its gradient buffer, so no later
+    fork shares writable weights or gradients, and the model outlives the run without them."""
     for p in params.values():
-        p.data = np.array(p.data)
+        p.data, p.grad = np.array(p.data), None
 
 
 def stage1_train(

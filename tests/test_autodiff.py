@@ -1,5 +1,10 @@
 """Engine tests: op semantics, gradient oracle, graph mechanics, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -854,6 +859,43 @@ def test_deferred_leaf_grads_added_onto_a_prefix_graph_equal_the_whole_stack_bit
     assert np.concatenate([first_x.grad, last_x.grad]).tobytes() == whole_x.grad.tobytes()
     for whole, split in zip(whole_p, split_p):
         assert split.grad.dtype == dtype and split.grad.tobytes() == whole.grad.tobytes()
+
+
+# Says which kernel numpy's OpenBLAS runs in this process, then runs the tests argv names if it
+# is the kernel argv[1] asked for.
+_KERNEL_CHILD = """
+import ctypes, glob, os, sys
+import numpy, pytest
+libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs", "*openblas*"))
+try:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+except (IndexError, OSError, AttributeError) as exc:
+    print("kernel ?", repr(exc))
+    sys.exit()
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+kernel = corename().decode()
+print("kernel", kernel, flush=True)
+if kernel == sys.argv[1]:
+    sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[2], "-k", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Zen", "SkylakeX", "Sandybridge", "Prescott"])
+def test_stacked_ops_equal_per_sequence_calls_on_every_blas_kernel(kernel):
+    """The op-level stacked-equality tests in a child process forced onto one OpenBLAS kernel by
+    OPENBLAS_CORETYPE; skipped, with the reason, if the child cannot name its kernel or runs another."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=str(Path(ad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, kernel, __file__,
+                           "over_stacked_sequences or deferred_leaf_grads"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    head, _, report = proc.stdout.partition("\n")
+    assert head.startswith("kernel "), proc.stdout + proc.stderr
+    ran = head.removeprefix("kernel ")
+    if ran.startswith("?"):
+        pytest.skip(f"numpy's OpenBLAS does not name its kernel: {ran[2:]}")
+    if ran != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} runs the {ran} kernel here")
+    assert proc.returncode == 0, report + proc.stderr
 
 
 @pytest.mark.parametrize("op", ["layer_norm", "grouped_conv1d", "mask_rows"])

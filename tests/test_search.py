@@ -1,9 +1,11 @@
 """Budgeted random search: determinism, budget enforcement, reporting."""
 
+import gc
 import hashlib
 import itertools
 import os
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -435,6 +437,25 @@ def test_walker_failure_stops_the_walk_and_reraises_in_the_caller(setup, monkeyp
         evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=2)
     [number] = read_records(failed)
     assert number <= len(read_records(rows)) <= number + (n - 1)  # at most one further ffn_half per other walker
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_searched_model_dies_with_its_last_reference(setup, monkeypatch, n):
+    """Scoring leaves no reference cycle that would keep the model alive until a garbage collection."""
+    space, _, teacher, val = setup
+    monkeypatch.setattr(walkers, "walker_count", lambda: n)
+    model = build_supernet(space, Rng(40, 1))
+    alive = weakref.ref(model)
+    rng = Rng(19, 4)
+    configs = [sample_subnet(space, rng) for _ in range(12)]
+    gc.disable()
+    try:
+        evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=2)
+        del model
+        assert alive() is None
+    finally:
+        gc.enable()
     assert_no_child_left()
 
 

@@ -1,10 +1,12 @@
 """Optimizer semantics, schedules, and the two training stages."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -543,8 +545,15 @@ def test_stacked_teacher_warmup_equals_per_sequence_graphs_bitwise(monkeypatch, 
 def test_training_leaves_no_gradient_buffers():
     space, teacher, data, _ = small_setup()
     cfg = TrainConfig(stage=1, steps=2, batch_size=2, seed=34)
-    _, model, _ = stage1_train(cfg, space, teacher, data, MASK, TGT)
-    assert all(p.grad is None for p in model.params.values())
+    gc.disable()
+    try:
+        _, model, _ = stage1_train(cfg, space, teacher, data, MASK, TGT)
+        assert all(p.grad is None for p in model.params.values())
+        alive = weakref.ref(model)
+        del model
+        assert alive() is None  # and no reference cycle keeps the model until a garbage collection
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("weight_decay,with_grad", [(0.0, True), (0.01, True), (0.01, False)])
@@ -739,6 +748,7 @@ def test_a_step_failure_kills_and_reaps_the_step_partner_and_leaves_private_weig
         assert any("raised in step partner process" in note for note in failure.value.__notes__)
     assert steps == [0, 1, 2, 3]
     assert _private(model)
+    assert all(p.grad is None for p in model.params.values())
     assert_no_child_left()
 
 
