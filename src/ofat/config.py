@@ -154,6 +154,8 @@ class RunConfig:
         _expect(sp["preset"] in _SPACE_PRESETS, "space.preset", f"one of {_SPACE_PRESETS}")
         _expect(sp["frontend"]["preset"] in _FRONTEND_PRESETS,
                 "space.frontend.preset", f"one of {_FRONTEND_PRESETS}")
+        # the teacher's positional conv reads it under every preset (small and base set their own)
+        _expect(sp["conv_kernel"] % 2 == 1, "space.conv_kernel", "odd (the positional conv keeps the frame count)")
         tr = d["train"]
         for key in ("steps", "batch_size", "sequence_length", "n_train_sequences",
                     "n_val_sequences", "warmup_steps"):

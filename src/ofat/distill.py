@@ -10,6 +10,7 @@ targets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import walkers
 from .autodiff import Tensor
 from .errors import ConfigurationError, ContractError
 from .frontend import Frontend
@@ -170,31 +172,36 @@ class TeacherModel:
             return self.forward(features, collect_hidden=True, seqs=seqs)[1]
 
     def targets_from_features(self, features, cfg: TargetConfig, cache_key=None) -> Tensor:
-        """Distillation targets for one feature sequence, optionally cached (batch_targets)."""
-        return self.batch_targets([features], cfg, [cache_key])[0]
+        """Distillation targets for one feature sequence (batch_targets). cache_key is ignored."""
+        return self.batch_targets([features], cfg, 1)[0]
 
-    def target_key(self, cache_key, features, cfg: TargetConfig) -> tuple:
-        """The key the targets of `features` are cached under: cache_key, plus a digest of
-        the features, so a key reused for another sequence misses."""
-        a = np.ascontiguousarray(features.data if isinstance(features, Tensor) else features)
-        return (cache_key, cfg.k, a.shape, a.dtype.str, hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
+    def batch_targets(self, features: list, cfg: TargetConfig, stack: int) -> list:
+        """Distillation targets per feature sequence, cached under (cfg.k, shape, dtype, a digest
+        of the features), so equal features hit whoever computed them first.
 
-    def batch_targets(self, features: list, cfg: TargetConfig, cache_keys: list) -> list:
-        """Distillation targets per feature sequence, cached under target_key unless its key is None.
-
-        Caching is exact (the teacher is frozen). The misses of each length
-        run through the teacher as one row stack. A forked walker's cache is
-        its own copy, so training's fill walkers pass None keys and the
-        caller caches what they send back."""
+        Caching is exact (the teacher is frozen). Each distinct miss is
+        computed once, in order, in chunks of at most `stack` sequences; the
+        chunks are the tasks of walkers.run_walkers on walkers.walker_count()
+        walkers, forked untaped, and the caller caches what they send back."""
         arrays = [np.ascontiguousarray(f.data if isinstance(f, Tensor) else f) for f in features]
-        keys = [None if k is None else self.target_key(k, a, cfg) for k, a in zip(cache_keys, arrays)]
-        out = [self._target_cache.get(key) for key in keys]
-        misses = [i for i, hit in enumerate(out) if hit is None]
-        for t in dict.fromkeys(arrays[i].shape[0] for i in misses):
-            group = [i for i in misses if arrays[i].shape[0] == t]
+        keys = [(cfg.k, a.shape, a.dtype.str, hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
+                for a in arrays]
+        misses = {key: a for key, a in zip(keys, arrays) if key not in self._target_cache}
+        order = list(misses)
+        chunks = [order[i:i + stack] for i in range(0, len(order), stack)]
+        with ad.no_grad():
+            got = walkers.run_walkers([functools.partial(self._stack_targets, [misses[k] for k in chunk], cfg)
+                                       for chunk in chunks], walkers.walker_count())
+        for chunk, targets in zip(chunks, got):
+            self._target_cache.update(zip(chunk, targets))
+        return [self._target_cache[key] for key in keys]
+
+    def _stack_targets(self, arrays: list, cfg: TargetConfig) -> list:
+        """The targets of each feature array; the arrays of each length run through the teacher as one stack."""
+        out = [None] * len(arrays)
+        for t in dict.fromkeys(a.shape[0] for a in arrays):
+            group = [i for i, a in enumerate(arrays) if a.shape[0] == t]
             hidden = self.hidden_layers(np.concatenate([arrays[i] for i in group]), len(group))
             for j, i in enumerate(group):
                 out[i] = compute_targets([h.data[j * t:(j + 1) * t] for h in hidden], cfg)
-                if keys[i] is not None:
-                    self._target_cache[keys[i]] = out[i]
         return out

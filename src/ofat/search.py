@@ -238,9 +238,10 @@ def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches)
     """(features, teacher targets) per eval batch, cycling through the sequences."""
     if len(val_sequences) == 0:
         raise ConfigurationError("validation data is empty")
-    idxs = [b % len(val_sequences) for b in range(eval_batches)]
-    feats = [frontend.forward(val_sequences[idx]) for idx in idxs]
-    return list(zip(feats, teacher.batch_targets(feats, target_cfg, [("val", idx) for idx in idxs])))
+    if eval_batches < 1:
+        raise ConfigurationError(f"eval_batches must be >= 1, got {eval_batches}")
+    feats = [frontend.forward(val_sequences[b % len(val_sequences)]) for b in range(eval_batches)]
+    return list(zip(feats, teacher.batch_targets(feats, target_cfg, len(feats))))
 
 
 def _param_prices(space: SearchSpace, budget: SearchBudget):

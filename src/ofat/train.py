@@ -14,7 +14,6 @@ boxes of the step's subnet, so untouched slices keep their stale values.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -217,17 +216,12 @@ def _run_training(
 
     A batch's teacher targets depend only on its frontend features, never
     on the student, and the run's batches are known before step 0. So the
-    batches and their features are drawn first, then every target the run
-    reads and the teacher's cache lacks is computed: one
-    teacher.batch_targets stack per batch, of the batch's uncached
-    sequences that no earlier batch holds, in step order. Those are the
-    stacks a step computing its own missing targets would run, so none
-    grows past batch_size and a sequence the run never visits costs
-    nothing. The stacks are the tasks of walkers.run_walkers on
-    walkers.walker_count() walkers, and the caller, not a walker, puts
-    what they send back in the teacher's cache. Every step's subnet and
-    masks are drawn next, from their own streams, so in the order a step
-    loop drawing them would.
+    batches and their features are drawn first, then the targets of every
+    sequence the run visits, by one teacher.batch_targets call in chunks of
+    batch_size. The batcher first visits the sequences in index order, so on
+    a cold cache the chunks are the stacks a step computing its own missing
+    targets would run. Every step's subnet and masks are drawn next, from
+    their own streams, so in the order a step loop drawing them would.
 
     Whatever the walker count, the run holds the model's weights in one
     walkers.shared_zeros (MAP_SHARED) mapping and each grad in a buffer of
@@ -240,8 +234,7 @@ def _run_training(
     runs the rest of that run as one graph with its leaf gradient additions
     deferred (autodiff.defer_leaf_grads), and adds them onto the store in
     order once the partner answers. After the run, on every path, the
-    weights are private arrays again and every grad is None. A run whose
-    targets are all cached forks only its step partner. Steps only read
+    weights are private arrays again and every grad is None. Steps only read
     their targets, so logs and weights are bitwise the same for any walker
     count.
     """
@@ -251,22 +244,7 @@ def _run_training(
     batches = [[idx for idx, _ in batcher.next_batch(cfg.batch_size)] for _ in range(cfg.steps)]
     feats_of = {idx: model.frontend.forward(dataset.sequences[idx])
                 for idx in dict.fromkeys(itertools.chain.from_iterable(batches))}
-    cache = teacher._target_cache
-    keys = {idx: teacher.target_key(("train", idx), feats, target_cfg) for idx, feats in feats_of.items()}
-    targets_of: dict[int, Tensor] = {idx: cache[key] for idx, key in keys.items() if key in cache}
-    fills, seen = [], set(targets_of)
-    for batch in batches:
-        new = [idx for idx in batch if idx not in seen]
-        seen.update(new)
-        if new:
-            fills.append(new)
-    with ad.no_grad():  # the forked walkers start in this context too
-        got = walkers.run_walkers([functools.partial(teacher.batch_targets, [feats_of[i] for i in fill],
-                                                     target_cfg, [None] * len(fill)) for fill in fills],
-                                  walkers.walker_count())
-    for fill, targets in zip(fills, got):
-        for idx, target in zip(fill, targets):
-            targets_of[idx] = cache[keys[idx]] = target
+    targets_of = dict(zip(feats_of, teacher.batch_targets(list(feats_of.values()), target_cfg, cfg.batch_size)))
     configs = [pick_config(step) for step in range(cfg.steps)]
     masks = [[span_mask(feats_of[idx].shape[0], mask_spec, mask_rng) for idx in batch] for batch in batches]
     # each step's runs of consecutive equal-length sequences, as positions in its batch

@@ -1,6 +1,6 @@
 """The processes ofat runs its numpy work on: walkers for independent tasks (search's trie
-subtrees and the teacher target stacks a training run computes before step 0), and a
-training run's step partner.
+subtrees and the teacher target stacks of TeacherModel.batch_targets), and a training
+run's step partner.
 
 A walk of more than one task on more than one walker forks the other walkers
 from the caller, which walks too, so they share no interpreter lock. Each
@@ -38,8 +38,8 @@ _failed: mmap.mmap | None = None  # during a walk, one byte its walkers share: n
 def walker_count() -> int:
     """Processes ofat's numpy work may run on: the usable CPUs over the threads of each BLAS call.
 
-    It sets how many walkers score the search trie and compute a training
-    run's teacher targets, and whether a training run has a step partner
+    It sets how many walkers score the search trie and compute teacher
+    target stacks, and whether a training run has a step partner
     (two or more). BLAS threads are OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS, if a positive count in ASCII digits, else every usable
     CPU: unpinned BLAS already fills the cores, so the work stays on the

@@ -1,8 +1,12 @@
 """Targets, masking, and the masked L1 objective."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ofat
 from ofat import autodiff as ad
 from ofat.autodiff import Tensor, finite_diff_check
 from ofat.distill import MaskSpec, TargetConfig, compute_targets, distill_loss, span_mask
@@ -199,8 +203,8 @@ def test_loss_gradcheck():
 
 def test_teacher_targets_deterministic(tiny_teacher):
     raw = (Rng(13, 2).uniform(96) * 2 - 1).astype(np.float32)
-    a = tiny_teacher.targets_from_features(tiny_teacher.frontend.forward(raw), TargetConfig(k=2))
-    b = tiny_teacher.targets_from_features(tiny_teacher.frontend.forward(raw), TargetConfig(k=2))
+    feats = tiny_teacher.frontend.forward(raw)
+    a, b = (tiny_teacher._stack_targets([feats], TargetConfig(k=2))[0] for _ in range(2))  # twice, past the cache
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -225,6 +229,16 @@ def test_teacher_target_cache_hits_are_identical(tiny_teacher):
     a = tiny_teacher.targets_from_features(feats, TargetConfig(k=2), cache_key=("t", 0))
     b = tiny_teacher.targets_from_features(feats, TargetConfig(k=2), cache_key=("t", 0))
     assert a is b
+
+
+def test_only_distill_py_names_the_teacher_target_cache():
+    """Every target goes through TeacherModel.batch_targets: no other module reads or writes its cache."""
+    offenders = []
+    for path in sorted(Path(ofat.__file__).parent.glob("*.py")):
+        if path.name != "distill.py":
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                          if "_target_cache" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert not offenders, offenders
 
 
 # -- masked student pipeline ----------------------------------------------------------
@@ -256,11 +270,10 @@ def test_batch_targets_stack_each_length_and_equal_per_sequence_targets_bitwise(
         teacher = make_teacher(seed=77, arch=arch, frontend_spec=spec)  # weights of that dtype
         raws = [(Rng(30 + i, 2).uniform(n) * 2 - 1).astype(np.float32) for i, n in enumerate(lengths)]
         feats = [teacher.frontend.forward(r) for r in raws]
-        alone = [teacher.targets_from_features(f, cfg) for f in feats]
-        keys = [("b", i) for i in range(len(feats))]
-        batch = teacher.batch_targets(feats, cfg, keys)
+        alone = [teacher._stack_targets([f], cfg)[0] for f in feats]  # uncached, each its own stack
+        batch = teacher.batch_targets(feats, cfg, len(feats))
     for a, b in zip(alone, batch):
         assert a.data.dtype == dtype and a.data.tobytes() == b.data.tobytes()
-    again = teacher.batch_targets(feats[::-1], cfg, keys[::-1])
+    again = teacher.batch_targets(feats[::-1], cfg, len(feats))
     assert all(x is y for x, y in zip(again, batch[::-1]))  # every one a cache hit
     assert teacher.targets_from_features(feats[1], cfg, cache_key=("b", 1)) is batch[1]

@@ -76,6 +76,25 @@ def test_evaluate_deterministic_bitwise(setup):
     assert a == b
 
 
+def test_held_out_duplicates_run_through_the_teacher_once(setup, monkeypatch):
+    from ofat.distill import TeacherModel
+
+    space, model, _, val = setup
+    teacher = make_teacher(seed=41, arch=TEACHER_ARCH, frontend_spec=space.frontend)  # a cold cache
+    stacked, real = [], TeacherModel.hidden_layers
+    monkeypatch.setattr(TeacherModel, "hidden_layers",
+                        lambda self, features, seqs=1: stacked.append(seqs) or real(self, features, seqs))
+    batches = search._heldout_batches(model.frontend, val.sequences[:2], teacher, TGT, eval_batches=4)
+    assert sum(stacked) == 2
+    assert all(again[1] is first[1] for again, first in zip(batches[2:], batches[:2]))
+
+
+def test_evaluating_no_batches_is_refused(setup):
+    space, model, teacher, val = setup
+    with pytest.raises(ConfigurationError, match="eval_batches must be >= 1, got 0"):
+        evaluate_subnet(model, max_subnet(space), val.sequences, teacher, MASK, TGT, eval_batches=0)
+
+
 def test_evaluate_supernet_vs_extracted(setup):
     space, model, teacher, val = setup
     cfg = sample_subnet(space, Rng(2, 4))
@@ -241,7 +260,7 @@ def _reference_loss(model, config, val, teacher, mask_spec, eval_seed, eval_batc
     with ad.no_grad():
         for b in range(eval_batches):
             feats = model.frontend.forward(val.sequences[b % len(val.sequences)])
-            targets = teacher.targets_from_features(feats, TGT)
+            targets = compute_targets(teacher.hidden_layers(feats), TGT)  # uncached, alone
             _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, mask_spec, mask_rng)
             losses.append(reference_distill_loss(head_out, targets, mask_indices, reduction=reduction).item())
     return float(np.mean(losses))

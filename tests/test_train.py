@@ -14,11 +14,11 @@ import pytest
 from ofat.autodiff import Tensor
 from ofat.checkpoint import save_model
 from ofat.data import make_synthetic_dataset
-from ofat.distill import MaskSpec, TargetConfig
+from ofat.distill import MaskSpec, TargetConfig, compute_targets
 from ofat.errors import ConfigurationError
 from ofat.frontend import FrontendLayer
 from ofat.rng import Rng, STREAM_ARCH, STREAM_WEIGHTS
-from ofat.search import evaluate_subnet
+from ofat.search import evaluate_subnet, evaluate_subnets
 from ofat.spaces import desk_space, max_subnet, sample_subnet
 from ofat.supernet import build_supernet, touched_boxes
 from ofat.train import (
@@ -294,7 +294,7 @@ def test_stage2_gradients_confined_to_sampled_subnet():
             p.grad = None
         seq = data.sequences[step % len(data.sequences)]
         feats = model.frontend.forward(seq)
-        targets = teacher.targets_from_features(feats, TGT)
+        targets = compute_targets(teacher.hidden_layers(feats), TGT)  # uncached, alone
         _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, MASK, mask_rng)
         distill_loss(head_out, targets, mask_indices).backward()
         boxes = touched_boxes(space, config)
@@ -418,7 +418,7 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
         losses = []
         for idx, seq in batcher.next_batch(cfg.batch_size):
             feats = model.frontend.forward(seq)
-            targets = teacher.targets_from_features(feats, target_cfg)
+            targets = compute_targets(teacher.hidden_layers(feats), target_cfg)  # uncached, alone
             _, _, head_out, (_, mask_indices) = student_forward_masked(model, config, feats, mask_spec, mask_rng)
             loss = reference_distill_loss(head_out, targets, mask_indices, reduction=l1_reduction)
             (loss * (1.0 / cfg.batch_size)).backward()
@@ -584,22 +584,22 @@ def test_adam_in_place_step_equals_the_out_of_place_expressions_bitwise(weight_d
 
 
 def _recorded_batch_targets(monkeypatch, rows, fail_on_call: int = 0, delay: float = 0.0):
-    """Wrap TeacherModel.batch_targets to append each call's [process, dtype, taped, sequence
-    digests] to the file rows, in whichever walker it runs, then sleep `delay` s, raising a
-    ConfigurationError on call number fail_on_call counted over every process."""
+    """Wrap TeacherModel._stack_targets to append each teacher stack's [process, dtype, taped,
+    sequence digests] to the file rows, in whichever walker it runs, then sleep `delay` s, raising
+    a ConfigurationError on call number fail_on_call counted over every process."""
     from ofat.distill import TeacherModel
 
-    real, calls = TeacherModel.batch_targets, rows.with_suffix(".calls")
+    real, calls = TeacherModel._stack_targets, rows.with_suffix(".calls")
 
-    def recorded(self, features, cfg, keys):
-        append_record(rows, mode_row() + [[_digest(f) for f in features]])
+    def recorded(self, arrays, cfg):
+        append_record(rows, mode_row() + [[_digest(a) for a in arrays]])
         number = append_record(calls, 0) // len("0\n")
         time.sleep(delay)
         if number == fail_on_call:
             raise ConfigurationError("injected")
-        return real(self, features, cfg, keys)
+        return real(self, arrays, cfg)
 
-    monkeypatch.setattr(TeacherModel, "batch_targets", recorded)
+    monkeypatch.setattr(TeacherModel, "_stack_targets", recorded)
 
 
 def _recorded_step_graphs(monkeypatch, rows):
@@ -752,12 +752,19 @@ def test_a_step_failure_kills_and_reaps_the_step_partner_and_leaves_private_weig
     assert_no_child_left()
 
 
-def test_a_short_run_computes_the_targets_of_the_sequences_it_visits_only():
+def test_a_short_run_computes_the_targets_of_the_sequences_it_visits_only(monkeypatch):
+    from ofat.distill import TeacherModel
+
     space, teacher, data, _ = small_setup()
     cfg = TrainConfig(stage=1, steps=2, batch_size=2, seed=38)
     assert cfg.steps * cfg.batch_size < len(data)
-    stage1_train(cfg, space, teacher, data, MASK, TGT)
-    assert sorted(key[0] for key in teacher._target_cache) == [("train", i) for i in range(4)]
+    _, model, _ = stage1_train(cfg, space, teacher, data, MASK, TGT)
+    visited = [teacher.frontend.forward(seq) for seq in data.sequences[:4]]
+    assert sorted(key[-1] for key in teacher._target_cache) == sorted(
+        hashlib.blake2b(f.tobytes(), digest_size=16).hexdigest() for f in visited)
+    # the targets are keyed by the features alone, so scoring those sequences runs no teacher forward
+    monkeypatch.setattr(TeacherModel, "hidden_layers", lambda *args, **kwargs: pytest.fail("teacher forward"))
+    evaluate_subnets(model, [max_subnet(space)], data.sequences[:4], teacher, MASK, TGT, eval_batches=4)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
