@@ -239,6 +239,7 @@ class RunConfig:
     def teacher_arch(self) -> TeacherArch:
         te = self.data["distill"]["teacher"]
         sp = self.data["space"]
+        _expect(sp["preset"] == "desk", "space.preset", "desk to build a teacher (small and base set no teacher)")
         return TeacherArch(
             dim=int(te["dim"]),
             depth=int(te["depth"]),

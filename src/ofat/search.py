@@ -132,29 +132,32 @@ def evaluate_subnets(
     ffn_ratio[:l]), and every candidate sees the same masks. So the
     frontend, teacher targets and masks run once per batch; the
     masked_input stem and positional stage once per embed dim on the
-    batches of one sequence length stacked as rows (once per walker, see
-    below); and the blocks over a trie keyed in two levels per layer,
-    heads[l] then ffn_ratio[l], walked depth first over that stack. A
-    block's attention half depends only on its input and heads, so at a
-    node with children ln1 runs once, each heads child runs one
-    attention_half and one ln2, and each ratio grandchild one ffn_half. Where a config's depth ends, the head runs
+    batches of one sequence length stacked as rows; and the blocks over a
+    trie keyed in two levels per layer, heads[l] then ffn_ratio[l], walked
+    depth first over that stack. A block's attention half depends only on
+    its input and heads, so at a node with children ln1 runs once, each
+    heads child runs one attention_half and one ln2, and each ratio
+    grandchild one ffn_half. Where a config's depth ends, the head runs
     once on the stack and distill_loss once, scoring every batch of the
     stack in one fused op against the stack's targets and LossMask, which
     are built once per call.
 
-    The subtrees below the layer-0 children (heads, ratio) of each (embed
-    dim, sequence length) root are independent. They are the tasks of
-    walkers.run_walkers, taken in order by walkers.walker_count() walkers
-    with tape recording off: the caller and the children it forks
-    (BENCH_process_walkers.json). Each process computes a root's stem, ln1
-    and attention halves at most once, for the tasks it takes, so with more
-    than one walker a root's layer 0 may run once in each. Each task
-    returns the per-batch losses of the configs it scored, and every node
-    runs the same ops on the same inputs whichever walker takes it, so the
-    result is the same for any walker count. Each walker holds only its
-    current root's layer 0 and its root-to-node path: per layer the block
-    input, its ln1, one attention half and its ln2, so at most about 4 *
-    max_depth stacked arrays besides the root's attention halves.
+    Before any walker starts, the caller computes the layer 0 of every
+    (embed dim, sequence length) root: its stem, ln1 and, for each heads
+    child, the attention half and its ln2, all held at once (about 1-2 MB
+    at desk dims). The subtrees below the roots' layer-0 (heads, ratio)
+    children are independent. They are the tasks of walkers.run_walkers,
+    run by walkers.walker_count() walkers with tape recording off: the
+    caller and the children it forks (BENCH_process_walkers.json), which
+    read the layer-0 halves from their fork image. A task runs its
+    ffn_half and walks its subtree, so every trie node's work runs once
+    per search, whatever the walker count. Each task returns the per-batch
+    losses of the configs it scored, and every node runs the same ops on
+    the same inputs whichever walker takes it, so the result is the same
+    for any walker count. Besides the layer-0 halves, each walker holds
+    only its root-to-node path: per layer the block input, its ln1, one
+    attention half and its ln2, so at most about 4 * max_depth stacked
+    arrays.
     """
     tries: dict[int, tuple[SubnetConfig, _PrefixNode]] = {}
     for i, config in enumerate(configs):
@@ -175,30 +178,14 @@ def evaluate_subnets(
                            ad.LossMask([masks[b] for b in group], t))
               for t, group in groups.items()]
     roots = [(e, first, root, stack) for e, (first, root) in tries.items() for stack in stacks]
-    held: dict[int, tuple] = {}  # this process's current root: its stem, ln1 and attention halves
-
-    def layer0(r, heads):
-        """(attention half, its ln2) of root r's layer 0 under heads, at most once per process:
-        walkers take tasks in order, so a root once left is never taken again."""
-        e, first, _, stack = roots[r]
-        seqs = stack.mask.seqs
-        if r not in held:
-            held.clear()
-            h = masked_input(model, first, [batches[b][0] for b in stack.batches], [masks[b] for b in stack.batches])
-            h = positional_stage(model, e, h, seqs)
-            held[r] = (h, block_norm(model, 0, "ln1", h, seqs), {})
-        h, hn, halves = held[r]
-        if heads not in halves:
-            a = attention_half(model, 0, h, hn, e, heads, seqs)
-            halves[heads] = (a, block_norm(model, 0, "ln2", a, seqs))
-        return halves[heads]
+    halves = {}  # (root index, layer-0 heads) -> (that attention half, its ln2)
 
     def subtree(r, heads, ratio):
         """The scores below root r's layer-0 child (heads, ratio)."""
         e, _, root, stack = roots[r]
         scored = []
         if not walkers.stopped():
-            h = ffn_half(model, 0, *layer0(r, heads), e, ratio, stack.mask.seqs)
+            h = ffn_half(model, 0, *halves[r, heads], e, ratio, stack.mask.seqs)
             _walk(model, l1_reduction, root.children[heads][ratio], e, 1, h, stack, scored)
         return scored
 
@@ -206,6 +193,14 @@ def evaluate_subnets(
     tasks = [functools.partial(subtree, r, heads, ratio) for r, (_, _, root, _) in enumerate(roots)
              for heads, by_ratio in root.children.items() for ratio in by_ratio]
     with ad.no_grad():  # the forked walkers start in this context too
+        for r, (e, first, root, stack) in enumerate(roots):
+            seqs = stack.mask.seqs
+            h = masked_input(model, first, [batches[b][0] for b in stack.batches], [masks[b] for b in stack.batches])
+            h = positional_stage(model, e, h, seqs)
+            hn = block_norm(model, 0, "ln1", h, seqs)
+            for heads in root.children:
+                a = attention_half(model, 0, h, hn, e, heads, seqs)
+                halves[r, heads] = (a, block_norm(model, 0, "ln2", a, seqs))
         results = walkers.run_walkers(tasks, walkers.walker_count())
     per_batch = np.zeros((len(configs), len(batches)))
     for ends, rows, losses in itertools.chain.from_iterable(results):

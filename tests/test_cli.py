@@ -302,12 +302,14 @@ def _run_cli(*args):
     ("init-teacher", "distill:\n  teacher:\n    ffn_ratio: 1e400\n", "distill.teacher.ffn_ratio"),
     ("init-teacher", "distill:\n  teacher:\n    warmup_lr: .nan\n", "distill.teacher.warmup_lr"),
     ("init-teacher", "space:\n  conv_kernel: 8\n", "space.conv_kernel"),
+    ("init-teacher", "space:\n  preset: small\n", "space.preset"),
+    ("init-teacher", "space:\n  preset: base\n", "space.preset"),
 ], ids=["p-text", "span-text", "k-float", "embed-scalar", "embed-float-item", "ratio-text-item", "head-dim-text",
         "seed-bool", "includes-head-text", "negative-heads", "teacher-warmup-steps-text",
         "teacher-warmup-lr-text", "teacher-zero-heads", "teacher-negative-heads", "teacher-zero-dim",
         "teacher-zero-ratio", "teacher-negative-warmup-steps", "teacher-dim-not-divisible",
         "ratio-inf-item", "ratio-nan-item", "ratio-yaml-nan-item", "teacher-ratio-inf", "teacher-warmup-lr-nan",
-        "even-conv-kernel"])
+        "even-conv-kernel", "small-preset-teacher", "base-preset-teacher"])
 def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, command, config, named):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(config)

@@ -380,18 +380,43 @@ def test_block_forward_runs_once_per_trie_node_per_sequence_length(setup, monkey
         evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=eval_batches)
         calls = [tuple(row) for row in read_records(rows)]
 
-        # no call repeats in a process; below layer 0 and at the leaves none repeats in any:
-        # each layer-0 child's subtree is one task, and a root's layer 0 runs at most once per walker
-        assert len(set(calls)) == len(calls)
-        deep = [row[1:] for row in calls if row[1] in ("ffn_half", "head_forward") or row[2] > 0]
-        assert len(set(deep)) == len(deep)
-        nodes_run = Counter(name for name, *_ in {row[1:] for row in calls})
+        # no call repeats in any process: the caller runs every root's layer 0 before it forks,
+        # and each layer-0 child's subtree is one task
+        assert len({row[1:] for row in calls}) == len(calls)
+        nodes_run = Counter(name for _, name, *_ in calls)
         assert nodes_run["attention_half"] == len(attention_keys) * len(lengths)
         assert nodes_run["ffn_half"] == len(nodes) * len(lengths)
         assert nodes_run["block_norm"] == (len(parents) + len(attention_keys)) * len(lengths)  # ln1 + ln2
         assert nodes_run["head_forward"] == len(set(paths)) * len(lengths)
-        if n == 1:
-            assert len(calls) == sum(nodes_run.values())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_layer0_attention_runs_once_per_root_and_heads_on_any_walker_count(setup, monkeypatch, tmp_path, n):
+    space, model, teacher, _ = setup
+    val = _two_length_val()
+    rng = Rng(20, 4)
+    configs = [sample_subnet(space, rng) for _ in range(40)]
+    roots_heads = {(c.embed_dim, c.heads[0]) for c in configs}
+    rows, real_attention, real_ffn = tmp_path / "layer0.jsonl", search.attention_half, search.ffn_half
+
+    def counted(model, layer, h, *args):
+        if layer == 0:
+            e, heads = args[1], args[2]
+            append_record(rows, [e, heads, h.shape[0]])  # one O_APPEND line per call, from any process
+        return real_attention(model, layer, h, *args)
+
+    def slow_ffn(*args):
+        time.sleep(0.002)  # keeps every walker taking tasks until the walk ends
+        return real_ffn(*args)
+
+    monkeypatch.setattr(walkers, "walker_count", lambda: n)
+    monkeypatch.setattr(search, "attention_half", counted)
+    monkeypatch.setattr(search, "ffn_half", slow_ffn)
+    evaluate_subnets(model, configs, val.sequences, teacher, MASK, TGT, eval_batches=4)
+    calls = [tuple(row) for row in read_records(rows)]
+    # two stacks (16- and 24-frame sequences, two each), so two roots per embed dim
+    assert len(calls) == len(set(calls)) == 2 * len(roots_heads)
+    assert {(e, heads) for e, heads, _ in calls} == roots_heads
 
 
 def _node_of(name, args):

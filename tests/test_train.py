@@ -375,9 +375,14 @@ def test_divergence_aborts_with_diagnostic():
         stage1_train(cfg, space, teacher, poisoned, MASK, TGT)
 
 
-def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
-    """A finite loss with a non-finite gradient must not reach the weights."""
-    from ofat import train
+WALKER_COUNTS = pytest.mark.parametrize("walker_count", [1, 2], ids=["serial", "partner"])
+
+
+@WALKER_COUNTS
+def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch, walker_count):
+    """A finite loss with a non-finite gradient must not reach the weights, whether or not a
+    step partner computes half of the step."""
+    from ofat import train, walkers
     from ofat.errors import DivergenceError
     from ofat.supernet import build_supernet
     from ofat.train import _adopt_teacher_frontend
@@ -387,9 +392,13 @@ def test_nonfinite_grad_norm_aborts_before_adam_writes(monkeypatch):
     _adopt_teacher_frontend(model, teacher)
     before = {n: p.data.copy() for n, p in model.params.items()}
     monkeypatch.setattr(train, "grad_norm", lambda params: float("inf"))
+    monkeypatch.setattr(walkers, "walker_count", lambda: walker_count)
+    partners, real_partner = [], walkers.partner
+    monkeypatch.setattr(walkers, "partner", lambda work: partners.append(work) or real_partner(work))
     cfg = TrainConfig(stage=1, steps=3, batch_size=2, seed=10)
     with pytest.raises(DivergenceError, match="grad norm inf at step 0"):
         train._run_training(model, space, teacher, data, cfg, MASK, TGT, lambda step: max_subnet(space))
+    assert len(partners) == walker_count - 1  # the partner run splits the step
     for n, p in model.params.items():
         np.testing.assert_array_equal(p.data, before[n])
 
@@ -453,9 +462,6 @@ def _both_ways(monkeypatch, run, walker_count):
         reference = run()
     _assert_same_run(stacked, reference)
     return stacked
-
-
-WALKER_COUNTS = pytest.mark.parametrize("walker_count", [1, 2], ids=["serial", "partner"])
 
 
 @WALKER_COUNTS
