@@ -161,6 +161,10 @@ class RunConfig:
                     "n_val_sequences", "warmup_steps"):
             _expect(tr[key] >= 0, f"train.{key}", "a non-negative integer")
         _expect(tr["steps"] > 0, "train.steps", "> 0")
+        for key in ("batch_size", "sequence_length"):
+            _expect(tr[key] >= 1, f"train.{key}", ">= 1")
+        for key in ("adam_beta1", "adam_beta2"):
+            _expect(0.0 <= float(tr[key]) < 1.0, f"train.{key}", "in [0, 1)")
         _expect(tr["warmup_steps"] <= tr["steps"], "train.warmup_steps", "<= train.steps")
         _expect(tr["ofa_init"] in OFA_INITS, "train.ofa_init", f"one of {OFA_INITS}")
         di = d["distill"]

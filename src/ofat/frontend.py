@@ -56,16 +56,7 @@ class FrontendSpec:
         return s
 
     def param_count(self) -> int:
-        total = 0
-        in_ch = 1
-        for i, layer in enumerate(self.layers):
-            total += layer.out_channels * in_ch * layer.kernel
-            if self.bias:
-                total += layer.out_channels
-            if i == 0 and self.first_layer_norm:
-                total += 2 * layer.out_channels
-            in_ch = layer.out_channels
-        return total
+        return sum(math.prod(shape) for shape in self.array_shapes().values())
 
     def array_shapes(self) -> dict:
         """Checkpoint name -> shape of every frontend array, in file order."""

@@ -142,16 +142,17 @@ def evaluate_subnets(
     stack in one fused op against the stack's targets and LossMask, which
     are built once per call.
 
-    Before any walker starts, the caller computes the layer 0 of every
-    (embed dim, sequence length) root: its stem, ln1 and, for each heads
-    child, the attention half and its ln2, all held at once (about 1-2 MB
-    at desk dims). The subtrees below the roots' layer-0 (heads, ratio)
-    children are independent. They are the tasks of walkers.run_walkers,
-    run by walkers.walker_count() walkers with tape recording off: the
-    caller and the children it forks (BENCH_process_walkers.json), which
-    read the layer-0 halves from their fork image. A task runs its
-    ffn_half and walks its subtree, so every trie node's work runs once
-    per search, whatever the walker count. Each task returns the per-batch
+    Before any walker starts, the caller builds the stem of every (embed
+    dim, sequence length) root and runs _walk on it, which at layer 0 runs
+    ln1 and, for each heads child, the attention half and its ln2, all held
+    at once (about 1-2 MB at desk dims), but does not descend. The subtrees
+    below the roots' layer-0 (heads, ratio) children are independent: one
+    _subtree task each, the tasks of walkers.run_walkers, run by
+    walkers.walker_count() walkers with tape recording off: the caller and
+    the children it forks (BENCH_process_walkers.json), which read the
+    layer-0 halves from their fork image. A task runs its ffn_half and
+    walks its subtree, so every trie node's work runs once per search,
+    whatever the walker count. Each task returns the per-batch
     losses of the configs it scored, and every node runs the same ops on
     the same inputs whichever walker takes it, so the result is the same
     for any walker count. Besides the layer-0 halves, each walker holds
@@ -177,30 +178,13 @@ def evaluate_subnets(
     stacks = [_ScoredStack(group, ad.Tensor(np.concatenate([batches[b][1].data for b in group])),
                            ad.LossMask([masks[b] for b in group], t))
               for t, group in groups.items()]
-    roots = [(e, first, root, stack) for e, (first, root) in tries.items() for stack in stacks]
-    halves = {}  # (root index, layer-0 heads) -> (that attention half, its ln2)
-
-    def subtree(r, heads, ratio):
-        """The scores below root r's layer-0 child (heads, ratio)."""
-        e, _, root, stack = roots[r]
-        scored = []
-        if not walkers.stopped():
-            h = ffn_half(model, 0, *halves[r, heads], e, ratio, stack.mask.seqs)
-            _walk(model, l1_reduction, root.children[heads][ratio], e, 1, h, stack, scored)
-        return scored
-
-    # depths are positive, so no config ends at a root
-    tasks = [functools.partial(subtree, r, heads, ratio) for r, (_, _, root, _) in enumerate(roots)
-             for heads, by_ratio in root.children.items() for ratio in by_ratio]
+    tasks = []
     with ad.no_grad():  # the forked walkers start in this context too
-        for r, (e, first, root, stack) in enumerate(roots):
-            seqs = stack.mask.seqs
-            h = masked_input(model, first, [batches[b][0] for b in stack.batches], [masks[b] for b in stack.batches])
-            h = positional_stage(model, e, h, seqs)
-            hn = block_norm(model, 0, "ln1", h, seqs)
-            for heads in root.children:
-                a = attention_half(model, 0, h, hn, e, heads, seqs)
-                halves[r, heads] = (a, block_norm(model, 0, "ln2", a, seqs))
+        for e, (first, root) in tries.items():
+            for stack in stacks:
+                h = masked_input(model, first, [batches[b][0] for b in stack.batches],
+                                 [masks[b] for b in stack.batches])
+                _walk(model, l1_reduction, root, e, 0, positional_stage(model, e, h, stack.mask.seqs), stack, tasks)
         results = walkers.run_walkers(tasks, walkers.walker_count())
     per_batch = np.zeros((len(configs), len(batches)))
     for ends, rows, losses in itertools.chain.from_iterable(results):
@@ -208,25 +192,37 @@ def evaluate_subnets(
     return per_batch.mean(axis=1).tolist()
 
 
-def _walk(model, l1_reduction, node, e, depth, h, stack, scored):
-    """Append (config indices, batch indices, their losses) to scored for every config at or below node,
-    h being the stack's input to block `depth`. Not a closure of evaluate_subnets: a recursive closure
+def _walk(model, l1_reduction, node, e, depth, h, stack, out):
+    """Append (config indices, batch indices, their losses) to out for every config at or below node,
+    h being the stack's input to block `depth`; at depth 0, instead of descending, append one
+    _subtree task per (heads, ratio) child. Not a closure of evaluate_subnets: a recursive closure
     holds itself, and so the model, in a reference cycle until the next full garbage collection."""
     seqs = stack.mask.seqs
-    if node.ends:
+    if node.ends:  # depths are positive, so never at a root
         head_out = head_forward(model, e, h, seqs)[1]
         losses = distill_loss(head_out, stack.targets, stack.mask, reduction=l1_reduction)
-        scored.append((node.ends, stack.batches, losses.data))
+        out.append((node.ends, stack.batches, losses.data))
     if node.children:
         hn = block_norm(model, depth, "ln1", h, seqs)
     for heads, by_ratio in node.children.items():
         a = attention_half(model, depth, h, hn, e, heads, seqs)
         an = block_norm(model, depth, "ln2", a, seqs)
         for ratio, child in by_ratio.items():
+            if depth == 0:
+                out.append(functools.partial(_subtree, model, l1_reduction, child, e, a, an, ratio, stack))
+                continue
             if walkers.stopped():
                 return
             h_next = ffn_half(model, depth, a, an, e, ratio, seqs)
-            _walk(model, l1_reduction, child, e, depth + 1, h_next, stack, scored)
+            _walk(model, l1_reduction, child, e, depth + 1, h_next, stack, out)
+
+
+def _subtree(model, l1_reduction, node, e, a, an, ratio, stack):
+    """A walker's task: the scores below the layer-0 child `node`, reached by ffn ratio from
+    attention half a and its ln2 an."""
+    scored = []
+    _walk(model, l1_reduction, node, e, 1, ffn_half(model, 0, a, an, e, ratio, stack.mask.seqs), stack, scored)
+    return scored
 
 
 def _heldout_batches(frontend, val_sequences, teacher, target_cfg, eval_batches):

@@ -7,19 +7,19 @@ from the caller, which walks too, so they share no interpreter lock. Each
 walker takes its next task from one pipe that the caller fills before it
 forks, so a faster walker takes more. A step partner lives for one training
 run: the caller hands it one step at a time and reads its answer before the
-next. A forked process starts as a copy of the caller: it reads the model,
-the trie and the caller's dtype and grad mode without pickling them, and only
-its results come back, pickled on a pipe of its own. It leaves through
-os._exit, so nothing of the caller's (buffered output, finally blocks, exit
-handlers) runs twice. Forking is safe because ofat starts no threads, and
-OpenBLAS stops its own pool around a fork.
+next. Both are forked by one routine, _forked, which also receives their
+results and kills and reaps them. A forked process starts as a copy of the
+caller: it reads the model, the trie and the caller's dtype and grad mode
+without pickling them, and only its results come back, pickled on a pipe of
+its own. It leaves through os._exit, so nothing of the caller's (buffered
+output, finally blocks, exit handlers) runs twice. Forking is safe because
+ofat starts no threads, and OpenBLAS stops its own pool around a fork.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
-import functools
 import mmap
 import os
 import pickle
@@ -75,25 +75,16 @@ def run_walkers(tasks: list, n: int) -> list:
     os.write(hand_out, b"".join(_RECORD.pack(i) for i in range(0, len(tasks), per)))
     os.close(hand_out)
     _failed = mmap.mmap(-1, 1)  # shared with the children: MAP_SHARED
-    children = {}  # pid -> the read end of its results pipe
     try:
-        for _ in range(n - 1):
-            pid, children[pid] = _fork(functools.partial(_child, tasks, per, take))
-        done = _walk(tasks, per, take)
-        failure = None
-        for pid in list(children):
-            message = _receive(children[pid])
-            how = _reap(children, pid)
-            theirs, exc = message or (None, RuntimeError(f"walker process {pid} ended {how} "
-                                                         "before sending its results"))
-            failure = failure or exc
-            done.update(theirs or {})
-        if failure is not None:
-            raise failure
+        with contextlib.ExitStack() as forked:
+            # each child sends one item: the {index: result} of its walk
+            receives = [forked.enter_context(_forked("walker", (_walk(tasks, per, take) for _ in range(1))))
+                        for _ in range(n - 1)]
+            done = _walk(tasks, per, take)
+            for receive in receives:
+                done.update(receive())
         return [done[i] for i in range(len(tasks))]
     finally:
-        for pid in list(children):  # left only when the walk was cut short
-            _reap(children, pid, kill=True)
         os.close(take)
         _failed = None
 
@@ -110,34 +101,17 @@ def partner(work):
     and what both share through shared_zeros arrays. It is killed and reaped
     when the block ends, on every path.
     """
-    take, hand = os.pipe()
-    children = {}  # the partner's pid -> the read end of its results pipe
+    take, hand = os.pipe()  # the caller holds both ends to the end, so ask never meets a closed pipe
+
+    def ask(step):
+        os.write(hand, _RECORD.pack(step))
+
     try:
-        try:
-            pid, back = _fork(functools.partial(_serve, work, take, hand))
-        finally:
-            os.close(take)
-        children[pid] = back
-
-        def answer():
-            message = _receive(back)
-            if message is None:
-                how = _reap(children, pid)
-                raise RuntimeError(f"step partner process {pid} ended {how} before sending its results")
-            result, exc = message
-            if exc is not None:
-                raise exc
-            return result
-
-        def ask(step):
-            with contextlib.suppress(BrokenPipeError):  # a partner gone already: answer() says how
-                os.write(hand, _RECORD.pack(step))
-
-        yield ask, answer
+        with _forked("step partner", _steps(work, take, hand)) as answer:
+            yield ask, answer
     finally:
+        os.close(take)
         os.close(hand)
-        for pid in list(children):
-            _reap(children, pid, kill=True)
 
 
 def shared_zeros(like: dict) -> dict:
@@ -161,12 +135,11 @@ def _walk(tasks: list, per: int, take: int) -> dict:
     """{index: result} of the tasks this walker takes, until the pipe is empty or a walker has failed."""
     done = {}
     try:
-        while not stopped():
-            record = os.read(take, _RECORD.size)  # records are read whole: every read asks for one
-            if not record:
-                break
+        while record := os.read(take, _RECORD.size):  # records are read whole: every read asks for one
             start = _RECORD.unpack(record)[0]
             for i in range(start, min(start + per, len(tasks))):
+                if stopped():
+                    return done
                 done[i] = tasks[i]()
     except BaseException:
         _failed[0] = 1
@@ -174,73 +147,79 @@ def _walk(tasks: list, per: int, take: int) -> dict:
     return done
 
 
-def _fork(body) -> tuple:
-    """(pid, the read end of its results pipe) of a forked process that calls body(out), out being
-    the pipe's buffered write end, and leaves through os._exit: status 0 only if body returned."""
-    back, send = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(back)
-                with os.fdopen(send, "wb") as out:
-                    body(out)
-                code = 0
-            finally:
-                os._exit(code)
-    except BaseException:
-        os.close(back)
-        raise
-    finally:
-        os.close(send)
-    return pid, os.fdopen(back, "rb")
-
-
-def _child(tasks: list, per: int, take: int, out) -> None:
-    """A forked walker: walk, send back ({index: result}, None) or (None, failure)."""
-    _send(out, _outcome("walker", _walk, tasks, per, take))
-
-
-def _serve(work, take: int, hand: int, out) -> None:
-    """The step partner: for each step read from take, send back (work(step), None) or
-    (None, failure), until the caller closes its end."""
+def _steps(work, take: int, hand: int):
+    """In the step partner: work(step) for each step read from take, until every write end is closed."""
     os.close(hand)  # so that the caller's end closing, even by its death, ends the reads
     while record := os.read(take, _RECORD.size):
-        _send(out, _outcome("step partner", work, _RECORD.unpack(record)[0]))
+        yield work(_RECORD.unpack(record)[0])
 
 
-def _outcome(what: str, fn, *args) -> bytes:
-    """(fn(*args), None) pickled, or (None, the failure) if fn raises or its result will not pickle;
-    `what` names the process in the failure's note."""
+@contextlib.contextmanager
+def _forked(what: str, results):
+    """A forked process that sends back each item of the iterable results, for the life of the block.
+
+    The child sends each item pickled, with its byte count ahead, on a pipe
+    of its own. If an item raises or will not pickle, it sends that failure
+    instead, noted by _portable, and no more. It leaves through os._exit.
+    Yields receive(), which returns the next item, or re-raises the child's
+    failure with its own type, or raises a RuntimeError naming how the child
+    ended if it ended without sending a whole message. When the block ends,
+    on every path, the child is killed unless already reaped, then reaped.
+    `what` names the process in the notes and errors.
+    """
+    read_end, send = os.pipe()
     try:
-        return pickle.dumps((fn(*args), None), pickle.HIGHEST_PROTOCOL)
-    except BaseException as exc:  # re-raised in the caller
-        return pickle.dumps((None, _portable(exc, what)), pickle.HIGHEST_PROTOCOL)
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(send)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(send, "wb") as out:
+                items, failure = iter(results), None
+                while failure is None:
+                    try:
+                        message = pickle.dumps((next(items), None), pickle.HIGHEST_PROTOCOL)
+                    except StopIteration:
+                        break
+                    except BaseException as exc:  # re-raised in the caller
+                        failure = _portable(exc, what)
+                        message = pickle.dumps((None, failure), pickle.HIGHEST_PROTOCOL)
+                    out.write(_LENGTH.pack(len(message)) + message)
+                    out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(send)
+    how = None  # how the child ended, once reaped
 
+    def reap() -> str:
+        nonlocal how
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"with exit status {code}" if code >= 0 else f"by signal {-code}"
+        return how
 
-def _send(out, payload: bytes) -> None:
-    out.write(_LENGTH.pack(len(payload)) + payload)
-    out.flush()
+    def receive():
+        head = back.read(_LENGTH.size)
+        size = _LENGTH.unpack(head)[0] if len(head) == _LENGTH.size else None  # None: no whole byte count
+        payload = back.read(size) if size else b""
+        if len(payload) != size:
+            raise RuntimeError(f"{what} process {pid} ended {reap()} before sending its results")
+        item, failure = pickle.loads(payload)
+        if failure is not None:
+            raise failure
+        return item
 
-
-def _receive(back):
-    """The next message on a results pipe, unpickled, or None if its writer ended without sending it whole."""
-    head = back.read(_LENGTH.size)
-    if len(head) < _LENGTH.size:
-        return None
-    size = _LENGTH.unpack(head)[0]
-    payload = back.read(size)
-    return pickle.loads(payload) if len(payload) == size else None
-
-
-def _reap(children: dict, pid: int, kill: bool = False) -> str:
-    """Reap child pid, SIGKILLed first if kill, close its results pipe and say how it ended."""
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    children.pop(pid).close()
-    return f"with exit status {code}" if code >= 0 else f"by signal {-code}"
+    with os.fdopen(read_end, "rb") as back:
+        try:
+            yield receive
+        finally:
+            if how is None:
+                os.kill(pid, signal.SIGKILL)
+                reap()
 
 
 def _portable(exc: BaseException, what: str) -> BaseException:

@@ -304,12 +304,18 @@ def _run_cli(*args):
     ("init-teacher", "space:\n  conv_kernel: 8\n", "space.conv_kernel"),
     ("init-teacher", "space:\n  preset: small\n", "space.preset"),
     ("init-teacher", "space:\n  preset: base\n", "space.preset"),
+    ("count", "train:\n  batch_size: 0\n", "train.batch_size"),
+    ("count", "train:\n  sequence_length: 0\n", "train.sequence_length"),
+    ("count", "train:\n  adam_beta1: 1.5\n", "train.adam_beta1"),
+    ("count", "train:\n  adam_beta1: -0.1\n", "train.adam_beta1"),
+    ("count", "train:\n  adam_beta2: 1.0\n", "train.adam_beta2"),
 ], ids=["p-text", "span-text", "k-float", "embed-scalar", "embed-float-item", "ratio-text-item", "head-dim-text",
         "seed-bool", "includes-head-text", "negative-heads", "teacher-warmup-steps-text",
         "teacher-warmup-lr-text", "teacher-zero-heads", "teacher-negative-heads", "teacher-zero-dim",
         "teacher-zero-ratio", "teacher-negative-warmup-steps", "teacher-dim-not-divisible",
         "ratio-inf-item", "ratio-nan-item", "ratio-yaml-nan-item", "teacher-ratio-inf", "teacher-warmup-lr-nan",
-        "even-conv-kernel", "small-preset-teacher", "base-preset-teacher"])
+        "even-conv-kernel", "small-preset-teacher", "base-preset-teacher", "zero-batch-size",
+        "zero-sequence-length", "beta1-above-1", "negative-beta1", "beta2-at-1"])
 def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, command, config, named):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(config)

@@ -143,6 +143,37 @@ def test_a_child_that_exits_without_results_is_an_error_naming_its_exit_status()
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("end,named", [(lambda: os._exit(7), "with exit status 7"),
+                                       (lambda: os.kill(os.getpid(), signal.SIGKILL), "by signal 9")],
+                         ids=["exit-status", "signal"])
+@pytest.mark.parametrize("what", ["walker", "step partner"])
+def test_a_child_that_ends_without_sending_is_an_error_naming_how_it_ended(what, end, named):
+    """run_walkers and partner alike: the child's end is named, and the child is reaped."""
+    with _deadline(30), pytest.raises(RuntimeError, match=f"{what} process \\d+ ended {named} before sending"):
+        if what == "walker":
+            walkers.run_walkers([_in_a_child(end) for _ in range(20)], 2)
+        else:
+            with walkers.partner(lambda step: end() if step == 1 else step) as (ask, answer):
+                for step in range(2):  # it ends after one answer
+                    ask(step)
+                    assert answer() == step
+    assert_no_child_left()
+
+
+def test_tasks_handed_out_several_to_a_record_come_back_in_task_order(monkeypatch):
+    monkeypatch.setattr(walkers, "_capacity", lambda fd: 8)  # room for two records: 20 tasks each
+
+    def task(i):
+        time.sleep(0.01)  # slow enough that another walker takes the second record
+        return i, os.getpid()
+
+    results = walkers.run_walkers([functools.partial(task, i) for i in range(40)], 3)
+    assert [i for i, _ in results] == list(range(40))
+    firsts, seconds = {pid for _, pid in results[:20]}, {pid for _, pid in results[20:]}
+    assert len(firsts) == len(seconds) == 1 and firsts != seconds  # each record went whole to one walker
+    assert_no_child_left()
+
+
 def test_a_walk_of_one_task_never_forks(monkeypatch):
     def no_fork():
         raise AssertionError("forked")
