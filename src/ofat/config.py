@@ -165,6 +165,9 @@ class RunConfig:
             _expect(tr[key] >= 1, f"train.{key}", ">= 1")
         for key in ("adam_beta1", "adam_beta2"):
             _expect(0.0 <= float(tr[key]) < 1.0, f"train.{key}", "in [0, 1)")
+        for key in ("learning_rate", "adam_eps"):
+            _expect(float(tr[key]) > 0, f"train.{key}", "> 0")
+        _expect(float(tr["weight_decay"]) >= 0, "train.weight_decay", ">= 0")
         _expect(tr["warmup_steps"] <= tr["steps"], "train.warmup_steps", "<= train.steps")
         _expect(tr["ofa_init"] in OFA_INITS, "train.ofa_init", f"one of {OFA_INITS}")
         di = d["distill"]
@@ -179,6 +182,7 @@ class RunConfig:
                            ("head_dim", "head_dim"), ("ffn_ratio", "ffn_ratios")):
             _expect(float(te[key]) > 0, f"distill.teacher.{key}", f"> 0 (the teacher's {field})")
         _expect(te["warmup_steps"] >= 0, "distill.teacher.warmup_steps", ">= 0")
+        _expect(float(te["warmup_lr"]) > 0, "distill.teacher.warmup_lr", "> 0")
         _expect(sp["conv_groups"] < 1 or te["dim"] % sp["conv_groups"] == 0, "distill.teacher.dim",
                 f"divisible by space.conv_groups ({sp['conv_groups']})")  # < 1: space() names it
         _expect(di["k"] >= 1, "distill.k", ">= 1")

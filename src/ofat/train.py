@@ -127,10 +127,6 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.t = 0
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def step(self, lr: float, boxes: dict[str, tuple]) -> None:
         """Update m, v and the weights in each box in place, rounding as the textbook expressions
         m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g) and
@@ -200,70 +196,42 @@ def _adopt_teacher_frontend(model: SupernetModel, teacher: TeacherModel) -> None
     model.frontend = teacher.frontend.copy()
 
 
-def _run_training(
-    model: SupernetModel,
-    space: SearchSpace,
-    teacher: TeacherModel,
-    dataset: SyntheticDataset,
-    cfg: TrainConfig,
-    mask_spec: MaskSpec,
-    target_cfg: TargetConfig,
-    pick_config,
-    l1_reduction: str = "mean",
-) -> TrainLog:
-    """The step loop of both stages: each run of consecutive equal-length sequences in a
-    batch is one row-stacked graph and one backward, bitwise one graph per sequence.
-
-    A batch's teacher targets depend only on its frontend features, never
-    on the student, and the run's batches are known before step 0. So the
-    batches and their features are drawn first, then the targets of every
-    sequence the run visits, by one teacher.batch_targets call in chunks of
-    batch_size. The batcher first visits the sequences in index order, so on
-    a cold cache the chunks are the stacks a step computing its own missing
-    targets would run. Every step's subnet and masks are drawn next, from
-    their own streams, so in the order a step loop drawing them would.
-
-    Whatever the walker count, the run holds the model's weights in one
-    walkers.shared_zeros (MAP_SHARED) mapping and each grad in a buffer of
-    a second one, zeroed in place at the start of every step. A step's
-    gradient is a left fold over its sequences, since every parameter op
-    adds per sequence, in order. So with two or more walkers, a forked step
-    partner (walkers.partner) computes the first half of each step's first
-    run, when that run holds two sequences or more, as one graph adding
-    into the zeroed store: exactly the fold's prefix. Meanwhile the caller
-    runs the rest of that run as one graph with its leaf gradient additions
-    deferred (autodiff.defer_leaf_grads), and adds them onto the store in
-    order once the partner answers. After the run, on every path, the
-    weights are private arrays again and every grad is None. Steps only read
-    their targets, so logs and weights are bitwise the same for any walker
-    count.
-    """
-    adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
-    mask_rng = Rng(cfg.seed, STREAM_MASK)
+def _draw_batches(model: SupernetModel, dataset: SyntheticDataset, cfg: TrainConfig):
+    """cfg.steps cyclic batches of dataset indices, and the frontend features of each index they visit."""
     batcher = CyclicBatcher(dataset)
     batches = [[idx for idx, _ in batcher.next_batch(cfg.batch_size)] for _ in range(cfg.steps)]
     feats_of = {idx: model.frontend.forward(dataset.sequences[idx])
                 for idx in dict.fromkeys(itertools.chain.from_iterable(batches))}
-    targets_of = dict(zip(feats_of, teacher.batch_targets(list(feats_of.values()), target_cfg, cfg.batch_size)))
-    configs = [pick_config(step) for step in range(cfg.steps)]
-    masks = [[span_mask(feats_of[idx].shape[0], mask_spec, mask_rng) for idx in batch] for batch in batches]
+    return batches, feats_of
+
+
+def _step_loop(model, space, cfg, batches, feats_of, configs, run_loss, lr) -> TrainLog:
+    """The one step loop: each run of consecutive equal-length sequences in batches[step] is one
+    graph, run_loss(step, positions) -> (root, per-sequence losses), and one root.backward(); then
+    Adam steps configs[step]'s touched boxes at lr(step), asked for once as the step starts. A
+    non-finite mean loss or grad norm raises DivergenceError before Adam writes.
+
+    Whatever the walker count, the run holds the model's weights in one walkers.shared_zeros
+    (MAP_SHARED) mapping and each grad in a buffer of a second one, zeroed in place at the start of
+    every step. A step's gradient is a left fold over its sequences, since every parameter op adds
+    per sequence, in order. So with two or more walkers, a forked step partner (walkers.partner)
+    computes the first half of each step's first run, when that run holds two sequences or more, as
+    one graph adding into the zeroed store: exactly the fold's prefix. Meanwhile the caller runs the
+    rest of that run as one graph with its leaf gradient additions deferred
+    (autodiff.defer_leaf_grads), and adds them onto the store in order once the partner answers.
+    After the run, on every path, the weights are private arrays again and every grad is None. Steps
+    only read what the caller drew before the loop, so logs and weights are bitwise the same for any
+    walker count.
+    """
+    adam = Adam(model.params, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
     # each step's runs of consecutive equal-length sequences, as positions in its batch
     runs = [[list(run) for _, run in itertools.groupby(range(len(batch)), key=lambda i: len(feats_of[batch[i]]))]
             for batch in batches]
 
     def run_graph(step: int, seqs: list) -> list:
-        """One graph and one backward over the step's sequences at positions seqs; their losses."""
-        batch, step_masks, config = batches[step], masks[step], configs[step]
-        feats = [feats_of[batch[i]] for i in seqs]
-        h = masked_input(model, config, feats, [step_masks[i] for i in seqs])
-        head_out = encode(model, config, h, seqs=len(seqs))[2]
-        run_targets = Tensor(np.concatenate([targets_of[batch[i]].data for i in seqs]))
-        run_losses = distill_loss(head_out, run_targets,
-                                  ad.LossMask([step_masks[i] for i in seqs], feats[0].shape[0]),
-                                  reduction=l1_reduction)
-        # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
-        ad.tsum(run_losses * (1.0 / cfg.batch_size)).backward()
-        return run_losses.data.tolist()
+        root, losses = run_loss(step, seqs)
+        root.backward()
+        return losses
 
     def first_half(step: int) -> list:
         """In the step partner: the first half of the step's first run, its gradients added into
@@ -282,11 +250,11 @@ def _run_training(
             p.data, p.grad = weights[name], grads[name]
         if split:
             ask, answer = stack.enter_context(walkers.partner(first_half))
-        for step in range(cfg.steps):
-            lr = lr_at(step, cfg)
+        for step, rest in enumerate(runs):
+            step_lr = lr(step)
             for g in grads.values():
                 g.fill(0)
-            losses, rest = [], runs[step]
+            losses = []
             if split and len(rest[0]) >= 2:
                 first, rest = rest[0], rest[1:]
                 ask(step)
@@ -297,15 +265,54 @@ def _run_training(
                 losses += ours
             for run in rest:
                 losses += run_graph(step, run)
-            mean_loss = float(np.mean(losses))
-            if not math.isfinite(mean_loss):
-                raise DivergenceError(f"non-finite loss {mean_loss} at step {step}")
-            gn = grad_norm(model.params)
-            if not math.isfinite(gn):
-                raise DivergenceError(f"non-finite grad norm {gn} at step {step}")
-            adam.step(lr, touched_boxes(space, configs[step]))
-            log.records.append(TrainRecord(step, mean_loss, gn, lr, configs[step]))
+            mean_loss, gn = float(np.mean(losses)), grad_norm(model.params)
+            for what, value in (("loss", mean_loss), ("grad norm", gn)):
+                if not math.isfinite(value):
+                    raise DivergenceError(f"non-finite {what} {value} at step {step}")
+            adam.step(step_lr, touched_boxes(space, configs[step]))
+            log.records.append(TrainRecord(step, mean_loss, gn, step_lr, configs[step]))
     return log
+
+
+def _run_training(
+    model: SupernetModel,
+    space: SearchSpace,
+    teacher: TeacherModel,
+    dataset: SyntheticDataset,
+    cfg: TrainConfig,
+    mask_spec: MaskSpec,
+    target_cfg: TargetConfig,
+    pick_config,
+    l1_reduction: str = "mean",
+) -> TrainLog:
+    """Both stages' masked distillation through _step_loop, on the lr_at schedule; each run's
+    row-stacked graph is bitwise one graph per sequence.
+
+    Targets depend only on the frontend features, never on the student, and the batches are known
+    before step 0. So the batches and features are drawn first, then the targets of every sequence
+    the run visits, by one teacher.batch_targets call in chunks of batch_size; the batcher first
+    visits the sequences in index order, so on a cold cache the chunks are the stacks a step would
+    run. Every step's subnet and masks are drawn next, from their own streams.
+    """
+    mask_rng = Rng(cfg.seed, STREAM_MASK)
+    batches, feats_of = _draw_batches(model, dataset, cfg)
+    targets_of = dict(zip(feats_of, teacher.batch_targets(list(feats_of.values()), target_cfg, cfg.batch_size)))
+    configs = [pick_config(step) for step in range(cfg.steps)]
+    masks = [[span_mask(feats_of[idx].shape[0], mask_spec, mask_rng) for idx in batch] for batch in batches]
+
+    def run_loss(step: int, seqs: list):
+        batch, step_masks = batches[step], masks[step]
+        feats = [feats_of[batch[i]] for i in seqs]
+        h = masked_input(model, configs[step], feats, [step_masks[i] for i in seqs])
+        head_out = encode(model, configs[step], h, seqs=len(seqs))[2]
+        run_targets = Tensor(np.concatenate([targets_of[batch[i]].data for i in seqs]))
+        run_losses = distill_loss(head_out, run_targets,
+                                  ad.LossMask([step_masks[i] for i in seqs], feats[0].shape[0]),
+                                  reduction=l1_reduction)
+        # only the root's gradient is read, exactly 1 per term: bitwise a per-sequence sum
+        return ad.tsum(run_losses * (1.0 / cfg.batch_size)), run_losses.data.tolist()
+
+    return _step_loop(model, space, cfg, batches, feats_of, configs, run_loss, lambda step: lr_at(step, cfg))
 
 
 def _make_private(params: dict[str, Tensor]) -> None:
@@ -332,10 +339,8 @@ def stage1_train(
     _adopt_teacher_frontend(model, teacher)
     check_teacher_compat(model, teacher)
     largest = max_subnet(space)
-    log = _run_training(
-        model, space, teacher, dataset, cfg, mask_spec, target_cfg,
-        lambda step: largest, l1_reduction
-    )
+    log = _run_training(model, space, teacher, dataset, cfg, mask_spec, target_cfg, lambda step: largest,
+                        l1_reduction)
     return {"stage": 1, "seed": cfg.seed}, model, log
 
 
@@ -369,10 +374,8 @@ def stage2_train(
         model = clone_supernet(init_model)  # never mutate the caller's init model
     check_teacher_compat(model, teacher)
     arch_rng = Rng(cfg.seed, STREAM_ARCH)
-    log = _run_training(
-        model, space, teacher, dataset, cfg, mask_spec, target_cfg,
-        lambda step: sample_subnet(space, arch_rng), l1_reduction,
-    )
+    log = _run_training(model, space, teacher, dataset, cfg, mask_spec, target_cfg,
+                        lambda step: sample_subnet(space, arch_rng), l1_reduction)
     return {"stage": 2, "seed": cfg.seed, "ofa_init": cfg.ofa_init}, model, log
 
 
@@ -416,21 +419,31 @@ def make_teacher(
 ) -> TeacherModel:
     """Build (and optionally warm up) a frozen teacher.
 
-    Warmup is a brief self-regression: the teacher's head learns to
-    reproduce the frontend features from the encoder output, which gives
-    the hidden layers input-dependent structure. Distillation correctness
-    never depends on teacher quality, only on its frozenness.
+    Warmup is a brief self-regression through _step_loop at the constant warmup_lr, with Adam's
+    defaults (TrainConfig's): the teacher's head learns to reproduce the frontend features from the
+    encoder output, which gives the hidden layers input-dependent structure. A diverging warmup
+    raises DivergenceError. Distillation correctness never depends on teacher quality, only on its
+    frozenness.
     """
     if frontend_spec is None:
         frontend_spec = desk_frontend()
     space = arch.singleton_space(frontend_spec)
-    rng = Rng(seed, STREAM_TEACHER)
-    supernet = build_supernet(space, rng)
+    supernet = build_supernet(space, Rng(seed, STREAM_TEACHER))
     if warmup_steps > 0:
         if dataset is None:
             raise ConfigurationError("teacher warmup needs a dataset")
-        _warmup_self_regression(supernet, space, max_subnet(space), dataset, warmup_steps, warmup_lr,
-                                batch_size)
+        cfg = TrainConfig(stage=1, steps=warmup_steps, batch_size=batch_size)
+        batches, feats_of = _draw_batches(supernet, dataset, cfg)
+        config = max_subnet(space)
+
+        def run_loss(step: int, seqs: list):
+            feats = [feats_of[batches[step][i]] for i in seqs]
+            stacked = np.concatenate(feats)
+            err = forward(supernet, config, stacked, seqs=len(seqs))[2] - Tensor(stacked)
+            losses = np.square(err.data).reshape(len(seqs), -1).mean(axis=1).tolist()
+            return ad.tsum(err * err) * (1.0 / (feats[0].size * batch_size)), losses
+
+        _step_loop(supernet, space, cfg, batches, feats_of, [config] * warmup_steps, run_loss, lambda step: warmup_lr)
     return TeacherModel(encoder=supernet)
 
 
@@ -444,22 +457,3 @@ def teacher_self_regression_loss(teacher: TeacherModel, sequences) -> float:
             diff = head_out.data - feats
             total += float((diff.astype(np.float64) ** 2).mean())
     return total / len(sequences)
-
-
-def _warmup_self_regression(model, space, config, dataset, steps, lr, batch_size):
-    """Adam steps on the mean squared error of the head against the frontend features.
-    As in _run_training, each run of consecutive equal-length sequences in a batch is one
-    row-stacked graph and one backward, bitwise one graph per sequence."""
-    adam = Adam(model.params)
-    boxes = touched_boxes(space, config)
-    batcher = CyclicBatcher(dataset)
-    for _ in range(steps):
-        adam.zero_grad()
-        feats = [model.frontend.forward(seq) for _, seq in batcher.next_batch(batch_size)]
-        for _, run in itertools.groupby(feats, key=lambda f: f.shape[0]):
-            run = list(run)
-            stacked = np.concatenate(run)
-            err = forward(model, config, stacked, seqs=len(run))[2] - Tensor(stacked)
-            (ad.tsum(err * err) * (1.0 / (run[0].size * batch_size))).backward()
-        adam.step(lr, boxes)
-    adam.zero_grad()  # the teacher is frozen from here on; its gradient buffers need not live

@@ -309,13 +309,20 @@ def _run_cli(*args):
     ("count", "train:\n  adam_beta1: 1.5\n", "train.adam_beta1"),
     ("count", "train:\n  adam_beta1: -0.1\n", "train.adam_beta1"),
     ("count", "train:\n  adam_beta2: 1.0\n", "train.adam_beta2"),
+    ("count", "train:\n  learning_rate: -1.0\n", "train.learning_rate"),
+    ("count", "train:\n  learning_rate: 0.0\n", "train.learning_rate"),
+    ("count", "train:\n  adam_eps: 0.0\n", "train.adam_eps"),
+    ("count", "train:\n  weight_decay: -0.5\n", "train.weight_decay"),
+    ("init-teacher", "distill:\n  teacher:\n    warmup_lr: -1.0\n", "distill.teacher.warmup_lr"),
+    ("init-teacher", "distill:\n  teacher:\n    warmup_lr: -2e-3\n", "distill.teacher.warmup_lr"),
 ], ids=["p-text", "span-text", "k-float", "embed-scalar", "embed-float-item", "ratio-text-item", "head-dim-text",
         "seed-bool", "includes-head-text", "negative-heads", "teacher-warmup-steps-text",
         "teacher-warmup-lr-text", "teacher-zero-heads", "teacher-negative-heads", "teacher-zero-dim",
         "teacher-zero-ratio", "teacher-negative-warmup-steps", "teacher-dim-not-divisible",
         "ratio-inf-item", "ratio-nan-item", "ratio-yaml-nan-item", "teacher-ratio-inf", "teacher-warmup-lr-nan",
         "even-conv-kernel", "small-preset-teacher", "base-preset-teacher", "zero-batch-size",
-        "zero-sequence-length", "beta1-above-1", "negative-beta1", "beta2-at-1"])
+        "zero-sequence-length", "beta1-above-1", "negative-beta1", "beta2-at-1", "negative-lr", "zero-lr",
+        "zero-adam-eps", "negative-weight-decay", "negative-warmup-lr", "negative-warmup-lr-text"])
 def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, command, config, named):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(config)
@@ -324,6 +331,18 @@ def test_a_config_value_of_the_wrong_type_or_sign_exits_2_naming_it(tmp_path, co
     assert proc.returncode == 2, proc.stderr
     assert named in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "t.ofat").exists()
+
+
+def test_a_diverging_teacher_warmup_exits_3_and_writes_no_teacher(tmp_path):
+    # the warmup steps through the training loop, whose finite checks stop it before any file is written
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("train:\n  n_train_sequences: 4\n  sequence_length: 64\n"
+                   "distill:\n  teacher:\n    warmup_steps: 3\n    warmup_lr: 1.0e30\n")
+    out = tmp_path / "t.ofat"
+    proc = _run_cli("init-teacher", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "non-finite loss" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists() and not list(tmp_path.glob("t.ofat*"))
 
 
 def test_a_non_numeric_subnet_spec_exits_2_naming_its_key(tmp_path):

@@ -1,5 +1,6 @@
 """Optimizer semantics, schedules, and the two training stages."""
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -7,10 +8,12 @@ import itertools
 import os
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ofat
 from ofat.autodiff import Tensor
 from ofat.checkpoint import save_model
 from ofat.data import make_synthetic_dataset
@@ -102,6 +105,18 @@ def test_adam_updates_only_given_boxes():
     assert np.all(p.data[2:, :] == 0.0)
     assert np.all(p.data[:, 3:] == 0.0)
     assert np.all(opt.m["p"][2:, :] == 0.0)
+
+
+def test_only_the_step_loop_builds_adam_or_steps_it():
+    """Every training run, distillation and teacher warmup alike, steps through train._step_loop:
+    no other top-level function or class in src/ constructs Adam or calls .step(."""
+    places = set()
+    for path in sorted(Path(ofat.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            calls = [node.func for node in ast.walk(top) if isinstance(node, ast.Call)]
+            if any(getattr(f, "id", None) == "Adam" or getattr(f, "attr", None) == "step" for f in calls):
+                places.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert places == {"train.py:_step_loop"}, places
 
 
 def test_lr_schedule_contract():
@@ -423,7 +438,8 @@ def _per_sequence_training(model, space, teacher, dataset, cfg, mask_spec, targe
     for step in range(cfg.steps):
         config = pick_config(step)
         lr = lr_at(step, cfg)
-        adam.zero_grad()
+        for p in model.params.values():
+            p.grad = None
         losses = []
         for idx, seq in batcher.next_batch(cfg.batch_size):
             feats = model.frontend.forward(seq)
@@ -512,7 +528,8 @@ def _per_sequence_warmup(model, space, config, dataset, steps, lr, batch_size):
     boxes = touched_boxes(space, config)
     batcher = CyclicBatcher(dataset)
     for _ in range(steps):
-        adam.zero_grad()
+        for p in model.params.values():
+            p.grad = None
         for _, seq in batcher.next_batch(batch_size):
             feats = model.frontend.forward(seq)
             head_out = forward(model, config, feats)[2]
@@ -521,31 +538,37 @@ def _per_sequence_warmup(model, space, config, dataset, steps, lr, batch_size):
         adam.step(lr, boxes)
 
 
+@WALKER_COUNTS
 @pytest.mark.parametrize("batch_size", [1, 3, 4])
-def test_stacked_teacher_warmup_equals_per_sequence_graphs_bitwise(monkeypatch, batch_size):
-    from ofat import train
+def test_stacked_teacher_warmup_equals_per_sequence_graphs_bitwise(monkeypatch, batch_size, walker_count):
+    """The warmup, through the step loop on walker_count walkers (2: a step partner), against one
+    graph per sequence on a fresh build of the same teacher."""
+    from ofat import walkers
     from ofat.data import SyntheticDataset
+    from ofat.rng import STREAM_TEACHER
     space = small_setup()[0]
     data = make_synthetic_dataset(seed=13, n_sequences=4, length=64)
     short = make_synthetic_dataset(seed=16, n_sequences=3, length=48)
     mixed = SyntheticDataset([data.sequences[0], short.sequences[0], short.sequences[1], data.sequences[1],
                               data.sequences[2], data.sequences[3], short.sequences[2]])
-
-    def warmed(warmup_steps):
-        return make_teacher(seed=24, arch=SMALL_TEACHER, frontend_spec=space.frontend,
-                            warmup_steps=warmup_steps, warmup_lr=3e-3, dataset=mixed, batch_size=batch_size)
-
-    teacher = warmed(4)
+    monkeypatch.setattr(walkers, "walker_count", lambda: walker_count)
+    partners, real_partner = [], walkers.partner
+    monkeypatch.setattr(walkers, "partner", lambda work: partners.append(work) or real_partner(work))
+    teacher = make_teacher(seed=24, arch=SMALL_TEACHER, frontend_spec=space.frontend,
+                           warmup_steps=4, warmup_lr=3e-3, dataset=mixed, batch_size=batch_size)
     assert all(p.grad is None for p in teacher.encoder.params.values())
+    # batches of 1 hold no run of two sequences to split
+    assert len(partners) == int(walker_count >= 2 and batch_size > 1)
     stacked = _arrays(teacher.encoder)
-    with monkeypatch.context() as m:
-        m.setattr(train, "_warmup_self_regression", _per_sequence_warmup)
-        reference = _arrays(warmed(4).encoder)
+    teacher_space = SMALL_TEACHER.singleton_space(space.frontend)
+    reference_model = build_supernet(teacher_space, Rng(24, STREAM_TEACHER))
+    fresh = {name: arr.tobytes() for name, arr in _arrays(reference_model).items()}
+    _per_sequence_warmup(reference_model, teacher_space, max_subnet(teacher_space), mixed, 4, 3e-3, batch_size)
+    reference = _arrays(reference_model)
     assert list(stacked) == list(reference)
     for name in stacked:
         assert stacked[name].tobytes() == reference[name].tobytes(), name
-    fresh = _arrays(warmed(0).encoder)
-    assert any(stacked[name].tobytes() != fresh[name].tobytes() for name in fresh)
+    assert any(stacked[name].tobytes() != fresh[name] for name in fresh)
 
 
 def test_training_leaves_no_gradient_buffers():
